@@ -10,6 +10,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use lpfps::driver::{default_horizon, run, run_in, PolicyKind};
 use lpfps_cpu::spec::CpuSpec;
 use lpfps_kernel::engine::{SimConfig, SimWorkspace};
+use lpfps_kernel::NoProbe;
 use lpfps_tasks::exec::PaperGaussian;
 use lpfps_workloads::{avionics, cnc, ins, table1};
 
@@ -38,7 +39,18 @@ fn bench_kernel(c: &mut Criterion) {
         let cfg = SimConfig::new(horizon).with_seed(7);
         let mut ws = SimWorkspace::new();
         group.bench_function(format!("{name}/lpfps/reused-workspace"), |b| {
-            b.iter(|| run_in(&ts, &cpu, PolicyKind::Lpfps, &PaperGaussian, &cfg, &mut ws))
+            b.iter(|| {
+                let exec = &PaperGaussian;
+                run_in(
+                    &ts,
+                    &cpu,
+                    PolicyKind::Lpfps,
+                    exec,
+                    &cfg,
+                    &mut ws,
+                    &mut NoProbe,
+                )
+            })
         });
     }
     group.finish();

@@ -2,9 +2,10 @@
 //! reference simulator (`lpfps-oracle`), field for field.
 //!
 //! All four catalog workloads × {fps, fps-pd, lpfps, lpfps-wd, edf,
-//! cc-edf}, fault-free and under the overrun stream (p = 0.1), with
-//! tracing enabled so the comparison also covers the per-segment energy
-//! stream — the EDF columns exercise the shared engine's deadline-ordered
+//! cc-edf}, fault-free and under the overrun stream (p = 0.1), with a
+//! trace recorded on both sides (engine fully simulated) so the comparison
+//! also covers every event and the per-segment energy stream — the EDF
+//! columns exercise the shared engine's deadline-ordered
 //! dispatch against the oracle's naive transcription. Any divergence
 //! prints the first differing field with both values and exits nonzero —
 //! this is the CI gate proving the engine's optimizations (event-horizon
@@ -12,7 +13,7 @@
 //! invisible.
 //!
 //! A second matrix covers the steady-state fast-forward: the same
-//! workload × policy grid under `AlwaysWcet` without tracing (the
+//! workload × policy grid under `AlwaysWcet` without a trace (the
 //! detector's eligible regime), where each cell is checked two ways —
 //! the fast-forwarding engine against the naive oracle (which always
 //! simulates every event), and against its own forced-full run
@@ -25,7 +26,9 @@ use lpfps_bench::golden::oracle_report;
 use lpfps_cpu::spec::CpuSpec;
 use lpfps_faults::{FaultConfig, OverrunFault};
 use lpfps_kernel::engine::SimWorkspace;
-use lpfps_oracle::first_divergence;
+use lpfps_kernel::trace::Trace;
+use lpfps_kernel::NoProbe;
+use lpfps_oracle::{first_divergence, first_trace_divergence};
 use lpfps_sweep::{Cell, Cli, ExecKind};
 use lpfps_workloads::{avionics, cnc, ins, table1};
 
@@ -57,8 +60,7 @@ fn main() {
                         .with_exec(ExecKind::PaperGaussian)
                         .with_bcet_fraction(0.5)
                         .with_seed(42)
-                        .with_faults(faults)
-                        .with_trace(),
+                        .with_faults(faults),
                 );
             }
         }
@@ -77,10 +79,18 @@ fn main() {
         "cell", "events", "trace", "verdict"
     );
     let mut divergences = 0;
+    let mut ws = SimWorkspace::new();
     for cell in &cells {
-        let engine = cell.run(1.0).expect("all diff cells are valid simulations");
-        let oracle = oracle_report(cell).expect("all diff cells use PolicyKind policies");
-        let verdict = match first_divergence(&engine, &oracle) {
+        let mut engine_trace = Trace::new();
+        let engine = cell
+            .run_probed_opts(1.0, &mut ws, true, &mut engine_trace)
+            .expect("all diff cells are valid simulations");
+        let mut oracle_trace = Trace::new();
+        let oracle =
+            oracle_report(cell, &mut oracle_trace).expect("all diff cells use PolicyKind policies");
+        let verdict = match first_divergence(&engine, &oracle)
+            .or_else(|| first_trace_divergence(&engine_trace, &oracle_trace))
+        {
             None => "ok".to_string(),
             Some(d) => {
                 divergences += 1;
@@ -92,13 +102,13 @@ fn main() {
             "{:<42} {:>10} {:>10} {:>8}",
             cell.label(),
             engine.counters.events,
-            engine.trace.as_ref().map_or(0, |t| t.len()),
+            engine_trace.len(),
             verdict
         );
     }
 
     // Second matrix: the steady-state fast-forward's eligible regime
-    // (AlwaysWcet, fault-free, no trace). Each cell is diffed two ways:
+    // (AlwaysWcet, fault-free, no probe). Each cell is diffed two ways:
     // the fast-forwarding engine against the naive oracle, and against
     // its own forced-full run, byte for byte.
     let mut ff_cells = Vec::new();
@@ -122,7 +132,6 @@ fn main() {
         "\nfast-forward matrix (AlwaysWcet, detector eligible):\n{:<42} {:>10} {:>8} {:>8}",
         "cell", "events", "cycles", "verdict"
     );
-    let mut ws = SimWorkspace::new();
     for cell in &ff_cells {
         let fast = cell
             .run_opts(1.0, &mut ws, false)
@@ -131,7 +140,8 @@ fn main() {
         let full = cell
             .run_opts(1.0, &mut ws, true)
             .expect("all diff cells are valid simulations");
-        let oracle = oracle_report(cell).expect("all diff cells use PolicyKind policies");
+        let oracle =
+            oracle_report(cell, &mut NoProbe).expect("all diff cells use PolicyKind policies");
         let mut verdict = "ok".to_string();
         if let Some(d) = first_divergence(&fast, &oracle) {
             divergences += 1;

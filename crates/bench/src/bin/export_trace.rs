@@ -18,6 +18,7 @@
 use lpfps::driver::PolicyKind;
 use lpfps_cpu::spec::CpuSpec;
 use lpfps_kernel::engine::SimWorkspace;
+use lpfps_kernel::trace::Trace;
 use lpfps_obs::{export_chrome_trace, validate_chrome_trace};
 use lpfps_sweep::{Cell, Cli, ExecKind};
 use lpfps_tasks::time::{Dur, Time};
@@ -36,16 +37,15 @@ fn main() {
         .with_exec(ExecKind::PaperGaussian)
         .with_bcet_fraction(0.5)
         .with_seed(42)
-        .with_horizon(Dur::from_us(400))
-        .with_trace();
-    let report = cell
-        .run_in(parsed.horizon_scale, &mut SimWorkspace::new())
+        .with_horizon(Dur::from_us(400));
+    // A trace is a probe: the fast-forward is forced off so it is complete.
+    let (mut ws, mut trace) = (SimWorkspace::new(), Trace::new());
+    cell.run_probed_opts(parsed.horizon_scale, &mut ws, true, &mut trace)
         .expect("the Figure 2 cell simulates");
-    let trace = report.trace.as_ref().expect("tracing was enabled");
     let scaled = cell.ts.with_bcet_fraction(cell.bcet_fraction);
     let end = Time::ZERO + cell.effective_horizon(parsed.horizon_scale);
 
-    let json = export_chrome_trace(trace, &scaled, end);
+    let json = export_chrome_trace(&trace, &scaled, end);
     let stats = validate_chrome_trace(&json).expect("freshly exported trace validates");
 
     let path = parsed.trace_out.as_deref().unwrap_or(DEFAULT_OUT);

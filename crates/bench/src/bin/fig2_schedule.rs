@@ -11,12 +11,14 @@
 
 use lpfps::LpfpsPolicy;
 use lpfps_cpu::spec::CpuSpec;
-use lpfps_kernel::engine::{simulate, SimConfig};
+use lpfps_kernel::engine::{simulate_in, SimConfig, SimWorkspace};
 use lpfps_kernel::gantt::Gantt;
-use lpfps_kernel::policy::AlwaysFullSpeed;
+use lpfps_kernel::policy::{AlwaysFullSpeed, PowerPolicy};
+use lpfps_kernel::report::SimReport;
 use lpfps_kernel::trace::{Trace, TraceEvent};
 use lpfps_tasks::exec::{AlwaysWcet, ExecModel};
 use lpfps_tasks::task::{Task, TaskId};
+use lpfps_tasks::taskset::TaskSet;
 use lpfps_tasks::time::{Dur, Time};
 use lpfps_workloads::table1;
 
@@ -103,6 +105,21 @@ fn print_snapshot(label: &str, trace: &Trace, at: Time) {
     );
 }
 
+/// Simulates one schedule with its complete trace (a trace is a probe,
+/// so the fast-forward is forced off).
+fn traced(
+    ts: &TaskSet,
+    cpu: &CpuSpec,
+    policy: &mut dyn PowerPolicy,
+    exec: &dyn ExecModel,
+    cfg: &SimConfig,
+) -> (SimReport, Trace) {
+    let cfg = cfg.clone().with_force_full_simulation();
+    let (mut ws, mut trace) = (SimWorkspace::new(), Trace::new());
+    let report = simulate_in(ts, cpu, policy, exec, &cfg, &mut ws, &mut trace).expect("valid cell");
+    (report, trace)
+}
+
 fn main() {
     // No outputs beyond stdout, but the shared CLI still rejects typos.
     let _ = lpfps_sweep::Cli::new(
@@ -113,34 +130,31 @@ fn main() {
     let ts = table1();
     let cpu = CpuSpec::arm8();
     let horizon = Dur::from_us(400);
-    let cfg = SimConfig::new(horizon).with_trace();
+    let cfg = SimConfig::new(horizon);
 
     println!("=== Figure 2(a): Table 1 at WCET under FPS ===\n");
-    let fps = simulate(&ts, &cpu, &mut AlwaysFullSpeed, &AlwaysWcet, &cfg).expect("valid cell");
-    let trace_a = fps.trace.as_ref().expect("traced");
-    let gantt = Gantt::from_trace(trace_a, Time::from_us(400));
+    let (fps, trace_a) = traced(&ts, &cpu, &mut AlwaysFullSpeed, &AlwaysWcet, &cfg);
+    let gantt = Gantt::from_trace(&trace_a, Time::from_us(400));
     print!("{}", gantt.render(&ts, 5));
     println!("\nevents:");
     print!("{}", trace_a.render());
     assert!(fps.all_deadlines_met());
 
     println!("\n--- Figure 3: queue snapshots under FPS ---");
-    print_snapshot("t =   0 (Fig. 3a)", trace_a, Time::from_us(0));
-    print_snapshot("t =  50 (Fig. 3b)", trace_a, Time::from_us(50));
+    print_snapshot("t =   0 (Fig. 3a)", &trace_a, Time::from_us(0));
+    print_snapshot("t =  50 (Fig. 3b)", &trace_a, Time::from_us(50));
 
     println!("\n=== Figure 2(b): early completions under LPFPS ===\n");
-    let mut lpfps = LpfpsPolicy::new();
-    let lp = simulate(&ts, &cpu, &mut lpfps, &Figure2b, &cfg).expect("valid cell");
-    let trace_b = lp.trace.as_ref().expect("traced");
-    let gantt = Gantt::from_trace(trace_b, Time::from_us(400));
+    let (lp, trace_b) = traced(&ts, &cpu, &mut LpfpsPolicy::new(), &Figure2b, &cfg);
+    let gantt = Gantt::from_trace(&trace_b, Time::from_us(400));
     print!("{}", gantt.render(&ts, 5));
     println!("\nevents:");
     print!("{}", trace_b.render());
     assert!(lp.all_deadlines_met(), "misses: {:?}", lp.misses);
 
     println!("\n--- Figure 5: queue snapshots under LPFPS ---");
-    print_snapshot("t = 160 (Fig. 5a)", trace_b, Time::from_us(160));
-    print_snapshot("t = 180 (Fig. 5b)", trace_b, Time::from_us(180));
+    print_snapshot("t = 160 (Fig. 5a)", &trace_b, Time::from_us(160));
+    print_snapshot("t = 180 (Fig. 5b)", &trace_b, Time::from_us(180));
 
     // The narrated events of the paper, asserted so this binary doubles as
     // an executable regression check of the example.

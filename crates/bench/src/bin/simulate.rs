@@ -17,7 +17,9 @@
 
 use lpfps::driver::PolicyKind;
 use lpfps_cpu::spec::CpuSpec;
+use lpfps_kernel::engine::SimWorkspace;
 use lpfps_kernel::gantt::Gantt;
+use lpfps_kernel::trace::Trace;
 use lpfps_sweep::{run_sweep, Cell, CellStatus, Cli, ExecKind, SweepSpec};
 use lpfps_tasks::taskset::TaskSet;
 use lpfps_tasks::time::{Dur, Time};
@@ -118,13 +120,10 @@ fn main() {
             .unwrap_or_else(|_| die("flag `--horizon-ms` takes an integer"));
         cell = cell.with_horizon(Dur::from_ms(ms));
     }
-    if gantt.is_some() {
-        cell = cell.with_trace();
-    }
     let horizon = cell.effective_horizon(parsed.horizon_scale);
 
     let mut spec = SweepSpec::new("simulate");
-    spec.push(cell);
+    spec.push(cell.clone());
     let outcome = run_sweep(&spec, &parsed.run_options());
     let report = match outcome.report(0) {
         Some(report) => report,
@@ -140,11 +139,16 @@ fn main() {
     if !report.all_deadlines_met() {
         println!("  DEADLINE MISSES: {:?}", report.misses);
     }
-    if let (Some(cols), Some(trace)) = (gantt, report.trace.as_ref()) {
+    if let Some(cols) = gantt {
+        // The chart needs a complete trace: re-run the (deterministic)
+        // cell fully simulated with a trace attached.
+        let (mut ws, mut trace) = (SimWorkspace::new(), Trace::new());
+        cell.run_probed_opts(parsed.horizon_scale, &mut ws, true, &mut trace)
+            .unwrap_or_else(|e| die(e));
         println!();
         print!(
             "{}",
-            Gantt::from_trace(trace, Time::ZERO + horizon).render(&ts, cols)
+            Gantt::from_trace(&trace, Time::ZERO + horizon).render(&ts, cols)
         );
     }
     parsed.emit(&outcome.results, &outcome.metrics);

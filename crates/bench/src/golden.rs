@@ -10,7 +10,7 @@
 use lpfps::driver::PolicyKind;
 use lpfps_cpu::spec::CpuSpec;
 use lpfps_faults::{FaultConfig, OverrunFault};
-use lpfps_kernel::engine::SimConfig;
+use lpfps_kernel::probe::{NoProbe, Probe};
 use lpfps_kernel::report::SimReport;
 use lpfps_oracle::{first_divergence, oracle_run};
 use lpfps_sweep::{Cell, ExecKind, PolicyChoice};
@@ -94,25 +94,16 @@ pub fn golden_runs() -> impl Iterator<Item = (String, SimReport)> {
 }
 
 /// Runs a cell through the naive reference simulator (`lpfps-oracle`)
-/// under the exact configuration [`Cell::run`] builds, or `None` for the
-/// timeout-shutdown policy (which has no `PolicyKind` dispatch).
-pub fn oracle_report(cell: &Cell) -> Option<SimReport> {
+/// under the exact configuration [`Cell::run`] builds
+/// ([`Cell::sim_config`]), with `probe` receiving every event, or `None`
+/// for the timeout-shutdown policy (which has no `PolicyKind` dispatch).
+pub fn oracle_report<P: Probe>(cell: &Cell, probe: &mut P) -> Option<SimReport> {
     let PolicyChoice::Kind(kind) = cell.policy else {
         return None;
     };
     let scaled = cell.ts.with_bcet_fraction(cell.bcet_fraction);
-    let mut cfg = SimConfig::new(cell.effective_horizon(1.0))
-        .with_seed(cell.seed)
-        .with_context_switch(cell.context_switch)
-        .with_ratio_overhead(cell.ratio_overhead);
-    if let Some(tick) = cell.tick {
-        cfg = cfg.with_tick(tick);
-    }
-    cfg = cfg.with_faults(cell.faults);
-    if cell.trace {
-        cfg = cfg.with_trace();
-    }
-    let mut report = oracle_run(&scaled, &cell.cpu, kind, cell.exec.model(), &cfg)
+    let cfg = cell.sim_config(1.0, false);
+    let mut report = oracle_run(&scaled, &cell.cpu, kind, cell.exec.model(), &cfg, probe)
         .expect("every golden cell is a valid simulation for the oracle too");
     report.taskset = cell.app.clone();
     Some(report)
@@ -123,7 +114,7 @@ pub fn oracle_report(cell: &Cell) -> Option<SimReport> {
 /// diverging field (an engine bug) or full agreement (an intentional
 /// behavior change whose fingerprints need regenerating).
 pub fn diagnose_mismatch(cell: &Cell, engine: &SimReport) -> String {
-    let Some(oracle) = oracle_report(cell) else {
+    let Some(oracle) = oracle_report(cell, &mut NoProbe) else {
         return "no oracle dispatch for this policy; diff the serialized reports by hand".into();
     };
     match first_divergence(engine, &oracle) {

@@ -95,7 +95,7 @@ fn sweep_reports_identical_across_thread_counts() {
 
 /// Observability is free, proven against the pinned history: the full
 /// golden matrix run through the probed engine entry points — with a
-/// recording [`JobRecorder`] *and* a [`TraceProbe`] attached — must still
+/// recording [`JobRecorder`] *and* a kernel [`Trace`] attached — must still
 /// reproduce the pre-optimization fingerprints byte for byte. Probes may
 /// observe the simulation; they may never perturb it (not even its
 /// fast-forward eligibility).
@@ -103,7 +103,8 @@ fn sweep_reports_identical_across_thread_counts() {
 fn probed_engine_reproduces_the_golden_matrix() {
     use lpfps_bench::golden::golden_cells;
     use lpfps_kernel::engine::SimWorkspace;
-    use lpfps_obs::{JobRecorder, TraceProbe};
+    use lpfps_kernel::trace::Trace;
+    use lpfps_obs::JobRecorder;
     let mut ws = SimWorkspace::new();
     for (cell, (label, expected)) in golden_cells().into_iter().zip(GOLDEN) {
         let mut rec = JobRecorder::new();
@@ -116,12 +117,14 @@ fn probed_engine_reproduces_the_golden_matrix() {
                 diagnose_mismatch(&cell, &report)
             );
         }
-        let mut tp = TraceProbe::new();
-        let report = cell.run_probed_opts(1.0, &mut ws, false, &mut tp).unwrap();
+        let mut trace = Trace::new();
+        let report = cell
+            .run_probed_opts(1.0, &mut ws, false, &mut trace)
+            .unwrap();
         let fp = report_fingerprint(&report);
         if fp != expected {
             panic!(
-                "TraceProbe-probed report for `{label}` diverged \
+                "Trace-probed report for `{label}` diverged \
                  ({fp:#018x} != {expected:#018x})\n{}",
                 diagnose_mismatch(&cell, &report)
             );

@@ -6,12 +6,10 @@ use crate::baselines::{static_slowdown_spec, EdfFps, Fps};
 use crate::lpfps_policy::LpfpsPolicy;
 use lpfps_cpu::spec::CpuSpec;
 use lpfps_kernel::discipline::Edf as EdfDispatch;
-use lpfps_kernel::engine::{
-    simulate_in, simulate_in_for, simulate_in_probed, simulate_in_probed_for, SimConfig,
-    SimWorkspace,
-};
+use lpfps_kernel::engine::{simulate_in, SimConfig, SimWorkspace};
 use lpfps_kernel::error::SimError;
-use lpfps_kernel::probe::Probe;
+use lpfps_kernel::policy::PowerPolicy;
+use lpfps_kernel::probe::{NoProbe, Probe};
 use lpfps_kernel::report::SimReport;
 use lpfps_tasks::analysis::hyperperiod::hyperperiod;
 use lpfps_tasks::exec::ExecModel;
@@ -114,72 +112,28 @@ pub fn run(
     exec: &dyn ExecModel,
     cfg: &SimConfig,
 ) -> Result<SimReport, SimError> {
-    run_in(ts, cpu, kind, exec, cfg, &mut SimWorkspace::new())
+    run_in(
+        ts,
+        cpu,
+        kind,
+        exec,
+        cfg,
+        &mut SimWorkspace::new(),
+        &mut NoProbe,
+    )
 }
 
-/// [`run`] with a caller-provided [`SimWorkspace`], so batch drivers (the
-/// sweep runner's worker threads) recycle the kernel's queue and task
-/// buffers across cells instead of reallocating them per simulation.
+/// [`run`] with a caller-provided [`SimWorkspace`] and an observability
+/// [`Probe`]: batch drivers (the sweep runner's worker threads) recycle
+/// the kernel's queue and task buffers across cells, and the probe sees
+/// the event stream of whichever policy/discipline `kind` selects. Pass
+/// `&mut NoProbe` to observe nothing; the report is byte-identical either
+/// way ([`lpfps_kernel::probe`]).
 ///
 /// # Errors
 ///
 /// As [`run`].
-pub fn run_in(
-    ts: &TaskSet,
-    cpu: &CpuSpec,
-    kind: PolicyKind,
-    exec: &dyn ExecModel,
-    cfg: &SimConfig,
-    ws: &mut SimWorkspace,
-) -> Result<SimReport, SimError> {
-    match kind {
-        PolicyKind::Fps => simulate_in(ts, cpu, &mut Fps, exec, cfg, ws),
-        PolicyKind::FpsPd => {
-            simulate_in(ts, cpu, &mut LpfpsPolicy::power_down_only(), exec, cfg, ws)
-        }
-        PolicyKind::LpfpsDvsOnly => {
-            simulate_in(ts, cpu, &mut LpfpsPolicy::dvs_only(), exec, cfg, ws)
-        }
-        PolicyKind::Lpfps => simulate_in(ts, cpu, &mut LpfpsPolicy::new(), exec, cfg, ws),
-        PolicyKind::LpfpsOptimal => simulate_in(
-            ts,
-            cpu,
-            &mut LpfpsPolicy::with_optimal_ratio(),
-            exec,
-            cfg,
-            ws,
-        ),
-        PolicyKind::LpfpsWatchdog => simulate_in(
-            ts,
-            cpu,
-            &mut LpfpsPolicy::with_watchdog(PolicyKind::DEFAULT_WATCHDOG_COOLDOWN),
-            exec,
-            cfg,
-            ws,
-        ),
-        PolicyKind::StaticSlowdown => {
-            let derated = static_slowdown_spec(ts, cpu).unwrap_or_else(|| cpu.clone());
-            let mut report = simulate_in(ts, &derated, &mut Fps, exec, cfg, ws)?;
-            report.policy = PolicyKind::StaticSlowdown.name().to_string();
-            Ok(report)
-        }
-        PolicyKind::Edf => simulate_in_for::<EdfDispatch>(ts, cpu, &mut EdfFps, exec, cfg, ws),
-        PolicyKind::CcEdf => {
-            simulate_in_for::<EdfDispatch>(ts, cpu, &mut LpfpsPolicy::cc_edf(), exec, cfg, ws)
-        }
-    }
-}
-
-/// [`run_in`] with an observability [`Probe`] attached: every dispatch arm
-/// routes through the kernel's probed entry points, so the probe sees the
-/// full event stream of whichever policy/discipline the cell selects. The
-/// report is byte-identical to the probe-less run by the kernel's
-/// zero-influence contract ([`lpfps_kernel::probe`]).
-///
-/// # Errors
-///
-/// As [`run`].
-pub fn run_probed_in<P: Probe>(
+pub fn run_in<P: Probe>(
     ts: &TaskSet,
     cpu: &CpuSpec,
     kind: PolicyKind,
@@ -188,59 +142,32 @@ pub fn run_probed_in<P: Probe>(
     ws: &mut SimWorkspace,
     probe: &mut P,
 ) -> Result<SimReport, SimError> {
+    let mut fp = |cpu: &CpuSpec, policy: &mut dyn PowerPolicy| {
+        simulate_in(ts, cpu, policy, exec, cfg, ws, probe)
+    };
     match kind {
-        PolicyKind::Fps => simulate_in_probed(ts, cpu, &mut Fps, exec, cfg, ws, probe),
-        PolicyKind::FpsPd => simulate_in_probed(
-            ts,
-            cpu,
-            &mut LpfpsPolicy::power_down_only(),
-            exec,
-            cfg,
-            ws,
-            probe,
-        ),
-        PolicyKind::LpfpsDvsOnly => {
-            simulate_in_probed(ts, cpu, &mut LpfpsPolicy::dvs_only(), exec, cfg, ws, probe)
-        }
-        PolicyKind::Lpfps => {
-            simulate_in_probed(ts, cpu, &mut LpfpsPolicy::new(), exec, cfg, ws, probe)
-        }
-        PolicyKind::LpfpsOptimal => simulate_in_probed(
-            ts,
-            cpu,
-            &mut LpfpsPolicy::with_optimal_ratio(),
-            exec,
-            cfg,
-            ws,
-            probe,
-        ),
-        PolicyKind::LpfpsWatchdog => simulate_in_probed(
-            ts,
+        PolicyKind::Fps => fp(cpu, &mut Fps),
+        PolicyKind::FpsPd => fp(cpu, &mut LpfpsPolicy::power_down_only()),
+        PolicyKind::LpfpsDvsOnly => fp(cpu, &mut LpfpsPolicy::dvs_only()),
+        PolicyKind::Lpfps => fp(cpu, &mut LpfpsPolicy::new()),
+        PolicyKind::LpfpsOptimal => fp(cpu, &mut LpfpsPolicy::with_optimal_ratio()),
+        PolicyKind::LpfpsWatchdog => fp(
             cpu,
             &mut LpfpsPolicy::with_watchdog(PolicyKind::DEFAULT_WATCHDOG_COOLDOWN),
-            exec,
-            cfg,
-            ws,
-            probe,
         ),
         PolicyKind::StaticSlowdown => {
             let derated = static_slowdown_spec(ts, cpu).unwrap_or_else(|| cpu.clone());
-            let mut report = simulate_in_probed(ts, &derated, &mut Fps, exec, cfg, ws, probe)?;
+            let mut report = fp(&derated, &mut Fps)?;
             report.policy = PolicyKind::StaticSlowdown.name().to_string();
             Ok(report)
         }
         PolicyKind::Edf => {
-            simulate_in_probed_for::<EdfDispatch, P>(ts, cpu, &mut EdfFps, exec, cfg, ws, probe)
+            simulate_in::<EdfDispatch, P>(ts, cpu, &mut EdfFps, exec, cfg, ws, probe)
         }
-        PolicyKind::CcEdf => simulate_in_probed_for::<EdfDispatch, P>(
-            ts,
-            cpu,
-            &mut LpfpsPolicy::cc_edf(),
-            exec,
-            cfg,
-            ws,
-            probe,
-        ),
+        PolicyKind::CcEdf => {
+            let policy = &mut LpfpsPolicy::cc_edf();
+            simulate_in::<EdfDispatch, P>(ts, cpu, policy, exec, cfg, ws, probe)
+        }
     }
 }
 

@@ -14,6 +14,7 @@ use lpfps::driver::{run_in, PolicyKind};
 use lpfps_cpu::spec::CpuSpec;
 use lpfps_faults::{FaultConfig, OverrunFault};
 use lpfps_kernel::engine::{SimConfig, SimWorkspace};
+use lpfps_kernel::NoProbe;
 use lpfps_tasks::analysis::{hyperperiod, rta_schedulable};
 use lpfps_tasks::exec::AlwaysWcet;
 use lpfps_tasks::task::Task;
@@ -80,9 +81,9 @@ proptest! {
                 .with_force_full_simulation();
             for kind in POLICIES {
                 let mut ws = SimWorkspace::new();
-                let fast = run_in(&ts, &cpu, kind, &AlwaysWcet, &cfg, &mut ws).unwrap();
+                let fast = run_in(&ts, &cpu, kind, &AlwaysWcet, &cfg, &mut ws, &mut NoProbe).unwrap();
                 let ff = ws.fast_forward_stats();
-                let full = run_in(&ts, &cpu, kind, &AlwaysWcet, &full_cfg, &mut ws).unwrap();
+                let full = run_in(&ts, &cpu, kind, &AlwaysWcet, &full_cfg, &mut ws, &mut NoProbe).unwrap();
                 prop_assert_eq!(ws.fast_forward_stats().cycles_detected, 0,
                     "force_full_simulation must disable the detector");
                 prop_assert_eq!(
@@ -120,13 +121,13 @@ proptest! {
         let cpu = CpuSpec::arm8();
         for kind in POLICIES {
             let mut ws = SimWorkspace::new();
-            let faulted = run_in(&ts, &cpu, kind, &AlwaysWcet, &cfg, &mut ws).unwrap();
+            let faulted = run_in(&ts, &cpu, kind, &AlwaysWcet, &cfg, &mut ws, &mut NoProbe).unwrap();
             let ff = ws.fast_forward_stats();
             prop_assert_eq!(ff.cycles_detected, 0, "{}: faulted run fast-forwarded", kind.name());
             prop_assert_eq!(ff.events_skipped, 0);
             let full = run_in(
                 &ts, &cpu, kind, &AlwaysWcet,
-                &cfg.clone().with_force_full_simulation(), &mut ws,
+                &cfg.clone().with_force_full_simulation(), &mut ws, &mut NoProbe,
             ).unwrap();
             prop_assert_eq!(report_json(&faulted), report_json(&full));
         }
@@ -156,6 +157,7 @@ fn table1_long_run_actually_skips_cycles() {
         &AlwaysWcet,
         &cfg,
         &mut ws,
+        &mut NoProbe,
     )
     .unwrap();
     let ff = ws.fast_forward_stats();
@@ -168,6 +170,7 @@ fn table1_long_run_actually_skips_cycles() {
         &AlwaysWcet,
         &cfg.with_force_full_simulation(),
         &mut ws,
+        &mut NoProbe,
     )
     .unwrap();
     assert_eq!(report_json(&fast), report_json(&full));

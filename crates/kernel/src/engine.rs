@@ -24,7 +24,7 @@
 //! geometry (conservatively rounded) and energy reporting, so runs are
 //! bit-reproducible.
 
-use crate::discipline::{Discipline, EdfKey, FixedPriority};
+use crate::discipline::{Discipline, EdfKey};
 use crate::error::{BudgetKind, PartialDiagnostic, SimError};
 use crate::policy::{ActiveView, FaultEvent, PowerDirective, PowerPolicy, SchedulerContext};
 use crate::probe::{NoProbe, Probe};
@@ -35,7 +35,7 @@ use crate::steady::{
     Checkpoint, CycleBaseline, FastForwardStats, JobSnapshot, ModeSnapshot, SteadyDetector,
     SteadySnapshot, TapeSegment, TaskSnapshot,
 };
-use crate::trace::{Trace, TraceEvent};
+use crate::trace::TraceEvent;
 use lpfps_cpu::error::validate_cpu_spec;
 use lpfps_cpu::ramp::Ramp;
 use lpfps_cpu::spec::CpuSpec;
@@ -57,8 +57,6 @@ pub struct SimConfig {
     pub horizon: Dur,
     /// Seed for the per-job execution-time streams.
     pub seed: u64,
-    /// Record a full event trace (disable for long sweeps).
-    pub trace: bool,
     /// Cost of loading a different task's context, charged as processor
     /// work (at the current speed) before the incoming job progresses.
     /// Zero reproduces the paper's setup.
@@ -119,12 +117,11 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
-    /// A config with the given horizon, seed 0, tracing off, zero overhead.
+    /// A config with the given horizon, seed 0, zero overhead.
     pub fn new(horizon: Dur) -> Self {
         SimConfig {
             horizon,
             seed: 0,
-            trace: false,
             context_switch: Dur::ZERO,
             ratio_overhead: Dur::ZERO,
             tick: None,
@@ -140,7 +137,7 @@ impl SimConfig {
 
     /// Validates the configuration, returning it unchanged on success.
     ///
-    /// The same checks run at the head of every `simulate*` call;
+    /// The same checks run at the head of every simulation;
     /// validating eagerly just surfaces the error where the config is
     /// built.
     ///
@@ -158,12 +155,6 @@ impl SimConfig {
     /// Sets the execution-time seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Enables event tracing.
-    pub fn with_trace(mut self) -> Self {
-        self.trace = true;
         self
     }
 
@@ -240,8 +231,8 @@ impl SimConfig {
     }
 }
 
-/// The boundary checks shared by [`SimConfig::validated`] and every
-/// `simulate*` entry point (public so the reference oracle applies the
+/// The boundary checks shared by [`SimConfig::validated`] and
+/// [`simulate_in`] (public so the reference oracle applies the
 /// byte-identical checks, keeping error paths diffable field for field).
 pub fn validate_sim_config(cfg: &SimConfig) -> Result<(), SimError> {
     if cfg.horizon.is_zero() {
@@ -338,7 +329,6 @@ struct Engine<'a, D: Discipline, P: Probe = NoProbe> {
     gap_start: Option<Time>,
     task_energy: Vec<f64>,
     histograms: Vec<ResponseHistogram>,
-    trace: Option<Trace>,
     /// Scratch buffer for due releases, reused across scheduler passes
     /// (see [`DelayQueue::pop_due_into`]).
     due_scratch: Vec<(TaskId, Time)>,
@@ -397,6 +387,7 @@ struct Engine<'a, D: Discipline, P: Probe = NoProbe> {
 /// ```
 /// use lpfps_kernel::engine::{simulate_in, SimConfig, SimWorkspace};
 /// use lpfps_kernel::policy::AlwaysFullSpeed;
+/// use lpfps_kernel::{FixedPriority, NoProbe};
 /// use lpfps_cpu::spec::CpuSpec;
 /// use lpfps_tasks::exec::AlwaysWcet;
 /// use lpfps_tasks::task::Task;
@@ -410,9 +401,10 @@ struct Engine<'a, D: Discipline, P: Probe = NoProbe> {
 /// let cpu = CpuSpec::arm8();
 /// let cfg = SimConfig::new(Dur::from_us(400));
 /// let mut ws = SimWorkspace::new();
-/// let a = simulate_in(&ts, &cpu, &mut AlwaysFullSpeed, &AlwaysWcet, &cfg, &mut ws).unwrap();
-/// let b = simulate_in(&ts, &cpu, &mut AlwaysFullSpeed, &AlwaysWcet, &cfg, &mut ws).unwrap();
-/// assert_eq!(a.counters, b.counters);
+/// let (policy, exec) = (&mut AlwaysFullSpeed, &AlwaysWcet);
+/// let a = simulate_in::<FixedPriority, _>(&ts, &cpu, policy, exec, &cfg, &mut ws, &mut NoProbe);
+/// let b = simulate_in::<FixedPriority, _>(&ts, &cpu, policy, exec, &cfg, &mut ws, &mut NoProbe);
+/// assert_eq!(a.unwrap().counters, b.unwrap().counters);
 /// ```
 #[derive(Debug, Default)]
 pub struct SimWorkspace {
@@ -438,7 +430,7 @@ impl SimWorkspace {
 
     /// What the steady-state detector did during the most recent run on
     /// this workspace: zero cycles when the run was ineligible (faults,
-    /// tracing, budgets, an index-dependent execution model, ...) or when
+    /// budgets, an index-dependent execution model, ...) or when
     /// no recurrence was observed. Side-channel on purpose — the numbers
     /// must not live in [`SimReport`], whose serialized form is asserted
     /// bit-identical with the detector on and off.
@@ -498,77 +490,40 @@ pub fn simulate(
     exec: &dyn ExecModel,
     cfg: &SimConfig,
 ) -> Result<SimReport, SimError> {
-    simulate_in(ts, cpu, policy, exec, cfg, &mut SimWorkspace::new())
+    simulate_in(
+        ts,
+        cpu,
+        policy,
+        exec,
+        cfg,
+        &mut SimWorkspace::new(),
+        &mut NoProbe,
+    )
 }
 
-/// [`simulate`] with caller-provided buffer storage: behaviorally
-/// identical (reports are byte-for-byte the same), but queue and
-/// bookkeeping allocations are recycled from `ws` and returned to it
-/// afterwards — the per-worker fast path of sweep runners.
+/// The general entry point: [`simulate`] under an explicit dispatch
+/// [`Discipline`] `D`, with caller-provided buffer storage and an
+/// observability [`Probe`] attached.
+///
+/// * `D` decides dispatch order and preemption; the event machinery,
+///   fault model and energy accounting are shared. [`simulate`] is the
+///   fixed-priority, probe-free specialization.
+/// * Queue and bookkeeping allocations are recycled from `ws` and
+///   returned to it afterwards — the per-worker fast path of sweep
+///   runners. Reports are byte-for-byte the same as with a fresh
+///   workspace.
+/// * `probe` receives every simulated kernel event and cannot influence
+///   the run: the report is byte-identical to the [`NoProbe`] run by
+///   construction (see [`crate::probe`]). A [`Trace`](crate::trace::Trace)
+///   is a probe; a complete one needs
+///   [`SimConfig::force_full_simulation`], since a fast-forwarded span
+///   emits no events.
 ///
 /// # Errors
 ///
 /// As [`simulate`]. The buffers return to `ws` on the error path too, so
 /// a failing cell costs a sweep worker nothing on the next cell.
-pub fn simulate_in(
-    ts: &TaskSet,
-    cpu: &CpuSpec,
-    policy: &mut dyn PowerPolicy,
-    exec: &dyn ExecModel,
-    cfg: &SimConfig,
-    ws: &mut SimWorkspace,
-) -> Result<SimReport, SimError> {
-    simulate_in_for::<FixedPriority>(ts, cpu, policy, exec, cfg, ws)
-}
-
-/// [`simulate_in`] under an explicit dispatch [`Discipline`] `D`: the same
-/// engine, event machinery, fault model, and workspace reuse, with dispatch
-/// order and preemption decided by `D`. `simulate`/`simulate_in` are the
-/// fixed-priority specialization.
-///
-/// # Errors
-///
-/// As [`simulate`].
-pub fn simulate_in_for<D: Discipline>(
-    ts: &TaskSet,
-    cpu: &CpuSpec,
-    policy: &mut dyn PowerPolicy<D>,
-    exec: &dyn ExecModel,
-    cfg: &SimConfig,
-    ws: &mut SimWorkspace,
-) -> Result<SimReport, SimError> {
-    simulate_in_probed_for::<D, NoProbe>(ts, cpu, policy, exec, cfg, ws, &mut NoProbe)
-}
-
-/// [`simulate_in`] with an observability [`Probe`] attached: the probe
-/// receives every kernel event (whether or not `cfg.trace` is on) and
-/// cannot influence the run — the report is byte-identical to the
-/// [`NoProbe`] run by construction (see [`crate::probe`]).
-///
-/// # Errors
-///
-/// As [`simulate`].
-pub fn simulate_in_probed<P: Probe>(
-    ts: &TaskSet,
-    cpu: &CpuSpec,
-    policy: &mut dyn PowerPolicy,
-    exec: &dyn ExecModel,
-    cfg: &SimConfig,
-    ws: &mut SimWorkspace,
-    probe: &mut P,
-) -> Result<SimReport, SimError> {
-    simulate_in_probed_for::<FixedPriority, P>(ts, cpu, policy, exec, cfg, ws, probe)
-}
-
-/// [`simulate_in_for`] with an observability [`Probe`] attached — the
-/// fully general entry point: explicit discipline, caller-provided
-/// workspace, and an event sink. All other `simulate*` functions are
-/// specializations of this one.
-///
-/// # Errors
-///
-/// As [`simulate`].
-pub fn simulate_in_probed_for<D: Discipline, P: Probe>(
+pub fn simulate_in<D: Discipline, P: Probe>(
     ts: &TaskSet,
     cpu: &CpuSpec,
     policy: &mut dyn PowerPolicy<D>,
@@ -657,7 +612,6 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
             gap_start: Some(Time::ZERO),
             task_energy: vec![0.0; ts.len()],
             histograms: vec![ResponseHistogram::new(); ts.len()],
-            trace: if cfg.trace { Some(Trace::new()) } else { None },
             due_scratch,
             event_cache: None,
             power_memo: None,
@@ -1788,18 +1742,14 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
 
     fn push_trace(&mut self, event: TraceEvent) {
         // The probe tap: `P::ACTIVE` is an associated constant, so for
-        // `NoProbe` this whole branch is compile-time dead and the
-        // function reduces to the pre-seam trace push.
+        // `NoProbe` this whole body is compile-time dead.
         if P::ACTIVE {
             self.probe.on_event(self.now, &event);
-        }
-        if let Some(trace) = self.trace.as_mut() {
-            trace.push(self.now, event);
         }
     }
 
     /// Returns the recycled buffers to the workspace without producing a
-    /// report — the error path of [`simulate_in_for`]. A failed cell must
+    /// report — the error path of [`simulate_in`]. A failed cell must
     /// not leak the buffers: the next run on this workspace still pays
     /// zero allocations.
     fn restore_workspace(self, ws: &mut SimWorkspace) {
@@ -1831,7 +1781,6 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
             idle_gaps: self.idle_gaps,
             task_energy: self.task_energy,
             histograms: self.histograms,
-            trace: self.trace,
         }
     }
 }
@@ -1839,7 +1788,9 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::discipline::FixedPriority;
     use crate::policy::AlwaysFullSpeed;
+    use crate::trace::Trace;
     use lpfps_cpu::state::StateKind;
     use lpfps_tasks::exec::AlwaysWcet;
     use lpfps_tasks::task::Task;
@@ -1869,19 +1820,35 @@ mod tests {
         super::simulate(ts, cpu, policy, exec, cfg).unwrap()
     }
 
+    /// [`simulate`] with a [`Trace`] probe attached and full simulation
+    /// forced, so the trace holds every event of the run.
+    fn simulate_traced(
+        ts: &TaskSet,
+        policy: &mut dyn PowerPolicy,
+        cfg: SimConfig,
+    ) -> (SimReport, Trace) {
+        let cfg = cfg.with_force_full_simulation();
+        let (cpu, mut ws, mut trace) = (CpuSpec::arm8(), SimWorkspace::new(), Trace::new());
+        let report = super::simulate_in(ts, &cpu, policy, &AlwaysWcet, &cfg, &mut ws, &mut trace);
+        (report.unwrap(), trace)
+    }
+
     fn run_fps(ts: &TaskSet, horizon: Dur) -> SimReport {
         let cpu = CpuSpec::arm8();
-        let cfg = SimConfig::new(horizon).with_trace();
+        let cfg = SimConfig::new(horizon);
         simulate(ts, &cpu, &mut AlwaysFullSpeed, &AlwaysWcet, &cfg)
+    }
+
+    fn trace_fps(ts: &TaskSet, horizon: Dur) -> (SimReport, Trace) {
+        simulate_traced(ts, &mut AlwaysFullSpeed, SimConfig::new(horizon))
     }
 
     /// The canonical Figure 2(a) check: with every task at its WCET, the
     /// schedule over one hyperperiod (400 us) follows the paper exactly.
     #[test]
     fn figure2a_schedule_under_fps() {
-        let report = run_fps(&table1(), Dur::from_us(400));
+        let (report, trace) = trace_fps(&table1(), Dur::from_us(400));
         assert!(report.all_deadlines_met());
-        let trace = report.trace.as_ref().expect("tracing enabled");
 
         let completions: Vec<(u64, usize, u64)> = trace
             .iter()
@@ -1906,8 +1873,7 @@ mod tests {
     #[test]
     fn figure2a_preemption_at_t50() {
         // At t=50 the second tau1 release preempts tau3 (paper Example 1).
-        let report = run_fps(&table1(), Dur::from_us(100));
-        let trace = report.trace.as_ref().unwrap();
+        let (_, trace) = trace_fps(&table1(), Dur::from_us(100));
         let preempt = trace
             .find(|e| {
                 matches!(
@@ -2026,7 +1992,7 @@ mod tests {
             vec![Task::new("t", Dur::from_us(100), Dur::from_us(25))],
         );
         let cpu = CpuSpec::arm8();
-        let cfg = SimConfig::new(Dur::from_ms(1)).with_trace();
+        let cfg = SimConfig::new(Dur::from_ms(1));
         let report = simulate(&ts, &cpu, &mut PowerDownWhenIdle, &AlwaysWcet, &cfg);
         assert!(report.all_deadlines_met());
         assert_eq!(report.counters.power_downs, 10);
@@ -2075,7 +2041,7 @@ mod tests {
             vec![Task::new("t", Dur::from_us(100), Dur::from_us(25))],
         );
         let cpu = CpuSpec::arm8();
-        let cfg = SimConfig::new(Dur::from_ms(1)).with_trace();
+        let cfg = SimConfig::new(Dur::from_ms(1));
         let report = simulate(&ts, &cpu, &mut HalfSpeedWhenAlone, &AlwaysWcet, &cfg);
         assert!(report.all_deadlines_met(), "misses: {:?}", report.misses);
         assert!(report.counters.ramps > 0);
@@ -2155,8 +2121,7 @@ mod tests {
                 Task::new("b", Dur::from_us(200), Dur::from_us(10)),
             ],
         );
-        let report = run_fps(&ts, Dur::from_us(300));
-        let trace = report.trace.as_ref().unwrap();
+        let (report, trace) = trace_fps(&ts, Dur::from_us(300));
         let first_a = trace
             .find(|e| {
                 matches!(
@@ -2209,12 +2174,8 @@ mod tests {
             "ticked",
             vec![Task::new("t", Dur::from_us(1_000), Dur::from_us(10)).with_phase(Dur::from_us(30))],
         );
-        let cpu = CpuSpec::arm8();
-        let cfg = SimConfig::new(Dur::from_ms(1))
-            .with_trace()
-            .with_tick(Dur::from_us(100));
-        let report = simulate(&ts, &cpu, &mut AlwaysFullSpeed, &AlwaysWcet, &cfg);
-        let trace = report.trace.as_ref().unwrap();
+        let cfg = SimConfig::new(Dur::from_ms(1)).with_tick(Dur::from_us(100));
+        let (report, trace) = simulate_traced(&ts, &mut AlwaysFullSpeed, cfg);
         let (t, _) = trace
             .find(|e| matches!(e, TraceEvent::Release { .. }))
             .unwrap();
@@ -2733,24 +2694,26 @@ mod tests {
         let cpu = CpuSpec::arm8();
         let mut ws = SimWorkspace::new();
         let bad = SimConfig::new(Dur::from_ms(10)).with_max_events(10);
-        let err = simulate_in(
+        let err = simulate_in::<FixedPriority, _>(
             &table1(),
             &cpu,
             &mut AlwaysFullSpeed,
             &AlwaysWcet,
             &bad,
             &mut ws,
+            &mut NoProbe,
         )
         .unwrap_err();
         assert_eq!(err.kind(), "budget-exhausted");
         let good = SimConfig::new(Dur::from_us(400));
-        let reused = simulate_in(
+        let reused = simulate_in::<FixedPriority, _>(
             &table1(),
             &cpu,
             &mut AlwaysFullSpeed,
             &AlwaysWcet,
             &good,
             &mut ws,
+            &mut NoProbe,
         )
         .unwrap();
         let fresh = simulate(&table1(), &cpu, &mut AlwaysFullSpeed, &AlwaysWcet, &good);

@@ -189,11 +189,24 @@ impl Gantt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{simulate, SimConfig};
-    use crate::policy::AlwaysFullSpeed;
+    use crate::engine::{simulate_in, SimConfig, SimWorkspace};
+    use crate::policy::{AlwaysFullSpeed, PowerPolicy};
     use lpfps_cpu::spec::CpuSpec;
-    use lpfps_tasks::exec::AlwaysWcet;
+    use lpfps_tasks::exec::{AlwaysWcet, ExecModel};
     use lpfps_tasks::task::Task;
+
+    /// The complete trace of one run (full simulation forced).
+    fn trace_of(
+        ts: &TaskSet,
+        policy: &mut dyn PowerPolicy,
+        exec: &dyn ExecModel,
+        cfg: SimConfig,
+    ) -> Trace {
+        let cfg = cfg.with_force_full_simulation();
+        let (cpu, mut ws, mut trace) = (CpuSpec::arm8(), SimWorkspace::new(), Trace::new());
+        simulate_in(ts, &cpu, policy, exec, &cfg, &mut ws, &mut trace).unwrap();
+        trace
+    }
 
     fn table1() -> TaskSet {
         TaskSet::rate_monotonic(
@@ -208,10 +221,9 @@ mod tests {
 
     fn gantt_of(horizon_us: u64) -> (TaskSet, Gantt) {
         let ts = table1();
-        let cpu = CpuSpec::arm8();
-        let cfg = SimConfig::new(Dur::from_us(horizon_us)).with_trace();
-        let report = simulate(&ts, &cpu, &mut AlwaysFullSpeed, &AlwaysWcet, &cfg).unwrap();
-        let gantt = Gantt::from_trace(report.trace.as_ref().unwrap(), Time::from_us(horizon_us));
+        let cfg = SimConfig::new(Dur::from_us(horizon_us));
+        let trace = trace_of(&ts, &mut AlwaysFullSpeed, &AlwaysWcet, cfg);
+        let gantt = Gantt::from_trace(&trace, Time::from_us(horizon_us));
         (ts, gantt)
     }
 
@@ -303,13 +315,10 @@ mod tests {
     /// Table 1 at varied seeds and fault streams: plenty of preemptions
     /// and resumptions, every reconstruction a fresh chance to overlap.
     fn varied_gantts() -> Vec<(Trace, Gantt)> {
-        let cpu = CpuSpec::arm8();
         let mut out = Vec::new();
         for seed in 0..8u64 {
             for faulted in [false, true] {
-                let mut cfg = SimConfig::new(Dur::from_us(800))
-                    .with_seed(seed)
-                    .with_trace();
+                let mut cfg = SimConfig::new(Dur::from_us(800)).with_seed(seed);
                 if faulted {
                     cfg = cfg.with_faults(
                         FaultConfig::none()
@@ -318,9 +327,7 @@ mod tests {
                     );
                 }
                 let ts = table1().with_bcet_fraction(0.5);
-                let report =
-                    simulate(&ts, &cpu, &mut AlwaysFullSpeed, &PaperGaussian, &cfg).unwrap();
-                let trace = report.trace.clone().unwrap();
+                let trace = trace_of(&ts, &mut AlwaysFullSpeed, &PaperGaussian, cfg);
                 let gantt = Gantt::from_trace(&trace, Time::from_us(800));
                 out.push((trace, gantt));
             }
@@ -423,11 +430,9 @@ mod tests {
                 Task::new("b", Dur::from_us(400), Dur::from_us(20)),
             ],
         );
-        let cpu = CpuSpec::arm8();
-        let cfg = SimConfig::new(Dur::from_us(100)).with_trace();
-        let report = simulate(&ts, &cpu, &mut SlowOnce::default(), &AlwaysWcet, &cfg).unwrap();
-        let trace = report.trace.as_ref().unwrap();
-        let g = Gantt::from_trace(trace, Time::from_us(100));
+        let cfg = SimConfig::new(Dur::from_us(100));
+        let trace = trace_of(&ts, &mut SlowOnce::default(), &AlwaysWcet, cfg);
+        let g = Gantt::from_trace(&trace, Time::from_us(100));
 
         // b retires slowed, strictly before a's next release...
         let segs = g.segments();

@@ -70,9 +70,7 @@ pub mod steady;
 pub mod trace;
 
 pub use discipline::{Discipline, Edf, EdfKey, FixedPriority};
-pub use engine::{
-    simulate, simulate_in_for, simulate_in_probed, simulate_in_probed_for, SimConfig,
-};
+pub use engine::{simulate, simulate_in, SimConfig};
 pub use error::{BudgetKind, PartialDiagnostic, SimError};
 pub use policy::{ActiveView, PolicyCore, PowerDirective, PowerPolicy, SchedulerContext};
 pub use probe::{NoProbe, Probe};

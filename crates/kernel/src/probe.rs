@@ -1,39 +1,35 @@
 //! The observability probe seam: a zero-cost sink for kernel events.
 //!
-//! A [`Probe`] receives every [`TraceEvent`] the engine *would* record —
-//! including the per-segment energy events — at the instant it happens,
-//! regardless of whether [`SimConfig::trace`](crate::engine::SimConfig)
-//! is on. Probes never influence scheduling: they observe the event
-//! stream and nothing else, so a simulation run with any probe attached
-//! produces a byte-identical [`SimReport`](crate::report::SimReport) to
-//! the same run with [`NoProbe`] (the obs-free property suite and the
-//! probes-on golden fingerprint gate assert exactly this).
+//! A [`Probe`] receives every [`TraceEvent`] the engine simulates —
+//! including the per-segment energy events — at the instant it happens.
+//! It is the kernel's only event stream: a [`Trace`](crate::trace::Trace)
+//! is itself a probe that records it. Probes never influence scheduling:
+//! they observe the event stream and nothing else, so a simulation run
+//! with any probe attached produces a byte-identical
+//! [`SimReport`](crate::report::SimReport) to the same run with
+//! [`NoProbe`] (the obs-free property suite and the probes-on golden
+//! fingerprint gate assert exactly this).
 //!
 //! # Zero-cost contract
 //!
 //! The engine is monomorphized over the probe type, and every tap site is
 //! guarded by the associated constant [`Probe::ACTIVE`]. For [`NoProbe`]
 //! (`ACTIVE = false`) the guard is a compile-time `false`, so the probe
-//! branch — including the construction of any event the trace would also
-//! drop — folds away entirely and the hot path compiles to the same code
-//! it had before the seam existed. "Observability is free" is enforced,
+//! branch — including the construction of the event — folds away
+//! entirely. "Observability is free" is enforced,
 //! not hoped for: the golden fingerprint matrix and the oracle
 //! differential matrix both re-run with a recording probe attached.
 //!
 //! # What a probe sees
 //!
-//! The full decision-point event stream of the run *as simulated*. Two
-//! consequences worth knowing:
-//!
-//! * Events are delivered even when `cfg.trace` is off — probes are how
-//!   long sweeps observe runs too big to trace.
-//! * The steady-state fast-forward (DESIGN.md §12) skips simulated
-//!   events; a probe attached to an eligible run observes only the events
-//!   that were actually simulated. Fast-forward eligibility never depends
-//!   on the probe (the report stays bit-identical either way); callers
-//!   that need *every* event — per-job histograms, exports — set
-//!   [`SimConfig::force_full_simulation`](crate::engine::SimConfig), as
-//!   the sweep runner's histogram mode does.
+//! The full decision-point event stream of the run *as simulated*. The
+//! steady-state fast-forward (DESIGN.md §12) skips simulated events, so a
+//! probe attached to an eligible run observes only the events that were
+//! actually simulated. Fast-forward eligibility never depends on the
+//! probe (the report stays bit-identical either way); callers that need
+//! *every* event — traces, per-job histograms, exports — set
+//! [`SimConfig::force_full_simulation`](crate::engine::SimConfig), as the
+//! sweep runner's histogram mode does.
 
 use crate::trace::TraceEvent;
 use lpfps_tasks::time::Time;
@@ -48,9 +44,7 @@ pub trait Probe {
     const ACTIVE: bool = true;
 
     /// Called once per kernel event, at simulation instant `at`, in
-    /// non-decreasing time order — the same stream a
-    /// [`Trace`](crate::trace::Trace)
-    /// (`crate::trace::Trace`) would record.
+    /// non-decreasing time order.
     fn on_event(&mut self, at: Time, event: &TraceEvent);
 }
 

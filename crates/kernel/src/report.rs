@@ -1,7 +1,6 @@
 //! Simulation results: energy, timing statistics, and counters.
 
 use crate::stats::{IntervalStats, ResponseHistogram};
-use crate::trace::Trace;
 use lpfps_cpu::energy::EnergyMeter;
 use lpfps_cpu::state::StateKind;
 use lpfps_tasks::task::TaskId;
@@ -130,15 +129,14 @@ pub struct SimReport {
     /// Per-task response-time histograms (deadline-relative buckets),
     /// indexed by task id.
     pub histograms: Vec<ResponseHistogram>,
-    /// The event trace, if tracing was enabled.
-    pub trace: Option<Trace>,
 }
 
-// Hand-written (not derived) for exactly one reason: the `discipline` tag
-// is emitted only when it differs from "fp", keeping every fixed-priority
-// report — including the committed results and the golden fingerprint
-// matrix — byte-identical to the pre-discipline serialization. All other
-// fields follow the derive's declaration-order layout.
+// Hand-written (not derived) to keep every report — including the
+// committed results and the golden fingerprint matrix — byte-identical to
+// the layout those were recorded in: the `discipline` tag is emitted only
+// when it differs from "fp", and a constant `"trace": null` closes the
+// object (traces are recorded by a probe, never stored in the report).
+// All other fields follow the derive's declaration-order layout.
 impl Serialize for SimReport {
     fn to_value(&self) -> Value {
         let mut map = Map::new();
@@ -155,7 +153,7 @@ impl Serialize for SimReport {
         map.insert(String::from("idle_gaps"), self.idle_gaps.to_value());
         map.insert(String::from("task_energy"), self.task_energy.to_value());
         map.insert(String::from("histograms"), self.histograms.to_value());
-        map.insert(String::from("trace"), self.trace.to_value());
+        map.insert(String::from("trace"), Value::Null);
         Value::Object(map)
     }
 }
@@ -181,7 +179,6 @@ impl Deserialize for SimReport {
             idle_gaps: IntervalStats::from_value(field("idle_gaps")?)?,
             task_energy: Vec::from_value(field("task_energy")?)?,
             histograms: Vec::from_value(field("histograms")?)?,
-            trace: Option::from_value(map.get("trace").unwrap_or(&Value::Null))?,
         })
     }
 }
@@ -312,7 +309,6 @@ mod tests {
             idle_gaps: IntervalStats::new(),
             task_energy: vec![],
             histograms: vec![],
-            trace: None,
         };
         let line = report.summary_line();
         assert!(line.contains("fps"));
@@ -334,11 +330,11 @@ mod tests {
             idle_gaps: IntervalStats::new(),
             task_energy: vec![],
             histograms: vec![],
-            trace: None,
         };
         // FP reports keep the pre-discipline byte layout: no tag at all.
         let fp = report.to_value();
         assert!(fp.get("discipline").is_none());
+        assert_eq!(fp.get("trace"), Some(&Value::Null));
         let back = SimReport::from_value(&fp).expect("fp round-trip");
         assert_eq!(back.discipline, "fp");
 

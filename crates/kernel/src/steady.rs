@@ -182,7 +182,6 @@ impl SteadyDetector {
     /// * `force_full_simulation` — the explicit A/B escape hatch;
     /// * any injected fault stream — fault draws are keyed by job index
     ///   and engine ordinals, which are not hyperperiod-periodic;
-    /// * tracing — a trace must contain every event, skipped or not;
     /// * the deliberate stale-cache bug injection;
     /// * `max_events` / `max_segments` budgets — they count *simulated*
     ///   work, and a fast-forwarded run would finish where a full run
@@ -196,7 +195,6 @@ impl SteadyDetector {
     pub fn for_run(cfg: &SimConfig, exec: &dyn ExecModel, ts: &TaskSet) -> Option<Self> {
         if cfg.force_full_simulation
             || !cfg.faults.is_none()
-            || cfg.trace
             || cfg.inject_stale_dispatch_cache
             || cfg.max_events.is_some()
             || cfg.max_segments.is_some()

@@ -2,8 +2,10 @@
 //!
 //! Traces reproduce the paper's Figure 2 schedules (and the queue
 //! snapshots of Figures 3 and 5) and back the assertions in the
-//! integration tests. Tracing is optional — long power sweeps disable it.
+//! integration tests. A [`Trace`] is a [`Probe`]: attach one to a run to
+//! record it (see [`crate::probe`] for what a probe sees).
 
+use crate::probe::Probe;
 use lpfps_cpu::state::CpuState;
 use lpfps_tasks::freq::Freq;
 use lpfps_tasks::task::TaskId;
@@ -125,6 +127,17 @@ impl Trace {
             let _ = writeln!(out, "{t:>12}  {e}");
         }
         out
+    }
+}
+
+/// Records the event stream verbatim. The trace is complete only for a
+/// run with [`SimConfig::force_full_simulation`] set: a fast-forwarded
+/// span emits no events.
+///
+/// [`SimConfig::force_full_simulation`]: crate::engine::SimConfig::force_full_simulation
+impl Probe for Trace {
+    fn on_event(&mut self, at: Time, event: &TraceEvent) {
+        self.push(at, *event);
     }
 }
 

@@ -14,10 +14,11 @@
 
 use lpfps_cpu::spec::CpuSpec;
 use lpfps_faults::{FaultConfig, OverrunFault, RampDegradation, ReleaseJitter, WakeupJitter};
-use lpfps_kernel::engine::{simulate, SimConfig};
+use lpfps_kernel::engine::{simulate_in, SimConfig, SimWorkspace};
 use lpfps_kernel::policy::{
     AlwaysFullSpeed, PolicyCore, PowerDirective, PowerPolicy, SchedulerContext,
 };
+use lpfps_kernel::trace::Trace;
 use lpfps_tasks::exec::PaperGaussian;
 use lpfps_tasks::freq::Freq;
 use lpfps_tasks::rng::SplitMix64;
@@ -98,8 +99,21 @@ fn random_taskset(periods: &[u64]) -> TaskSet {
     TaskSet::rate_monotonic("cache-replay", tasks)
 }
 
-/// Serializes a report with its trace; byte equality of this string is
-/// the property under test.
+/// Runs fully simulated with a [`Trace`] attached and serializes the
+/// report together with the trace; byte equality of this string is the
+/// property under test.
+fn traced_json(
+    ts: &TaskSet,
+    cpu: &CpuSpec,
+    policy: &mut dyn PowerPolicy,
+    cfg: &SimConfig,
+) -> String {
+    let cfg = cfg.clone().with_force_full_simulation();
+    let (mut ws, mut trace) = (SimWorkspace::new(), Trace::new());
+    let report = simulate_in(ts, cpu, policy, &PaperGaussian, &cfg, &mut ws, &mut trace).unwrap();
+    serde_json::to_string(&(report, trace)).expect("reports and traces serialize")
+}
+
 fn replay_pair(
     ts: &TaskSet,
     cpu: &CpuSpec,
@@ -112,17 +126,12 @@ fn replay_pair(
             let mut policy = ChaosPolicy {
                 rng: SplitMix64::new(seed),
             };
-            simulate(ts, cpu, &mut policy, &PaperGaussian, cfg).unwrap()
+            traced_json(ts, cpu, &mut policy, cfg)
         } else {
-            simulate(ts, cpu, &mut AlwaysFullSpeed, &PaperGaussian, cfg).unwrap()
+            traced_json(ts, cpu, &mut AlwaysFullSpeed, cfg)
         }
     };
-    let cached = run(cfg);
-    let recomputed = run(&cfg.clone().with_force_event_recompute());
-    (
-        serde_json::to_string(&cached).expect("reports serialize"),
-        serde_json::to_string(&recomputed).expect("reports serialize"),
-    )
+    (run(cfg), run(&cfg.clone().with_force_event_recompute()))
 }
 
 proptest! {
@@ -142,7 +151,7 @@ proptest! {
         } else {
             CpuSpec::arm8()
         };
-        let cfg = SimConfig::new(Dur::from_ms(20)).with_seed(seed).with_trace();
+        let cfg = SimConfig::new(Dur::from_ms(20)).with_seed(seed);
         let (cached, recomputed) = replay_pair(&ts, &cpu, &cfg, seed, true);
         prop_assert_eq!(cached, recomputed);
     }
@@ -170,8 +179,7 @@ proptest! {
             .with_ramp_degradation(RampDegradation::uniform(0.5, 1.0));
         let cfg = SimConfig::new(Dur::from_ms(25))
             .with_seed(seed)
-            .with_faults(faults)
-            .with_trace();
+            .with_faults(faults);
         let (cached, recomputed) = replay_pair(&ts, &cpu, &cfg, seed, chaos);
         prop_assert_eq!(cached, recomputed);
     }
@@ -191,8 +199,7 @@ proptest! {
             .with_seed(seed)
             .with_tick(Dur::from_us(tick_us))
             .with_context_switch(Dur::from_us(cs_us))
-            .with_ratio_overhead(Dur::from_us(1))
-            .with_trace();
+            .with_ratio_overhead(Dur::from_us(1));
         let (cached, recomputed) = replay_pair(&ts, &cpu, &cfg, seed, true);
         prop_assert_eq!(cached, recomputed);
     }
@@ -206,30 +213,18 @@ proptest! {
 fn stale_cache_injection_breaks_replay_equality() {
     let ts = random_taskset(&[700, 1_300, 2_900]);
     let cpu = CpuSpec::arm8();
-    let cfg = SimConfig::new(Dur::from_ms(25)).with_seed(11).with_trace();
-    let clean = simulate(
-        &ts,
-        &cpu,
-        &mut ChaosPolicy {
-            rng: SplitMix64::new(11),
-        },
-        &PaperGaussian,
-        &cfg,
-    )
-    .unwrap();
-    let stale = simulate(
-        &ts,
-        &cpu,
-        &mut ChaosPolicy {
-            rng: SplitMix64::new(11),
-        },
-        &PaperGaussian,
-        &cfg.clone().with_stale_dispatch_cache(),
-    )
-    .unwrap();
+    let cfg = SimConfig::new(Dur::from_ms(25)).with_seed(11);
+    let chaos = || ChaosPolicy {
+        rng: SplitMix64::new(11),
+    };
     assert_ne!(
-        serde_json::to_string(&clean).unwrap(),
-        serde_json::to_string(&stale).unwrap(),
+        traced_json(&ts, &cpu, &mut chaos(), &cfg),
+        traced_json(
+            &ts,
+            &cpu,
+            &mut chaos(),
+            &cfg.clone().with_stale_dispatch_cache()
+        ),
         "the stale-dispatch-cache injection hook no longer changes behavior; \
          the sabotage tests in crates/oracle are vacuous"
     );

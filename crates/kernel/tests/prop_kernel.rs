@@ -3,9 +3,11 @@
 
 use lpfps_cpu::spec::CpuSpec;
 use lpfps_cpu::state::StateKind;
-use lpfps_kernel::engine::{simulate, SimConfig};
+use lpfps_kernel::engine::{simulate, simulate_in, SimConfig, SimWorkspace};
 use lpfps_kernel::policy::AlwaysFullSpeed;
 use lpfps_kernel::queues::{DelayQueue, RunQueue};
+use lpfps_kernel::trace::Trace;
+use lpfps_kernel::FixedPriority;
 use lpfps_tasks::exec::AlwaysWcet;
 use lpfps_tasks::task::{Priority, Task, TaskId};
 use lpfps_tasks::taskset::TaskSet;
@@ -146,12 +148,13 @@ proptest! {
             &ts, &cpu, &mut AlwaysFullSpeed, &lpfps_tasks::exec::PaperGaussian,
             &SimConfig::new(horizon).with_seed(seed),
         ).unwrap();
-        let traced = simulate(
+        let mut trace = Trace::new();
+        let traced = simulate_in::<FixedPriority, _>(
             &ts, &cpu, &mut AlwaysFullSpeed, &lpfps_tasks::exec::PaperGaussian,
-            &SimConfig::new(horizon).with_seed(seed).with_trace(),
+            &SimConfig::new(horizon).with_seed(seed), &mut SimWorkspace::new(), &mut trace,
         ).unwrap();
         prop_assert_eq!(plain.energy.total_energy(), traced.energy.total_energy());
         prop_assert_eq!(plain.counters, traced.counters);
-        prop_assert!(traced.trace.is_some() && plain.trace.is_none());
+        prop_assert!(!trace.is_empty());
     }
 }

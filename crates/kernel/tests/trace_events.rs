@@ -19,7 +19,7 @@
 
 use lpfps_cpu::spec::CpuSpec;
 use lpfps_faults::{FaultConfig, OverrunFault, WakeupJitter};
-use lpfps_kernel::engine::{simulate, SimConfig};
+use lpfps_kernel::engine::{simulate_in, SimConfig, SimWorkspace};
 use lpfps_kernel::policy::{
     AlwaysFullSpeed, PolicyCore, PowerDirective, PowerPolicy, SchedulerContext,
 };
@@ -54,9 +54,17 @@ fn two_tasks() -> TaskSet {
     )
 }
 
-fn traced(ts: &TaskSet, policy: &mut dyn PowerPolicy, horizon_us: u64) -> SimReport {
-    let cfg = SimConfig::new(Dur::from_us(horizon_us)).with_trace();
-    simulate(ts, &CpuSpec::arm8(), policy, &AlwaysWcet, &cfg).expect("valid simulation")
+/// Runs with a [`Trace`] probe attached and full simulation forced, so the
+/// trace holds every event of the run.
+fn traced_with(ts: &TaskSet, policy: &mut dyn PowerPolicy, cfg: SimConfig) -> (SimReport, Trace) {
+    let cfg = cfg.with_force_full_simulation();
+    let (cpu, mut ws, mut trace) = (CpuSpec::arm8(), SimWorkspace::new(), Trace::new());
+    let report = simulate_in(ts, &cpu, policy, &AlwaysWcet, &cfg, &mut ws, &mut trace);
+    (report.expect("valid simulation"), trace)
+}
+
+fn traced(ts: &TaskSet, policy: &mut dyn PowerPolicy, horizon_us: u64) -> Trace {
+    traced_with(ts, policy, SimConfig::new(Dur::from_us(horizon_us))).1
 }
 
 fn events<'a>(
@@ -68,9 +76,8 @@ fn events<'a>(
 
 #[test]
 fn release_is_stamped_at_every_period_boundary() {
-    let report = traced(&one_task(100, 10), &mut AlwaysFullSpeed, 250);
-    let trace = report.trace.as_ref().unwrap();
-    let releases: Vec<_> = events(trace, |e| matches!(e, TraceEvent::Release { .. })).collect();
+    let trace = traced(&one_task(100, 10), &mut AlwaysFullSpeed, 250);
+    let releases: Vec<_> = events(&trace, |e| matches!(e, TraceEvent::Release { .. })).collect();
     assert_eq!(
         releases.len(),
         3,
@@ -90,9 +97,8 @@ fn release_is_stamped_at_every_period_boundary() {
 
 #[test]
 fn dispatch_is_stamped_when_execution_starts_or_resumes() {
-    let report = traced(&two_tasks(), &mut AlwaysFullSpeed, 300);
-    let trace = report.trace.as_ref().unwrap();
-    let dispatches: Vec<_> = events(trace, |e| matches!(e, TraceEvent::Dispatch { .. })).collect();
+    let trace = traced(&two_tasks(), &mut AlwaysFullSpeed, 300);
+    let dispatches: Vec<_> = events(&trace, |e| matches!(e, TraceEvent::Dispatch { .. })).collect();
     // hi job 0 starts at its release; lo starts when hi completes; lo
     // *resumes* (a fresh Dispatch) once hi job 1 retires at t = 110.
     assert_eq!(
@@ -136,9 +142,8 @@ fn dispatch_is_stamped_when_execution_starts_or_resumes() {
 
 #[test]
 fn preempt_is_stamped_at_the_preemptor_release() {
-    let report = traced(&two_tasks(), &mut AlwaysFullSpeed, 300);
-    let trace = report.trace.as_ref().unwrap();
-    let preempts: Vec<_> = events(trace, |e| matches!(e, TraceEvent::Preempt { .. })).collect();
+    let trace = traced(&two_tasks(), &mut AlwaysFullSpeed, 300);
+    let preempts: Vec<_> = events(&trace, |e| matches!(e, TraceEvent::Preempt { .. })).collect();
     assert_eq!(
         preempts.first(),
         Some(&(
@@ -154,9 +159,8 @@ fn preempt_is_stamped_at_the_preemptor_release() {
 
 #[test]
 fn complete_records_response_and_deadline_verdict_at_retirement() {
-    let report = traced(&one_task(100, 10), &mut AlwaysFullSpeed, 100);
-    let trace = report.trace.as_ref().unwrap();
-    let completes: Vec<_> = events(trace, |e| matches!(e, TraceEvent::Complete { .. })).collect();
+    let trace = traced(&one_task(100, 10), &mut AlwaysFullSpeed, 100);
+    let completes: Vec<_> = events(&trace, |e| matches!(e, TraceEvent::Complete { .. })).collect();
     assert_eq!(
         completes,
         vec![(
@@ -181,10 +185,9 @@ fn complete_records_response_and_deadline_verdict_at_retirement() {
             Task::new("lo", Dur::from_us(150), Dur::from_us(74)),
         ],
     );
-    let report = traced(&late, &mut AlwaysFullSpeed, 300);
-    let trace = report.trace.as_ref().unwrap();
+    let trace = traced(&late, &mut AlwaysFullSpeed, 300);
     let (at, e) = events(
-        trace,
+        &trace,
         |e| matches!(e, TraceEvent::Complete { task, .. } if *task == TaskId(1)),
     )
     .next()
@@ -205,9 +208,8 @@ fn complete_records_response_and_deadline_verdict_at_retirement() {
 
 #[test]
 fn idle_start_is_stamped_the_instant_the_processor_goes_idle() {
-    let report = traced(&one_task(100, 10), &mut AlwaysFullSpeed, 250);
-    let trace = report.trace.as_ref().unwrap();
-    let idles: Vec<Time> = events(trace, |e| matches!(e, TraceEvent::IdleStart))
+    let trace = traced(&one_task(100, 10), &mut AlwaysFullSpeed, 250);
+    let idles: Vec<Time> = events(&trace, |e| matches!(e, TraceEvent::IdleStart))
         .map(|(at, _)| at)
         .collect();
     // Under the full-speed policy the NOP loop starts the instant each
@@ -224,10 +226,9 @@ fn energy_segments_are_stamped_at_span_starts_and_tile_the_horizon() {
     let mut slow = SlowOnce::default();
     let policies: [&mut dyn PowerPolicy; 2] = [&mut full, &mut slow];
     for policy in policies {
-        let report = traced(&one_task(100, 10), policy, 250);
-        let trace = report.trace.as_ref().unwrap();
+        let trace = traced(&one_task(100, 10), policy, 250);
         let mut cursor = Time::ZERO;
-        let segments = events(trace, |e| matches!(e, TraceEvent::EnergySegment { .. }));
+        let segments = events(&trace, |e| matches!(e, TraceEvent::EnergySegment { .. }));
         for (n, (at, e)) in segments.into_iter().enumerate() {
             let TraceEvent::EnergySegment { dur, .. } = e else {
                 unreachable!()
@@ -283,9 +284,8 @@ fn ramp_start_and_end_bracket_the_commanded_transition() {
     let cpu = CpuSpec::arm8();
     // hi retires at t = 10 us, leaving lo alone with hi's next arrival at
     // 100 us known: SlowOnce commands the ramp at that decision point.
-    let report = traced(&ts, &mut SlowOnce::default(), 300);
-    let trace = report.trace.as_ref().unwrap();
-    let ramps: Vec<_> = events(trace, |e| {
+    let trace = traced(&ts, &mut SlowOnce::default(), 300);
+    let ramps: Vec<_> = events(&trace, |e| {
         matches!(e, TraceEvent::RampStart { .. } | TraceEvent::RampEnd { .. })
     })
     .collect();
@@ -367,18 +367,17 @@ impl PowerPolicy for SleepOnce {
 fn enter_power_down_carries_the_armed_instant_and_wakeup_fires_at_it() {
     let cpu = CpuSpec::arm8();
     let mut policy = SleepOnce::default();
-    let report = traced(&one_task(100, 20), &mut policy, 200);
-    let trace = report.trace.as_ref().unwrap();
+    let trace = traced(&one_task(100, 20), &mut policy, 200);
     let wake_at = Time::from_us(100) - cpu.wakeup_delay();
     assert_eq!(
-        events(trace, |e| matches!(e, TraceEvent::EnterPowerDown { .. }))
+        events(&trace, |e| matches!(e, TraceEvent::EnterPowerDown { .. }))
             .next()
             .unwrap(),
         (Time::from_us(20), TraceEvent::EnterPowerDown { wake_at }),
         "power-down is stamped at the decision point, carrying wake_at"
     );
     assert_eq!(
-        events(trace, |e| matches!(e, TraceEvent::Wakeup))
+        events(&trace, |e| matches!(e, TraceEvent::Wakeup))
             .next()
             .map(|(at, _)| at),
         Some(wake_at),
@@ -387,7 +386,7 @@ fn enter_power_down_carries_the_armed_instant_and_wakeup_fires_at_it() {
     // The compensation worked: the t = 100 us release found the processor
     // settled, so no violation was recorded.
     assert_eq!(
-        events(trace, |e| matches!(e, TraceEvent::TimingViolation)).count(),
+        events(&trace, |e| matches!(e, TraceEvent::TimingViolation)).count(),
         0
     );
 }
@@ -400,20 +399,10 @@ fn timing_violation_is_stamped_at_the_release_that_caught_the_processor_down() {
     let faults = FaultConfig::none()
         .with_seed(9)
         .with_wakeup_jitter(WakeupJitter::uniform(Dur::from_us(5)));
-    let cfg = SimConfig::new(Dur::from_us(200))
-        .with_trace()
-        .with_faults(faults);
-    let report = simulate(
-        &one_task(100, 20),
-        &CpuSpec::arm8(),
-        &mut SleepOnce::default(),
-        &AlwaysWcet,
-        &cfg,
-    )
-    .expect("valid simulation");
-    let trace = report.trace.as_ref().unwrap();
+    let cfg = SimConfig::new(Dur::from_us(200)).with_faults(faults);
+    let (report, trace) = traced_with(&one_task(100, 20), &mut SleepOnce::default(), cfg);
     assert_eq!(
-        events(trace, |e| matches!(e, TraceEvent::TimingViolation))
+        events(&trace, |e| matches!(e, TraceEvent::TimingViolation))
             .next()
             .map(|(at, _)| at),
         Some(Time::from_us(100)),
@@ -428,23 +417,13 @@ fn budget_overrun_is_stamped_exactly_when_the_budget_exhausts() {
     let faults = FaultConfig::none()
         .with_seed(1)
         .with_overrun(OverrunFault::clamped(1.0, 0.5, 1.5));
-    let cfg = SimConfig::new(Dur::from_us(100))
-        .with_trace()
-        .with_faults(faults);
-    let report = simulate(
-        &ts,
-        &CpuSpec::arm8(),
-        &mut AlwaysFullSpeed,
-        &AlwaysWcet,
-        &cfg,
-    )
-    .expect("valid simulation");
-    let trace = report.trace.as_ref().unwrap();
+    let cfg = SimConfig::new(Dur::from_us(100)).with_faults(faults);
+    let (report, trace) = traced_with(&ts, &mut AlwaysFullSpeed, cfg);
     // p = 1 guarantees the overrun fires and injects at least one cycle
     // beyond the budget; at full speed the 20 us budget of the job
     // dispatched at t = 0 exhausts at exactly t = 20 us.
     assert_eq!(
-        events(trace, |e| matches!(e, TraceEvent::BudgetOverrun { .. }))
+        events(&trace, |e| matches!(e, TraceEvent::BudgetOverrun { .. }))
             .next()
             .unwrap(),
         (

@@ -86,7 +86,7 @@ impl MultiCell {
     /// * the horizon is pinned to [`Self::shared_horizon`] on every core;
     /// * `app` becomes `"{base}.c{k}"` (unchanged when `cores == 1`);
     /// * everything else (cpu, policy, exec, BCET fraction, overheads,
-    ///   tick, trace) copies verbatim.
+    ///   tick) copies verbatim.
     ///
     /// # Errors
     ///

@@ -13,12 +13,11 @@
 //! Three pieces, layered on the kernel's [`lpfps_kernel::probe::Probe`]
 //! seam:
 //!
-//! * [`probe`] — recording probes. [`TraceProbe`] rebuilds a kernel
-//!   `Trace` from the event stream; [`JobRecorder`] streams per-job
-//!   response times and energies into histograms. The kernel guarantees
-//!   a probed run produces a bit-identical `SimReport` (`NoProbe`
-//!   monomorphizes the tap away entirely, so the probe-free hot path is
-//!   byte-for-byte the pre-seam engine).
+//! * [`probe`] — recording probes. [`JobRecorder`] streams per-job
+//!   response times and energies into histograms (the kernel's own
+//!   `Trace` is the probe that records the raw stream). The kernel
+//!   guarantees a probed run produces a bit-identical `SimReport`
+//!   (`NoProbe` monomorphizes the tap away entirely).
 //! * [`hist`] — deterministic log-scale [`LogHistogram`]s whose merge is
 //!   exactly associative and commutative, making sweep-level percentiles
 //!   (`p50`/`p95`/`p99`/`max`) byte-identical across `--threads 1..=8`.
@@ -42,4 +41,4 @@ pub use hist::{HistSummary, LogHistogram};
 pub use perfetto::{
     export_chrome_trace, export_multi_chrome_trace, validate_chrome_trace, ChromeTraceStats,
 };
-pub use probe::{JobRecorder, TraceProbe, FJ_PER_J};
+pub use probe::{JobRecorder, FJ_PER_J};

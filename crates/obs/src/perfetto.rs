@@ -427,8 +427,9 @@ pub fn validate_chrome_trace(json: &str) -> Result<ChromeTraceStats, String> {
 mod tests {
     use super::*;
     use lpfps_cpu::spec::CpuSpec;
-    use lpfps_kernel::engine::{simulate, SimConfig};
+    use lpfps_kernel::engine::{simulate_in, SimConfig, SimWorkspace};
     use lpfps_kernel::policy::AlwaysFullSpeed;
+    use lpfps_kernel::FixedPriority;
     use lpfps_tasks::exec::AlwaysWcet;
     use lpfps_tasks::task::Task;
     use lpfps_tasks::time::Dur;
@@ -447,9 +448,10 @@ mod tests {
     fn fps_trace(horizon_us: u64) -> (TaskSet, Trace) {
         let ts = table1();
         let cpu = CpuSpec::arm8();
-        let cfg = SimConfig::new(Dur::from_us(horizon_us)).with_trace();
-        let report = simulate(&ts, &cpu, &mut AlwaysFullSpeed, &AlwaysWcet, &cfg).unwrap();
-        let trace = report.trace.clone().unwrap();
+        let cfg = SimConfig::new(Dur::from_us(horizon_us)).with_force_full_simulation();
+        let (policy, mut ws, mut trace) = (&mut AlwaysFullSpeed, SimWorkspace::new(), Trace::new());
+        simulate_in::<FixedPriority, _>(&ts, &cpu, policy, &AlwaysWcet, &cfg, &mut ws, &mut trace)
+            .unwrap();
         (ts, trace)
     }
 

@@ -4,53 +4,20 @@
 //! A probe watches the engine's event stream without touching the
 //! simulation: the kernel guarantees (and the `obs_free_prop` suite
 //! proves) that attaching any probe leaves the `SimReport` bit-identical
-//! to a probe-free run. Two recorders live here:
-//!
-//! * [`TraceProbe`] — rebuilds a full kernel [`Trace`] from the stream,
-//!   so tracing-quality data can be captured without flipping the
-//!   engine's own `SimConfig::with_trace` switch.
-//! * [`JobRecorder`] — streams per-job response times and per-job energy
-//!   into deterministic [`LogHistogram`]s, the data source for the sweep
-//!   engine's `--hist` percentiles.
+//! to a probe-free run. The kernel's own `Trace` records the raw stream;
+//! [`JobRecorder`] streams per-job response times and per-job energy into
+//! deterministic [`LogHistogram`]s, the data source for the sweep
+//! engine's `--hist` percentiles.
 
 use crate::hist::LogHistogram;
 use lpfps_kernel::probe::Probe;
-use lpfps_kernel::trace::{Trace, TraceEvent};
+use lpfps_kernel::trace::TraceEvent;
 use lpfps_tasks::task::TaskId;
 use lpfps_tasks::time::Time;
 
 /// Femtojoules per joule: the quantization unit for per-job energy.
 /// `u64` femtojoules covers ~18 kJ — far beyond any simulated job.
 pub const FJ_PER_J: f64 = 1e15;
-
-/// A probe that records every event into a kernel [`Trace`].
-#[derive(Debug, Default)]
-pub struct TraceProbe {
-    trace: Trace,
-}
-
-impl TraceProbe {
-    /// An empty trace probe.
-    pub fn new() -> Self {
-        TraceProbe::default()
-    }
-
-    /// The recorded trace so far.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Consumes the probe, yielding the recorded trace.
-    pub fn into_trace(self) -> Trace {
-        self.trace
-    }
-}
-
-impl Probe for TraceProbe {
-    fn on_event(&mut self, at: Time, event: &TraceEvent) {
-        self.trace.push(at, *event);
-    }
-}
 
 /// A probe that aggregates per-job observables into histograms.
 ///
@@ -143,8 +110,9 @@ impl Probe for JobRecorder {
 mod tests {
     use super::*;
     use lpfps_cpu::spec::CpuSpec;
-    use lpfps_kernel::engine::{simulate, simulate_in_probed, SimConfig, SimWorkspace};
+    use lpfps_kernel::engine::{simulate_in, SimConfig, SimWorkspace};
     use lpfps_kernel::policy::AlwaysFullSpeed;
+    use lpfps_kernel::FixedPriority;
     use lpfps_tasks::exec::AlwaysWcet;
     use lpfps_tasks::task::Task;
     use lpfps_tasks::taskset::TaskSet;
@@ -162,40 +130,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_probe_matches_engine_trace() {
-        let ts = table1();
-        let cpu = CpuSpec::arm8();
-        let cfg = SimConfig::new(Dur::from_us(400)).with_trace();
-        let traced = simulate(&ts, &cpu, &mut AlwaysFullSpeed, &AlwaysWcet, &cfg).unwrap();
-
-        let mut probe = TraceProbe::new();
-        let mut ws = SimWorkspace::default();
-        let probed = simulate_in_probed(
-            &ts,
-            &cpu,
-            &mut AlwaysFullSpeed,
-            &AlwaysWcet,
-            &cfg,
-            &mut ws,
-            &mut probe,
-        )
-        .unwrap();
-
-        let engine_trace = traced.trace.as_ref().unwrap();
-        let probe_trace = probe.trace();
-        assert_eq!(probe_trace.len(), engine_trace.len());
-        for ((ta, ea), (tb, eb)) in probe_trace.iter().zip(engine_trace.iter()) {
-            assert_eq!(ta, tb);
-            assert_eq!(ea, eb);
-        }
-        // And the report itself is untouched by the probe.
-        assert_eq!(
-            serde_json::to_string(&probed).unwrap(),
-            serde_json::to_string(&traced).unwrap()
-        );
-    }
-
-    #[test]
     fn job_recorder_counts_every_completion() {
         let ts = table1();
         let cpu = CpuSpec::arm8();
@@ -204,7 +138,7 @@ mod tests {
         let cfg = SimConfig::new(Dur::from_us(400)).with_force_full_simulation();
         let mut rec = JobRecorder::new();
         let mut ws = SimWorkspace::default();
-        let report = simulate_in_probed(
+        let report = simulate_in::<FixedPriority, _>(
             &ts,
             &cpu,
             &mut AlwaysFullSpeed,
@@ -231,7 +165,7 @@ mod tests {
         let cfg = SimConfig::new(Dur::from_us(400)).with_force_full_simulation();
         let mut rec = JobRecorder::new();
         let mut ws = SimWorkspace::default();
-        let report = simulate_in_probed(
+        let report = simulate_in::<FixedPriority, _>(
             &ts,
             &cpu,
             &mut AlwaysFullSpeed,

@@ -5,10 +5,10 @@
 //! 1. **Probes are invisible.** For random schedulable task sets under
 //!    every driver-dispatched policy (both dispatch disciplines: the
 //!    fixed-priority family and the EDF family), with and without an
-//!    injected WCET-overrun fault stream, the probed engine entry point —
-//!    carrying a recording [`JobRecorder`] or an event-counting closure
-//!    probe — must produce a **bit-identical serialized `SimReport`** to
-//!    the plain `NoProbe` run. Probes observe; they never perturb (not
+//!    injected WCET-overrun fault stream, the engine entry point carrying
+//!    a recording [`JobRecorder`], a kernel [`Trace`] or an
+//!    event-counting closure probe must produce a **bit-identical
+//!    serialized `SimReport`** to the plain `NoProbe` run. Probes observe; they never perturb (not
 //!    even fast-forward eligibility).
 //!
 //! 2. **Histogram merge is a commutative monoid.** Merging per-shard
@@ -17,11 +17,13 @@
 //!    every value into one histogram. This is the property that makes the
 //!    sweep's percentile summaries byte-identical at every thread count.
 
-use lpfps::driver::{run_in, run_probed_in, PolicyKind};
+use lpfps::driver::{run_in, PolicyKind};
 use lpfps_cpu::spec::CpuSpec;
 use lpfps_faults::{FaultConfig, OverrunFault};
 use lpfps_kernel::engine::{SimConfig, SimWorkspace};
 use lpfps_kernel::report::SimReport;
+use lpfps_kernel::trace::{Trace, TraceEvent};
+use lpfps_kernel::NoProbe;
 use lpfps_obs::{JobRecorder, LogHistogram};
 use lpfps_tasks::analysis::rta_schedulable;
 use lpfps_tasks::exec::PaperGaussian;
@@ -63,7 +65,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Probed vs plain: bit-identical serialized reports for every
-    /// policy, fault-free and under overruns, trace on and off.
+    /// policy, fault-free and under overruns.
     #[test]
     fn probed_reports_are_bit_identical_to_noprobe(
         n in 2usize..=5,
@@ -75,10 +77,9 @@ proptest! {
     ) {
         let ts = pool_set(n, &picks, &wcet_pcts);
         prop_assume!(rta_schedulable(&ts));
-        // Two more boolean dimensions, derived from the seeds (the
+        // One more boolean dimension, derived from the seed (the
         // vendored proptest caps tuple strategies at six parameters).
         let faulted = seed & 1 == 1;
-        let trace = fault_seed & 1 == 1;
         let scaled = ts.with_bcet_fraction(bcet_pct as f64 / 10.0);
         let cpu = CpuSpec::arm8();
         let horizon = Dur::from_ms(4);
@@ -90,30 +91,32 @@ proptest! {
                     .with_overrun(OverrunFault::clamped(0.2, 0.3, 1.3)),
             );
         }
-        if trace {
-            cfg = cfg.with_trace();
-        }
         let mut ws = SimWorkspace::new();
         for kind in POLICIES {
-            let plain = run_in(&scaled, &cpu, kind, &PaperGaussian, &cfg, &mut ws).unwrap();
+            let exec = &PaperGaussian;
+            let plain = run_in(&scaled, &cpu, kind, exec, &cfg, &mut ws, &mut NoProbe).unwrap();
             let plain_json = report_json(&plain);
 
             // A recording JobRecorder...
             let mut rec = JobRecorder::new();
-            let probed =
-                run_probed_in(&scaled, &cpu, kind, &PaperGaussian, &cfg, &mut ws, &mut rec)
-                    .unwrap();
+            let probed = run_in(&scaled, &cpu, kind, exec, &cfg, &mut ws, &mut rec).unwrap();
             prop_assert_eq!(
                 &report_json(&probed), &plain_json,
                 "{}: JobRecorder perturbed the report", kind.name()
             );
 
+            // ...a kernel Trace...
+            let mut trace = Trace::new();
+            let probed = run_in(&scaled, &cpu, kind, exec, &cfg, &mut ws, &mut trace).unwrap();
+            prop_assert_eq!(
+                &report_json(&probed), &plain_json,
+                "{}: Trace perturbed the report", kind.name()
+            );
+
             // ...and an arbitrary closure probe (the blanket FnMut impl).
             let mut count = 0u64;
-            let mut counter = |_at: Time, _e: &lpfps_kernel::trace::TraceEvent| count += 1;
-            let probed =
-                run_probed_in(&scaled, &cpu, kind, &PaperGaussian, &cfg, &mut ws, &mut counter)
-                    .unwrap();
+            let mut counter = |_at: Time, _e: &TraceEvent| count += 1;
+            let probed = run_in(&scaled, &cpu, kind, exec, &cfg, &mut ws, &mut counter).unwrap();
             prop_assert_eq!(
                 &report_json(&probed), &plain_json,
                 "{}: closure probe perturbed the report", kind.name()

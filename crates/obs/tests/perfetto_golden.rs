@@ -9,9 +9,10 @@
 //! ordering). Regenerate only for an intentional change, with
 //! `cargo run --release --bin export_trace`.
 
-use lpfps::driver::{run, PolicyKind};
+use lpfps::driver::{run_in, PolicyKind};
 use lpfps_cpu::spec::CpuSpec;
-use lpfps_kernel::engine::SimConfig;
+use lpfps_kernel::engine::{SimConfig, SimWorkspace};
+use lpfps_kernel::trace::Trace;
 use lpfps_obs::{export_chrome_trace, validate_chrome_trace};
 use lpfps_tasks::exec::PaperGaussian;
 use lpfps_tasks::time::{Dur, Time};
@@ -26,17 +27,21 @@ const GOLDEN_PATH: &str = concat!(
 fn fresh_export() -> String {
     let ts = table1().with_bcet_fraction(0.5);
     let horizon = Dur::from_us(400);
-    let cfg = SimConfig::new(horizon).with_seed(42).with_trace();
-    let report = run(
+    let cfg = SimConfig::new(horizon)
+        .with_seed(42)
+        .with_force_full_simulation();
+    let mut trace = Trace::new();
+    run_in(
         &ts,
         &CpuSpec::arm8(),
         PolicyKind::Lpfps,
         &PaperGaussian,
         &cfg,
+        &mut SimWorkspace::new(),
+        &mut trace,
     )
     .expect("the Figure 2 cell simulates");
-    let trace = report.trace.as_ref().expect("tracing was enabled");
-    export_chrome_trace(trace, &ts, Time::ZERO + horizon)
+    export_chrome_trace(&trace, &ts, Time::ZERO + horizon)
 }
 
 #[test]

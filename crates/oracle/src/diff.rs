@@ -1,17 +1,19 @@
-//! Structural first-divergence diff between two [`SimReport`]s.
+//! Structural first-divergence diff between two [`SimReport`]s or two
+//! [`Trace`]s.
 //!
 //! A fingerprint mismatch tells you *that* two reports differ; this module
-//! tells you *where*. Both reports are serialized to `serde_json` values
+//! tells you *where*. Both sides are serialized to `serde_json` values
 //! and walked in lockstep, depth-first in field order, and the first leaf
 //! (or structural) difference is returned with its dotted path — e.g.
-//! `trace.events[214].event.Dispatch.task` — and both values rendered.
+//! `trace.events[214][1].Dispatch.task` — and both values rendered.
 //!
 //! The walk deliberately runs over the serialized form, not the structs:
 //! it needs no per-field plumbing when the report grows, and the path it
 //! prints matches the JSON artifacts the sweep CLI emits.
 
 use lpfps_kernel::report::SimReport;
-use serde_json::{to_value, Value};
+use lpfps_kernel::trace::Trace;
+use serde_json::{to_value, Error, Value};
 use std::fmt;
 
 /// The first point where two reports disagree.
@@ -42,16 +44,30 @@ impl fmt::Display for Divergence {
 /// `f64` bit semantics as `serde_json` preserves them — the differential
 /// harness demands *bitwise* energy equality, not approximate equality.
 pub fn first_divergence(left: &SimReport, right: &SimReport) -> Option<Divergence> {
-    // `SimReport` serializes infallibly; if that ever stops holding, the
-    // unserializable side is itself the divergence.
-    let (Ok(l), Ok(r)) = (to_value(left), to_value(right)) else {
+    diverge("report", to_value(left), to_value(right))
+}
+
+/// [`first_divergence`] for two event traces: the first differing event,
+/// located by its index in the trace (`trace.events[i]`).
+pub fn first_trace_divergence(left: &Trace, right: &Trace) -> Option<Divergence> {
+    diverge("trace", to_value(left), to_value(right))
+}
+
+fn diverge(
+    root: &str,
+    left: Result<Value, Error>,
+    right: Result<Value, Error>,
+) -> Option<Divergence> {
+    // Reports and traces serialize infallibly; if that ever stops
+    // holding, the unserializable side is itself the divergence.
+    let (Ok(l), Ok(r)) = (left, right) else {
         return Some(Divergence {
-            path: "report".to_string(),
+            path: root.to_string(),
             left: "<unserializable>".to_string(),
             right: "<unserializable>".to_string(),
         });
     };
-    walk("report", &l, &r)
+    walk(root, &l, &r)
 }
 
 fn walk(path: &str, left: &Value, right: &Value) -> Option<Divergence> {
@@ -111,7 +127,7 @@ mod tests {
     use lpfps_tasks::exec::AlwaysWcet;
     use lpfps_tasks::task::Task;
     use lpfps_tasks::taskset::TaskSet;
-    use lpfps_tasks::time::Dur;
+    use lpfps_tasks::time::{Dur, Time};
 
     fn table1() -> TaskSet {
         TaskSet::rate_monotonic(
@@ -159,5 +175,27 @@ mod tests {
         let d = first_divergence(&a, &b).expect("must diverge");
         assert_eq!(d.path, format!("report.responses[{}]", n - 1));
         assert_eq!(d.right, "<absent>");
+    }
+
+    #[test]
+    fn trace_divergence_is_located_by_event_index() {
+        use lpfps_kernel::trace::TraceEvent;
+        use lpfps_tasks::task::TaskId;
+        let mut a = Trace::new();
+        let mut b = Trace::new();
+        for (trace, task) in [(&mut a, 1), (&mut b, 2)] {
+            trace.push(Time::ZERO, TraceEvent::IdleStart);
+            let job = 0;
+            trace.push(
+                Time::from_us(5),
+                TraceEvent::Dispatch {
+                    task: TaskId(task),
+                    job,
+                },
+            );
+        }
+        assert_eq!(first_trace_divergence(&a, &a.clone()), None);
+        let d = first_trace_divergence(&a, &b).expect("must diverge");
+        assert!(d.path.starts_with("trace.events[1]"), "path {}", d.path);
     }
 }

@@ -1,7 +1,7 @@
 //! Machine-checked trace invariants for the paper's guarantees.
 //!
-//! [`check_report`] walks a traced [`SimReport`] once per invariant and
-//! collects every violation. The invariants are trace-level consequences
+//! [`check_report`] walks a [`SimReport`] and its recorded [`Trace`] once
+//! per invariant and collects every violation. The invariants are trace-level consequences
 //! of the paper's scheduling rules (Figure 4) and of the engine's own
 //! contract, so they hold for *any* correct run — fault-free or under an
 //! injected fault stream — which makes them a cheap second oracle the
@@ -65,24 +65,22 @@ impl fmt::Display for Violation {
     }
 }
 
-/// Checks every trace invariant against a traced report.
+/// Checks every trace invariant against a report and the [`Trace`] that
+/// was recorded alongside it.
 ///
 /// `cpu` must be the processor spec the simulation actually ran on — for
 /// the `static` policy that is the derated spec (see
-/// [`crate::run::effective_cpu`]).
+/// [`crate::run::effective_cpu`]). `trace` must be complete, i.e. recorded
+/// with [`SimConfig::force_full_simulation`] set: a fast-forwarded run's
+/// trace has gaps, which the tiling and counter invariants report.
 ///
-/// An untraced report cannot be checked; that is reported as a violation
-/// of its own, not a panic.
-pub fn check_report(ts: &TaskSet, cpu: &CpuSpec, report: &SimReport) -> Vec<Violation> {
-    let Some(trace) = report.trace.as_ref() else {
-        return vec![Violation {
-            index: 0,
-            at: Time::ZERO,
-            invariant: "traced-report",
-            detail: "invariant checking requires a traced report (SimConfig::with_trace)"
-                .to_string(),
-        }];
-    };
+/// [`SimConfig::force_full_simulation`]: lpfps_kernel::engine::SimConfig::force_full_simulation
+pub fn check_report(
+    ts: &TaskSet,
+    cpu: &CpuSpec,
+    report: &SimReport,
+    trace: &Trace,
+) -> Vec<Violation> {
     let events: Vec<(Time, TraceEvent)> = trace.iter().collect();
     let mut out = Vec::new();
     check_monotone_time(&events, &mut out);

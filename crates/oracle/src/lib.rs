@@ -19,8 +19,8 @@
 //!   queue structures. The differential tests assert the optimized engine
 //!   matches it **field for field, bit for bit** on the full workload ×
 //!   policy × fault matrix. Like the engine, it is generic over the
-//!   dispatch discipline ([`sim::oracle_simulate_for`] runs the EDF
-//!   cells).
+//!   dispatch discipline and streams its events to a probe
+//!   ([`sim::oracle_simulate_for`]).
 //! * [`invariants::check_report`] — a trace checker enforcing the paper's
 //!   guarantees as machine-checked invariants (dispatch order under the
 //!   report's discipline — fixed-priority or EDF — full-speed releases,
@@ -30,7 +30,8 @@
 //!   over [`lpfps::RatioLogger`] samples.
 //! * [`diff::first_divergence`] — a structural report diff that turns
 //!   "hash mismatch" into "first diverging field, with both values",
-//!   reused by the golden suite and the `diff_kernel` bench binary.
+//!   reused by the golden suite and the `diff_kernel` bench binary;
+//!   [`diff::first_trace_divergence`] does the same for event traces.
 
 pub mod diff;
 pub mod invariants;
@@ -38,7 +39,7 @@ pub(crate) mod queues;
 pub mod run;
 pub mod sim;
 
-pub use diff::{first_divergence, Divergence};
+pub use diff::{first_divergence, first_trace_divergence, Divergence};
 pub use invariants::{check_report, check_theorem1, Violation};
 pub use run::{effective_cpu, oracle_run};
 pub use sim::{oracle_simulate, oracle_simulate_for};

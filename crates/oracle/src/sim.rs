@@ -36,9 +36,10 @@ use lpfps_kernel::discipline::{Discipline, FixedPriority};
 use lpfps_kernel::engine::{validate_sim_config, SimConfig};
 use lpfps_kernel::error::{BudgetKind, PartialDiagnostic, SimError};
 use lpfps_kernel::policy::{ActiveView, FaultEvent, PowerDirective, PowerPolicy, SchedulerContext};
+use lpfps_kernel::probe::{NoProbe, Probe};
 use lpfps_kernel::report::{Counters, DeadlineMiss, ResponseStats, SimReport};
 use lpfps_kernel::stats::{IntervalStats, ResponseHistogram};
-use lpfps_kernel::trace::{Trace, TraceEvent};
+use lpfps_kernel::trace::TraceEvent;
 use lpfps_tasks::cycles::Cycles;
 use lpfps_tasks::error::validate_task_set;
 use lpfps_tasks::exec::ExecModel;
@@ -85,8 +86,9 @@ enum ProcMode {
     },
 }
 
-struct Oracle<'a, D: Discipline> {
+struct Oracle<'a, D: Discipline, P: Probe> {
     ts: &'a TaskSet,
+    probe: &'a mut P,
     cpu: &'a CpuSpec,
     exec: &'a dyn ExecModel,
     cfg: &'a SimConfig,
@@ -111,7 +113,6 @@ struct Oracle<'a, D: Discipline> {
     gap_start: Option<Time>,
     task_energy: Vec<f64>,
     histograms: Vec<ResponseHistogram>,
-    trace: Option<Trace>,
     /// Energy segments integrated so far — the `max_segments` budget's
     /// progress counter, mirroring the engine's (and, like it, kept out of
     /// the serialized [`Counters`]).
@@ -160,35 +161,44 @@ pub fn oracle_simulate(
     exec: &dyn ExecModel,
     cfg: &SimConfig,
 ) -> Result<SimReport, SimError> {
-    oracle_simulate_for::<FixedPriority>(ts, cpu, policy, exec, cfg)
+    oracle_simulate_for::<FixedPriority, NoProbe>(ts, cpu, policy, exec, cfg, &mut NoProbe)
 }
 
-/// [`oracle_simulate`] under an explicit dispatch discipline `D` —
-/// the reference counterpart of
-/// [`lpfps_kernel::engine::simulate_in_for`].
+/// [`oracle_simulate`] under an explicit dispatch discipline `D`, with a
+/// [`Probe`] receiving every event — the reference counterpart of
+/// [`lpfps_kernel::engine::simulate_in`]. The oracle never fast-forwards,
+/// so a [`Trace`](lpfps_kernel::trace::Trace) probe always records the
+/// complete run.
 ///
 /// # Errors
 ///
 /// As [`oracle_simulate`].
-pub fn oracle_simulate_for<D: Discipline>(
+pub fn oracle_simulate_for<D: Discipline, P: Probe>(
     ts: &TaskSet,
     cpu: &CpuSpec,
     policy: &mut dyn PowerPolicy<D>,
     exec: &dyn ExecModel,
     cfg: &SimConfig,
+    probe: &mut P,
 ) -> Result<SimReport, SimError> {
-    // Same validators in the same order as `simulate_in_for`, so a
-    // rejected input rejects identically on both sides of the diff.
+    // Same validators in the same order as `simulate_in`, so a rejected
+    // input rejects identically on both sides of the diff.
     validate_sim_config(cfg)?;
     validate_task_set(ts)?;
     validate_cpu_spec(cpu)?;
-    let mut oracle = Oracle::<D>::new(ts, cpu, exec, cfg);
+    let mut oracle = Oracle::<D, P>::new(ts, cpu, exec, cfg, probe);
     oracle.run(policy)?;
     Ok(oracle.into_report(policy.name()))
 }
 
-impl<'a, D: Discipline> Oracle<'a, D> {
-    fn new(ts: &'a TaskSet, cpu: &'a CpuSpec, exec: &'a dyn ExecModel, cfg: &'a SimConfig) -> Self {
+impl<'a, D: Discipline, P: Probe> Oracle<'a, D, P> {
+    fn new(
+        ts: &'a TaskSet,
+        cpu: &'a CpuSpec,
+        exec: &'a dyn ExecModel,
+        cfg: &'a SimConfig,
+        probe: &'a mut P,
+    ) -> Self {
         let reference = cpu.reference_freq();
         let mut delay_q = NaiveDelayQueue::new();
         let mut tasks = Vec::with_capacity(ts.len());
@@ -205,6 +215,7 @@ impl<'a, D: Discipline> Oracle<'a, D> {
         }
         Oracle {
             ts,
+            probe,
             cpu,
             exec,
             cfg,
@@ -229,7 +240,6 @@ impl<'a, D: Discipline> Oracle<'a, D> {
             gap_start: Some(Time::ZERO),
             task_energy: vec![0.0; ts.len()],
             histograms: vec![ResponseHistogram::new(); ts.len()],
-            trace: if cfg.trace { Some(Trace::new()) } else { None },
             segments_done: 0,
         }
     }
@@ -954,9 +964,7 @@ impl<'a, D: Discipline> Oracle<'a, D> {
     }
 
     fn push_trace(&mut self, event: TraceEvent) {
-        if let Some(trace) = self.trace.as_mut() {
-            trace.push(self.now, event);
-        }
+        self.probe.on_event(self.now, &event);
     }
 
     fn into_report(self, policy_name: &str) -> SimReport {
@@ -972,7 +980,6 @@ impl<'a, D: Discipline> Oracle<'a, D> {
             idle_gaps: self.idle_gaps,
             task_energy: self.task_energy,
             histograms: self.histograms,
-            trace: self.trace,
         }
     }
 }

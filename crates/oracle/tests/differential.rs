@@ -3,11 +3,16 @@
 //! × fault matrix — plus the sabotage test proving the oracle actually
 //! discriminates.
 
-use lpfps::driver::{default_horizon, run, PolicyKind};
+use lpfps::driver::{default_horizon, run, run_in, PolicyKind};
 use lpfps_cpu::spec::CpuSpec;
 use lpfps_faults::{FaultConfig, OverrunFault};
-use lpfps_kernel::engine::SimConfig;
-use lpfps_oracle::{first_divergence, oracle_run};
+use lpfps_kernel::engine::{SimConfig, SimWorkspace};
+use lpfps_kernel::probe::Probe;
+use lpfps_kernel::report::SimReport;
+use lpfps_kernel::trace::Trace;
+use lpfps_kernel::NoProbe;
+use lpfps_oracle::{first_divergence, first_trace_divergence, oracle_run, Divergence};
+use lpfps_tasks::exec::{AlwaysWcet, ExecModel, PaperGaussian};
 use lpfps_tasks::taskset::TaskSet;
 use lpfps_workloads::{avionics, cnc, ins, table1};
 
@@ -32,18 +37,46 @@ fn overrun_faults() -> FaultConfig {
         .with_overrun(OverrunFault::clamped(0.1, 0.3, 1.3))
 }
 
-fn assert_matches_oracle(ts: &TaskSet, kind: PolicyKind, faults: FaultConfig) {
+/// Runs one cell on the engine (with `probe` attached next to a
+/// [`Trace`]) and on the oracle. Returns the engine report when both
+/// agree, else the first divergence of their reports or, failing that, of
+/// their traces — so the comparison also covers every event stamp and the
+/// per-segment energy stream, not just the integrated report.
+/// `engine_cfg` may differ from `cfg` only by test hooks; full simulation
+/// is forced so the engine trace is complete.
+fn check_against_oracle<P: Probe>(
+    ts: &TaskSet,
+    kind: PolicyKind,
+    exec: &dyn ExecModel,
+    cfg: &SimConfig,
+    engine_cfg: &SimConfig,
+    probe: &mut P,
+) -> Result<SimReport, Divergence> {
     let cpu = CpuSpec::arm8();
+    let engine_cfg = engine_cfg.clone().with_force_full_simulation();
+    let mut engine_trace = Trace::new();
+    let mut both = |at, ev: &_| {
+        engine_trace.on_event(at, ev);
+        probe.on_event(at, ev);
+    };
+    let mut ws = SimWorkspace::new();
+    let engine = run_in(ts, &cpu, kind, exec, &engine_cfg, &mut ws, &mut both).unwrap();
+    let mut oracle_trace = Trace::new();
+    let oracle = oracle_run(ts, &cpu, kind, exec, cfg, &mut oracle_trace).unwrap();
+    match first_divergence(&engine, &oracle)
+        .or_else(|| first_trace_divergence(&engine_trace, &oracle_trace))
+    {
+        Some(d) => Err(d),
+        None => Ok(engine),
+    }
+}
+
+fn assert_matches_oracle(ts: &TaskSet, kind: PolicyKind, faults: FaultConfig) {
     let scaled = ts.with_bcet_fraction(0.5);
-    // Trace on: the comparison then also covers the per-segment energy
-    // stream, not just the integrated report.
     let cfg = SimConfig::new(default_horizon(&scaled))
         .with_seed(42)
-        .with_faults(faults)
-        .with_trace();
-    let engine = run(&scaled, &cpu, kind, &lpfps_tasks::exec::PaperGaussian, &cfg).unwrap();
-    let oracle = oracle_run(&scaled, &cpu, kind, &lpfps_tasks::exec::PaperGaussian, &cfg).unwrap();
-    if let Some(d) = first_divergence(&engine, &oracle) {
+        .with_faults(faults);
+    if let Err(d) = check_against_oracle(&scaled, kind, &PaperGaussian, &cfg, &cfg, &mut NoProbe) {
         panic!("{}/{} diverged from the oracle\n{d}", ts.name(), kind);
     }
 }
@@ -85,57 +118,46 @@ fn engine_matches_oracle_with_kernel_overheads() {
     use lpfps_tasks::time::Dur;
     // Context-switch + slow-down overheads and a tick-driven kernel walk
     // the `pending_overhead` and quantization paths.
-    let cpu = CpuSpec::arm8();
     let scaled = table1().with_bcet_fraction(0.5);
     let cfg = SimConfig::new(default_horizon(&scaled))
         .with_seed(42)
         .with_context_switch(Dur::from_ns(500))
         .with_ratio_overhead(Dur::from_ns(800))
-        .with_tick(Dur::from_us(1))
-        .with_trace();
+        .with_tick(Dur::from_us(1));
     for kind in POLICIES {
-        let engine = run(&scaled, &cpu, kind, &lpfps_tasks::exec::PaperGaussian, &cfg).unwrap();
-        let oracle =
-            oracle_run(&scaled, &cpu, kind, &lpfps_tasks::exec::PaperGaussian, &cfg).unwrap();
-        if let Some(d) = first_divergence(&engine, &oracle) {
+        let exec = &PaperGaussian;
+        if let Err(d) = check_against_oracle(&scaled, kind, exec, &cfg, &cfg, &mut NoProbe) {
             panic!("table1/{kind} with overheads diverged from the oracle\n{d}");
         }
     }
 }
 
 /// The probed engine against the oracle: re-runs the full differential
-/// matrix (both fault halves, every distinct-path policy) through
-/// [`lpfps::driver::run_probed_in`] with a recording [`JobRecorder`]
-/// attached. The probe must be invisible — field-for-field agreement with
+/// matrix (both fault halves, every distinct-path policy) with a
+/// recording [`JobRecorder`](lpfps_obs::JobRecorder) attached next to the
+/// trace. The probe must be invisible — field-for-field agreement with
 /// the naive reference simulator, exactly as in the unprobed matrix — and
 /// non-vacuously live: it must have counted every completion the report
 /// integrated.
 #[test]
 fn probed_engine_matches_oracle_across_the_matrix() {
-    use lpfps::driver::run_probed_in;
-    use lpfps_kernel::engine::SimWorkspace;
     use lpfps_obs::JobRecorder;
-    let cpu = CpuSpec::arm8();
-    let mut ws = SimWorkspace::new();
     for ts in workloads() {
         for kind in POLICIES {
             for faults in [FaultConfig::none(), overrun_faults()] {
                 let scaled = ts.with_bcet_fraction(0.5);
                 let cfg = SimConfig::new(default_horizon(&scaled))
                     .with_seed(42)
-                    .with_faults(faults)
-                    .with_trace();
-                let exec = lpfps_tasks::exec::PaperGaussian;
+                    .with_faults(faults);
                 let mut rec = JobRecorder::new();
-                let engine =
-                    run_probed_in(&scaled, &cpu, kind, &exec, &cfg, &mut ws, &mut rec).unwrap();
-                let oracle = oracle_run(&scaled, &cpu, kind, &exec, &cfg).unwrap();
-                if let Some(d) = first_divergence(&engine, &oracle) {
-                    panic!(
-                        "{}/{kind} diverged from the oracle with a probe attached\n{d}",
-                        ts.name()
-                    );
-                }
+                let exec = &PaperGaussian;
+                let engine = check_against_oracle(&scaled, kind, exec, &cfg, &cfg, &mut rec)
+                    .unwrap_or_else(|d| {
+                        panic!(
+                            "{}/{kind} diverged from the oracle with a probe attached\n{d}",
+                            ts.name()
+                        )
+                    });
                 assert_eq!(
                     rec.response_ns().count(),
                     engine.counters.completions,
@@ -159,7 +181,7 @@ fn engine_and_oracle_reject_identically() {
     // Invalid config: zero horizon.
     let zero = SimConfig::new(lpfps_tasks::time::Dur::ZERO);
     let e = run(&ts, &cpu, PolicyKind::Fps, &exec, &zero).unwrap_err();
-    let o = oracle_run(&ts, &cpu, PolicyKind::Fps, &exec, &zero).unwrap_err();
+    let o = oracle_run(&ts, &cpu, PolicyKind::Fps, &exec, &zero, &mut NoProbe).unwrap_err();
     assert_eq!(e, o);
     assert_eq!(e.kind(), "invalid-config");
 
@@ -169,7 +191,7 @@ fn engine_and_oracle_reject_identically() {
         serde_json::from_str(&json.replace("\"period\":50000", "\"period\":0")).unwrap();
     let cfg = SimConfig::new(default_horizon(&ts));
     let e = run(&bad, &cpu, PolicyKind::Lpfps, &exec, &cfg).unwrap_err();
-    let o = oracle_run(&bad, &cpu, PolicyKind::Lpfps, &exec, &cfg).unwrap_err();
+    let o = oracle_run(&bad, &cpu, PolicyKind::Lpfps, &exec, &cfg, &mut NoProbe).unwrap_err();
     assert_eq!(e, o);
     assert_eq!(e.kind(), "invalid-task-set");
 
@@ -177,7 +199,7 @@ fn engine_and_oracle_reject_identically() {
     // on both sides — same event, same sim time, same segment count.
     let tight = SimConfig::new(default_horizon(&ts)).with_max_events(25);
     let e = run(&ts, &cpu, PolicyKind::Lpfps, &exec, &tight).unwrap_err();
-    let o = oracle_run(&ts, &cpu, PolicyKind::Lpfps, &exec, &tight).unwrap_err();
+    let o = oracle_run(&ts, &cpu, PolicyKind::Lpfps, &exec, &tight, &mut NoProbe).unwrap_err();
     assert_eq!(e, o);
     assert_eq!(e.kind(), "budget-exhausted");
 }
@@ -188,28 +210,18 @@ fn engine_and_oracle_reject_identically() {
 /// oracle, and the diff must say where.
 #[test]
 fn sabotaged_event_cache_is_caught() {
-    let cpu = CpuSpec::arm8();
     let ts = table1();
-    let cfg = SimConfig::new(default_horizon(&ts)).with_trace();
+    let cfg = SimConfig::new(default_horizon(&ts));
     let sabotaged_cfg = cfg.clone().with_stale_dispatch_cache();
-    let sabotaged = run(
+    let d = check_against_oracle(
         &ts,
-        &cpu,
         PolicyKind::Fps,
-        &lpfps_tasks::exec::AlwaysWcet,
-        &sabotaged_cfg,
-    )
-    .unwrap();
-    let oracle = oracle_run(
-        &ts,
-        &cpu,
-        PolicyKind::Fps,
-        &lpfps_tasks::exec::AlwaysWcet,
+        &AlwaysWcet,
         &cfg,
+        &sabotaged_cfg,
+        &mut NoProbe,
     )
-    .unwrap();
-    let d = first_divergence(&sabotaged, &oracle)
-        .expect("a stale dispatch-time event cache must produce an observable divergence");
+    .expect_err("a stale dispatch-time event cache must produce an observable divergence");
     // The diagnostic must locate a concrete field, not just say "differs".
     assert!(d.path.starts_with("report."), "unexpected path {}", d.path);
     assert_ne!(d.left, d.right);

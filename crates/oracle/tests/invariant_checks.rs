@@ -1,32 +1,47 @@
 //! The invariant checker against real kernel traces: clean runs must be
 //! violation-free, doctored traces must not be.
 
-use lpfps::driver::{default_horizon, run, PolicyKind};
+use lpfps::driver::{default_horizon, run_in, PolicyKind};
 use lpfps::{simulate, RatioLogger};
 use lpfps_cpu::spec::CpuSpec;
 use lpfps_faults::{FaultConfig, OverrunFault};
-use lpfps_kernel::engine::SimConfig;
+use lpfps_kernel::engine::{SimConfig, SimWorkspace};
 use lpfps_kernel::report::SimReport;
 use lpfps_kernel::trace::{Trace, TraceEvent};
 use lpfps_oracle::{check_report, check_theorem1, effective_cpu};
+use lpfps_tasks::exec::{AlwaysWcet, ExecModel, PaperGaussian};
 use lpfps_tasks::taskset::TaskSet;
 use lpfps_workloads::{avionics, cnc, ins, table1};
 
-fn traced(ts: &TaskSet, kind: PolicyKind, faults: FaultConfig) -> (TaskSet, SimReport) {
+/// Runs with a [`Trace`] attached, on `ws` so the caller can read the
+/// fast-forward statistics afterwards.
+fn run_traced(
+    ts: &TaskSet,
+    kind: PolicyKind,
+    exec: &dyn ExecModel,
+    cfg: &SimConfig,
+    ws: &mut SimWorkspace,
+) -> (SimReport, Trace) {
+    let mut trace = Trace::new();
+    let report = run_in(ts, &CpuSpec::arm8(), kind, exec, cfg, ws, &mut trace).unwrap();
+    (report, trace)
+}
+
+/// A complete trace of one cell: full simulation forced.
+fn traced(ts: &TaskSet, kind: PolicyKind, faults: FaultConfig) -> (TaskSet, SimReport, Trace) {
     let scaled = ts.with_bcet_fraction(0.5);
     let cfg = SimConfig::new(default_horizon(&scaled))
         .with_seed(42)
         .with_faults(faults)
-        .with_trace();
-    let report = run(
+        .with_force_full_simulation();
+    let (report, trace) = run_traced(
         &scaled,
-        &CpuSpec::arm8(),
         kind,
-        &lpfps_tasks::exec::PaperGaussian,
+        &PaperGaussian,
         &cfg,
-    )
-    .unwrap();
-    (scaled, report)
+        &mut SimWorkspace::new(),
+    );
+    (scaled, report, trace)
 }
 
 #[test]
@@ -42,9 +57,9 @@ fn clean_runs_satisfy_every_invariant() {
             PolicyKind::LpfpsWatchdog,
         ] {
             for faults in [FaultConfig::none(), overrun] {
-                let (scaled, report) = traced(&ts, kind, faults);
+                let (scaled, report, trace) = traced(&ts, kind, faults);
                 let cpu = effective_cpu(&scaled, &CpuSpec::arm8(), &report.policy);
-                let violations = check_report(&scaled, &cpu, &report);
+                let violations = check_report(&scaled, &cpu, &report, &trace);
                 assert!(
                     violations.is_empty(),
                     "{}/{kind}: {} violations, first: {}",
@@ -76,16 +91,14 @@ fn gantt_agrees_with_the_checker_on_preempt_at_completion_ties() {
             Task::new("lo", Dur::from_us(100), Dur::from_us(40)),
         ],
     );
-    let cfg = SimConfig::new(Dur::from_us(200)).with_trace();
-    let report = run(
+    let cfg = SimConfig::new(Dur::from_us(200)).with_force_full_simulation();
+    let (report, trace) = run_traced(
         &ts,
-        &CpuSpec::arm8(),
         PolicyKind::Fps,
-        &lpfps_tasks::exec::AlwaysWcet,
+        &AlwaysWcet,
         &cfg,
-    )
-    .unwrap();
-    let trace = report.trace.as_ref().unwrap();
+        &mut SimWorkspace::new(),
+    );
 
     // The tie is resolved as completion-then-dispatch, not preemption.
     assert!(
@@ -115,12 +128,12 @@ fn gantt_agrees_with_the_checker_on_preempt_at_completion_ties() {
     )));
 
     // The checker accepts the trace...
-    let violations = check_report(&ts, &CpuSpec::arm8(), &report);
+    let violations = check_report(&ts, &CpuSpec::arm8(), &report, &trace);
     assert!(violations.is_empty(), "first: {}", violations[0]);
 
     // ...and the Gantt built from it is overlap-free with exact busy
     // attribution: 4 x 10 us of hi and 2 x 40 us of lo over 200 us.
-    let g = Gantt::from_trace(trace, Time::from_us(200));
+    let g = Gantt::from_trace(&trace, Time::from_us(200));
     for pair in g.segments().windows(2) {
         assert!(pair[0].to <= pair[1].from, "{pair:?} overlap at the tie");
     }
@@ -130,9 +143,10 @@ fn gantt_agrees_with_the_checker_on_preempt_at_completion_ties() {
 
 #[test]
 fn static_baseline_checks_against_its_derated_spec() {
-    let (scaled, report) = traced(&table1(), PolicyKind::StaticSlowdown, FaultConfig::none());
+    let (scaled, report, trace) =
+        traced(&table1(), PolicyKind::StaticSlowdown, FaultConfig::none());
     let cpu = effective_cpu(&scaled, &CpuSpec::arm8(), &report.policy);
-    let violations = check_report(&scaled, &cpu, &report);
+    let violations = check_report(&scaled, &cpu, &report, &trace);
     assert!(violations.is_empty(), "first: {}", violations[0]);
 }
 
@@ -145,16 +159,15 @@ fn doctor(trace: &Trace, mut f: impl FnMut(usize, TraceEvent) -> TraceEvent) -> 
     out
 }
 
-fn lpfps_table1_traced() -> (TaskSet, SimReport) {
+fn lpfps_table1_traced() -> (TaskSet, SimReport, Trace) {
     traced(&table1(), PolicyKind::Lpfps, FaultConfig::none())
 }
 
 #[test]
 fn corrupted_segment_power_is_detected() {
-    let (ts, mut report) = lpfps_table1_traced();
-    let trace = report.trace.take().expect("traced");
+    let (ts, report, trace) = lpfps_table1_traced();
     let mut hit = false;
-    report.trace = Some(doctor(&trace, |_, ev| match ev {
+    let doctored = doctor(&trace, |_, ev| match ev {
         TraceEvent::EnergySegment { state, power, dur } if !hit && power > 0.0 => {
             hit = true;
             TraceEvent::EnergySegment {
@@ -164,8 +177,8 @@ fn corrupted_segment_power_is_detected() {
             }
         }
         ev => ev,
-    }));
-    let violations = check_report(&ts, &CpuSpec::arm8(), &report);
+    });
+    let violations = check_report(&ts, &CpuSpec::arm8(), &report, &doctored);
     // The inflated segment breaks both the power-model check and the
     // energy replay.
     assert!(violations.iter().any(|v| v.invariant == "segment-power"));
@@ -174,9 +187,9 @@ fn corrupted_segment_power_is_detected() {
 
 #[test]
 fn corrupted_counters_are_detected() {
-    let (ts, mut report) = lpfps_table1_traced();
+    let (ts, mut report, trace) = lpfps_table1_traced();
     report.counters.dispatches += 1;
-    let violations = check_report(&ts, &CpuSpec::arm8(), &report);
+    let violations = check_report(&ts, &CpuSpec::arm8(), &report, &trace);
     assert!(
         violations
             .iter()
@@ -187,13 +200,12 @@ fn corrupted_counters_are_detected() {
 
 #[test]
 fn out_of_priority_dispatch_is_detected() {
-    let (ts, mut report) = lpfps_table1_traced();
-    let trace = report.trace.take().expect("traced");
+    let (ts, report, trace) = lpfps_table1_traced();
     // Retarget every dispatch of the highest-priority task (tau1, TaskId 0)
     // to the lowest-priority one while tau1 stays live — a fixed-priority
     // violation the checker must flag.
     use lpfps_tasks::task::TaskId;
-    report.trace = Some(doctor(&trace, |_, ev| match ev {
+    let doctored = doctor(&trace, |_, ev| match ev {
         TraceEvent::Dispatch {
             task: TaskId(0),
             job,
@@ -202,8 +214,8 @@ fn out_of_priority_dispatch_is_detected() {
             job,
         },
         ev => ev,
-    }));
-    let violations = check_report(&ts, &CpuSpec::arm8(), &report);
+    });
+    let violations = check_report(&ts, &CpuSpec::arm8(), &report, &doctored);
     assert!(
         violations.iter().any(|v| v.invariant == "fp-dispatch"),
         "got: {violations:?}"
@@ -212,10 +224,9 @@ fn out_of_priority_dispatch_is_detected() {
 
 #[test]
 fn truncated_segment_tiling_is_detected() {
-    let (ts, mut report) = lpfps_table1_traced();
-    let trace = report.trace.take().expect("traced");
+    let (ts, report, trace) = lpfps_table1_traced();
     let mut shrunk = false;
-    report.trace = Some(doctor(&trace, |_, ev| match ev {
+    let doctored = doctor(&trace, |_, ev| match ev {
         TraceEvent::EnergySegment { state, power, dur }
             if !shrunk && dur > lpfps_tasks::time::Dur::from_ns(1) =>
         {
@@ -227,12 +238,37 @@ fn truncated_segment_tiling_is_detected() {
             }
         }
         ev => ev,
-    }));
-    let violations = check_report(&ts, &CpuSpec::arm8(), &report);
+    });
+    let violations = check_report(&ts, &CpuSpec::arm8(), &report, &doctored);
     assert!(
         violations.iter().any(|v| v.invariant == "segment-tiling"),
         "got: {violations:?}"
     );
+}
+
+/// A probe sees only simulated events, so a complete trace needs full
+/// simulation forced. An AlwaysWcet `lpfps` cell over 12 hyperperiods is
+/// fast-forward eligible: traced with full simulation forced it checks
+/// clean; traced with the fast-forward on, the detector skips cycles and
+/// the gapped trace fails the checker.
+#[test]
+fn complete_traces_need_full_simulation() {
+    use lpfps_tasks::analysis::hyperperiod;
+    let ts = table1();
+    let h = hyperperiod(&ts).expect("table1 has a hyperperiod");
+    let cfg = SimConfig::new(h * 12);
+    let mut ws = SimWorkspace::new();
+
+    let full_cfg = cfg.clone().with_force_full_simulation();
+    let (report, trace) = run_traced(&ts, PolicyKind::Lpfps, &AlwaysWcet, &full_cfg, &mut ws);
+    assert_eq!(ws.fast_forward_stats().cycles_detected, 0);
+    let violations = check_report(&ts, &CpuSpec::arm8(), &report, &trace);
+    assert!(violations.is_empty(), "first: {}", violations[0]);
+
+    let (report, trace) = run_traced(&ts, PolicyKind::Lpfps, &AlwaysWcet, &cfg, &mut ws);
+    assert!(ws.fast_forward_stats().cycles_detected > 0);
+    let violations = check_report(&ts, &CpuSpec::arm8(), &report, &trace);
+    assert!(!violations.is_empty(), "a fast-forwarded trace has gaps");
 }
 
 #[test]
@@ -243,14 +279,7 @@ fn theorem1_holds_on_every_workload() {
         let scaled = ts.with_bcet_fraction(0.5);
         let cfg = SimConfig::new(default_horizon(&scaled)).with_seed(42);
         let mut logger = RatioLogger::new(lpfps::LpfpsPolicy::new());
-        simulate(
-            &scaled,
-            &CpuSpec::arm8(),
-            &mut logger,
-            &lpfps_tasks::exec::PaperGaussian,
-            &cfg,
-        )
-        .unwrap();
+        simulate(&scaled, &CpuSpec::arm8(), &mut logger, &PaperGaussian, &cfg).unwrap();
         assert!(
             !logger.samples().is_empty(),
             "{}: no slow-downs sampled",

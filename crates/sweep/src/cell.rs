@@ -1,13 +1,13 @@
 //! One simulation cell: everything needed to run a single
 //! (workload × policy × BCET fraction × execution model × seed) point.
 
-use lpfps::driver::{default_horizon, run_in, run_probed_in, PolicyKind};
+use lpfps::driver::{default_horizon, run_in, PolicyKind};
 use lpfps::TimeoutShutdown;
 use lpfps_cpu::spec::CpuSpec;
 use lpfps_faults::FaultConfig;
-use lpfps_kernel::engine::{simulate_in, simulate_in_probed, SimConfig, SimWorkspace};
+use lpfps_kernel::engine::{simulate_in, SimConfig, SimWorkspace};
 use lpfps_kernel::error::SimError;
-use lpfps_kernel::probe::Probe;
+use lpfps_kernel::probe::{NoProbe, Probe};
 use lpfps_kernel::report::SimReport;
 use lpfps_obs::HistSummary;
 use lpfps_tasks::exec::{AlwaysWcet, ExecModel, PaperGaussian};
@@ -91,8 +91,6 @@ pub struct Cell {
     /// Deterministic fault-injection model ([`FaultConfig::none`] = the
     /// idealized fault-free kernel).
     pub faults: FaultConfig,
-    /// Record a full event trace (memory-heavy; off for sweeps).
-    pub trace: bool,
 }
 
 impl Cell {
@@ -112,7 +110,6 @@ impl Cell {
             ratio_overhead: Dur::ZERO,
             tick: None,
             faults: FaultConfig::none(),
-            trace: false,
         }
     }
 
@@ -165,11 +162,6 @@ impl Cell {
         self
     }
 
-    pub fn with_trace(mut self) -> Self {
-        self.trace = true;
-        self
-    }
-
     /// A short human-readable label for progress/metrics lines.
     pub fn label(&self) -> String {
         let mut label = format!(
@@ -209,7 +201,7 @@ impl Cell {
     /// Any [`SimError`] the underlying simulation rejects the cell with
     /// (invalid inputs, overflow-scale horizons, exhausted budgets).
     pub fn run(&self, horizon_scale: f64) -> Result<SimReport, SimError> {
-        self.run_in(horizon_scale, &mut SimWorkspace::new())
+        self.run_probed_opts(horizon_scale, &mut SimWorkspace::new(), false, &mut NoProbe)
     }
 
     /// [`Cell::run`] with a caller-provided [`SimWorkspace`]. The parallel
@@ -220,7 +212,7 @@ impl Cell {
     ///
     /// As [`Cell::run`].
     pub fn run_in(&self, horizon_scale: f64, ws: &mut SimWorkspace) -> Result<SimReport, SimError> {
-        self.run_opts(horizon_scale, ws, false)
+        self.run_probed_opts(horizon_scale, ws, false, &mut NoProbe)
     }
 
     /// [`Cell::run_in`] with the steady-state fast-forward optionally
@@ -238,34 +230,19 @@ impl Cell {
         ws: &mut SimWorkspace,
         force_full: bool,
     ) -> Result<SimReport, SimError> {
-        let scaled = self.ts.with_bcet_fraction(self.bcet_fraction);
-        let cfg = self.sim_config(horizon_scale, force_full);
-        let mut report = match self.policy {
-            PolicyChoice::Kind(kind) => {
-                run_in(&scaled, &self.cpu, kind, self.exec.model(), &cfg, ws)?
-            }
-            PolicyChoice::TimeoutShutdown(timeout) => simulate_in(
-                &scaled,
-                &self.cpu,
-                &mut TimeoutShutdown::new(timeout),
-                self.exec.model(),
-                &cfg,
-                ws,
-            )?,
-        };
-        report.taskset = self.app.clone();
-        Ok(report)
+        self.run_probed_opts(horizon_scale, ws, force_full, &mut NoProbe)
     }
 
     /// [`Cell::run_opts`] with a [`Probe`] attached to the kernel's
-    /// observability seam. The report is bit-identical to the probe-free
-    /// run (the kernel's zero-cost-observability contract); the probe
-    /// accumulates whatever it watches on the side.
+    /// observability seam — the one body every other `run*` method calls.
+    /// The report is bit-identical to the probe-free run (the kernel's
+    /// zero-cost-observability contract); the probe accumulates whatever
+    /// it watches on the side.
     ///
     /// A probe only sees events the kernel actually simulates, so callers
-    /// that need *complete* event coverage (e.g. histogram collection)
-    /// must pass `force_full = true` to disable the steady-state
-    /// fast-forward.
+    /// that need *complete* event coverage (a
+    /// [`Trace`](lpfps_kernel::trace::Trace), histogram collection) must
+    /// pass `force_full = true` to disable the steady-state fast-forward.
     ///
     /// # Errors
     ///
@@ -279,26 +256,22 @@ impl Cell {
     ) -> Result<SimReport, SimError> {
         let scaled = self.ts.with_bcet_fraction(self.bcet_fraction);
         let cfg = self.sim_config(horizon_scale, force_full);
+        let exec = self.exec.model();
         let mut report = match self.policy {
-            PolicyChoice::Kind(kind) => {
-                run_probed_in(&scaled, &self.cpu, kind, self.exec.model(), &cfg, ws, probe)?
+            PolicyChoice::Kind(kind) => run_in(&scaled, &self.cpu, kind, exec, &cfg, ws, probe)?,
+            PolicyChoice::TimeoutShutdown(timeout) => {
+                let policy = &mut TimeoutShutdown::new(timeout);
+                simulate_in(&scaled, &self.cpu, policy, exec, &cfg, ws, probe)?
             }
-            PolicyChoice::TimeoutShutdown(timeout) => simulate_in_probed(
-                &scaled,
-                &self.cpu,
-                &mut TimeoutShutdown::new(timeout),
-                self.exec.model(),
-                &cfg,
-                ws,
-                probe,
-            )?,
         };
         report.taskset = self.app.clone();
         Ok(report)
     }
 
-    /// The fully-resolved [`SimConfig`] this cell runs under.
-    fn sim_config(&self, horizon_scale: f64, force_full: bool) -> SimConfig {
+    /// The fully-resolved [`SimConfig`] this cell runs under (the
+    /// reference oracle reuses it, so a diagnosis always runs the exact
+    /// configuration the engine ran).
+    pub fn sim_config(&self, horizon_scale: f64, force_full: bool) -> SimConfig {
         let mut cfg = SimConfig::new(self.effective_horizon(horizon_scale))
             .with_seed(self.seed)
             .with_context_switch(self.context_switch)
@@ -309,11 +282,7 @@ impl Cell {
         if let Some(tick) = self.tick {
             cfg = cfg.with_tick(tick);
         }
-        cfg = cfg.with_faults(self.faults);
-        if self.trace {
-            cfg = cfg.with_trace();
-        }
-        cfg
+        cfg.with_faults(self.faults)
     }
 }
 
@@ -395,8 +364,7 @@ impl CellError {
 /// Deterministic: cell execution is a pure function of the cell, so a
 /// given cell either always completes or always fails with the same
 /// error — across thread counts and re-runs alike. (Wall-clock facts
-/// such as soft-timeout retries live in
-/// [`CellMetrics`](crate::metrics::CellMetrics), never here.)
+/// live in [`CellMetrics`](crate::metrics::CellMetrics), never here.)
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub enum CellStatus {
     /// The simulation ran to its horizon.

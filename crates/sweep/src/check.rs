@@ -2,19 +2,22 @@
 //!
 //! A full differential re-simulation of every sweep cell would double the
 //! cost of a grid; sampling gives most of the assurance for a fraction of
-//! it. `N` evenly-spaced completed cells are re-run with tracing enabled
-//! and their traces pushed through the oracle's invariant checker
+//! it. `N` evenly-spaced completed cells are re-run fully simulated with a
+//! [`Trace`] attached, and their traces pushed through the oracle's
+//! invariant checker
 //! ([`lpfps_oracle::check_report`]) — any violation means the kernel broke
 //! one of the paper's guarantees *inside this very sweep*, pinned to a
 //! cell and a trace position.
 //!
 //! The re-run is exact: a cell is a pure function of its spec, so the
-//! traced replay is the same simulation the sweep measured, plus the
-//! event stream.
+//! traced replay is the same simulation the sweep measured (reports are
+//! bit-identical with the fast-forward on or off), plus the event stream.
 
 use crate::cell::Cell;
 use crate::runner::SweepOutcome;
 use crate::spec::SweepSpec;
+use lpfps_kernel::engine::SimWorkspace;
+use lpfps_kernel::trace::Trace;
 use lpfps_oracle::{check_report, effective_cpu, Violation};
 
 /// The invariant-check outcome of one sampled cell.
@@ -53,13 +56,14 @@ fn sample_indices(outcome: &SweepOutcome, sample: usize) -> Vec<usize> {
     (0..n).map(|k| completed[k * completed.len() / n]).collect()
 }
 
-/// Re-runs one cell with tracing and checks every trace invariant.
+/// Re-runs one cell with a complete trace and checks every trace
+/// invariant.
 fn check_cell(cell: &Cell, index: usize, horizon_scale: f64) -> CellCheck {
-    let traced = cell.clone().with_trace();
+    let (mut ws, mut trace) = (SimWorkspace::new(), Trace::new());
     // Only completed cells are sampled, and a cell is a pure function of
     // its spec — a replay that fails where the sweep succeeded is itself
     // a determinism violation worth reporting.
-    let report = match traced.run(horizon_scale) {
+    let report = match cell.run_probed_opts(horizon_scale, &mut ws, true, &mut trace) {
         Ok(report) => report,
         Err(err) => {
             return CellCheck {
@@ -79,7 +83,7 @@ fn check_cell(cell: &Cell, index: usize, horizon_scale: f64) -> CellCheck {
     CellCheck {
         index,
         label: cell.label(),
-        violations: check_report(&scaled, &cpu, &report),
+        violations: check_report(&scaled, &cpu, &report, &trace),
     }
 }
 

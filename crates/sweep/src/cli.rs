@@ -15,6 +15,7 @@ use crate::metrics::SweepMetrics;
 use crate::runner::{RunOptions, SweepOutcome};
 use crate::spec::SweepSpec;
 use lpfps_kernel::engine::SimWorkspace;
+use lpfps_kernel::trace::Trace;
 use lpfps_tasks::time::Time;
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
@@ -438,7 +439,7 @@ impl Parsed {
     }
 
     /// Honors `--trace-out PATH`: re-runs the first *completed* cell of
-    /// the sweep with tracing enabled, renders the trace as a
+    /// the sweep fully simulated with a [`Trace`] attached, renders it as a
     /// Chrome-trace-event/Perfetto JSON document
     /// ([`lpfps_obs::export_chrome_trace`]), self-validates it
     /// ([`lpfps_obs::validate_chrome_trace`]), and writes it to the
@@ -458,17 +459,13 @@ impl Parsed {
             eprintln!("--trace-out: no completed cell to export");
             return;
         };
-        let cell = spec.cells[index].clone().with_trace();
-        let report = cell
-            .run_in(self.horizon_scale, &mut SimWorkspace::new())
+        let cell = &spec.cells[index];
+        let (mut ws, mut trace) = (SimWorkspace::new(), Trace::new());
+        cell.run_probed_opts(self.horizon_scale, &mut ws, true, &mut trace)
             .expect("traced re-run of a completed cell succeeds");
-        let trace = report
-            .trace
-            .as_ref()
-            .expect("tracing was enabled for the re-run");
         let end = Time::ZERO + cell.effective_horizon(self.horizon_scale);
         let scaled = cell.ts.with_bcet_fraction(cell.bcet_fraction);
-        let json = lpfps_obs::export_chrome_trace(trace, &scaled, end);
+        let json = lpfps_obs::export_chrome_trace(&trace, &scaled, end);
         let stats = lpfps_obs::validate_chrome_trace(&json)
             .unwrap_or_else(|e| panic!("exported trace failed validation: {e}"));
         std::fs::write(path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));

@@ -21,10 +21,9 @@ pub struct CellMetrics {
     pub wall_ns: u64,
     /// Kernel decision points the cell processed (0 for failed cells).
     pub events: u64,
-    /// Times the cell was executed (2 after a soft-timeout retry).
+    /// Times the cell was executed: always 1 (cells are deterministic, so
+    /// the runner never retries one).
     pub attempts: u32,
-    /// True when the first attempt exceeded the soft per-cell budget.
-    pub timed_out: bool,
     /// Whole hyperperiods the kernel's steady-state detector skipped
     /// (0 when the cell was ineligible or no recurrence was found).
     pub cycles_detected: u64,

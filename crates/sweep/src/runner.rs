@@ -16,16 +16,13 @@
 //! and every other cell still runs to completion. Failure is
 //! deterministic (same pure function), so even a sweep containing failing
 //! cells serializes byte-identically at any thread count, and
-//! [`SweepMetrics::failure_kinds`] counts failures per error kind. An
-//! optional *soft* per-cell timeout flags cells that exceed their
-//! wall-clock budget and grants one retry; since results are
-//! deterministic, the timeout affects only the (nondeterministic)
-//! metrics, never the results.
+//! [`SweepMetrics::failure_kinds`] counts failures per error kind.
 
 use crate::cell::{Cell, CellError, CellHistograms, CellResult, CellStatus};
 use crate::metrics::{CellMetrics, SweepMetrics};
 use crate::spec::SweepSpec;
 use lpfps_kernel::engine::SimWorkspace;
+use lpfps_kernel::probe::NoProbe;
 use lpfps_kernel::report::SimReport;
 use lpfps_kernel::steady::FastForwardStats;
 use lpfps_obs::{JobRecorder, LogHistogram};
@@ -33,7 +30,7 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Execution options for [`run_sweep`].
 #[derive(Debug, Clone)]
@@ -44,15 +41,10 @@ pub struct RunOptions {
     pub horizon_scale: f64,
     /// Suppress per-cell progress lines on stderr.
     pub quiet: bool,
-    /// Soft wall-clock budget per cell: a completed cell that exceeded it
-    /// is re-run once (transient contention gets a second chance) and
-    /// flagged `timed_out` in its [`CellMetrics`]. `None` disables the
-    /// check. Deterministic results are unaffected either way.
-    pub cell_timeout: Option<Duration>,
     /// After the sweep, re-run this many evenly-spaced completed cells
-    /// with tracing and push each trace through the oracle's invariant
-    /// checker ([`crate::check`]); any violation panics with the cell and
-    /// trace position. `0` disables the pass (the default).
+    /// with a trace attached and push each trace through the oracle's
+    /// invariant checker ([`crate::check`]); any violation panics with the
+    /// cell and trace position. `0` disables the pass (the default).
     pub check_sample: usize,
     /// Force every cell through the full event-by-event simulation,
     /// disabling the kernel's steady-state fast-forward. Results are
@@ -80,7 +72,6 @@ impl Default for RunOptions {
                 .unwrap_or(1),
             horizon_scale: 1.0,
             quiet: true,
-            cell_timeout: None,
             check_sample: 0,
             no_fast_forward: false,
             collect_histograms: false,
@@ -105,12 +96,6 @@ impl RunOptions {
     pub fn with_horizon_scale(mut self, scale: f64) -> Self {
         assert!(scale > 0.0, "horizon scale must be positive");
         self.horizon_scale = scale;
-        self
-    }
-
-    /// Sets the soft per-cell wall-clock budget.
-    pub fn with_cell_timeout(mut self, timeout: Duration) -> Self {
-        self.cell_timeout = Some(timeout);
         self
     }
 
@@ -200,44 +185,21 @@ fn run_cell(
     force_full: bool,
     hist: bool,
 ) -> (Result<SimReport, CellError>, FastForwardStats, CellHists) {
-    if hist {
-        let mut rec = JobRecorder::new();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            cell.run_probed_opts(horizon_scale, ws, true, &mut rec)
-        }));
-        match outcome {
-            Ok(Ok(report)) => {
-                let ff = ws.fast_forward_stats();
-                let (resp, energy) = rec.into_histograms();
-                (Ok(report), ff, Some((resp, energy)))
-            }
-            Ok(Err(err)) => (
-                Err(CellError::from_sim(cell, &err)),
-                FastForwardStats::default(),
-                None,
-            ),
-            Err(payload) => (
-                Err(CellError::from_panic(cell, panic_message(payload))),
-                FastForwardStats::default(),
-                None,
-            ),
+    let mut rec = hist.then(JobRecorder::new);
+    let outcome = catch_unwind(AssertUnwindSafe(|| match rec.as_mut() {
+        Some(rec) => cell.run_probed_opts(horizon_scale, ws, true, rec),
+        None => cell.run_probed_opts(horizon_scale, ws, force_full, &mut NoProbe),
+    }));
+    let outcome = match outcome {
+        Ok(result) => result.map_err(|err| CellError::from_sim(cell, &err)),
+        Err(payload) => Err(CellError::from_panic(cell, panic_message(payload))),
+    };
+    match outcome {
+        Ok(report) => {
+            let hists = rec.map(JobRecorder::into_histograms);
+            (Ok(report), ws.fast_forward_stats(), hists)
         }
-    } else {
-        match catch_unwind(AssertUnwindSafe(|| {
-            cell.run_opts(horizon_scale, ws, force_full)
-        })) {
-            Ok(Ok(report)) => (Ok(report), ws.fast_forward_stats(), None),
-            Ok(Err(err)) => (
-                Err(CellError::from_sim(cell, &err)),
-                FastForwardStats::default(),
-                None,
-            ),
-            Err(payload) => (
-                Err(CellError::from_panic(cell, panic_message(payload))),
-                FastForwardStats::default(),
-                None,
-            ),
-        }
+        Err(error) => (Err(error), FastForwardStats::default(), None),
     }
 }
 
@@ -274,57 +236,30 @@ pub fn run_sweep(spec: &SweepSpec, opts: &RunOptions) -> SweepOutcome {
                     }
                     let cell = &spec.cells[index];
                     let cell_started = Instant::now();
-                    let mut attempts = 1;
-                    let (mut outcome, mut ff, mut hists) = run_cell(
+                    let (outcome, ff, hists) = run_cell(
                         cell,
                         opts.horizon_scale,
                         &mut ws,
                         opts.no_fast_forward,
                         opts.collect_histograms,
                     );
-                    let mut wall = cell_started.elapsed();
-                    let mut timed_out = false;
-                    if let Some(budget) = opts.cell_timeout {
-                        // Soft timeout: one bounded retry for completed cells
-                        // that blew their budget (failures — typed errors and
-                        // panics — are deterministic and never retried). The
-                        // result cannot change — only the recorded timing does.
-                        if outcome.is_ok() && wall > budget {
-                            timed_out = true;
-                            attempts = 2;
-                            let retry_started = Instant::now();
-                            (outcome, ff, hists) = run_cell(
-                                cell,
-                                opts.horizon_scale,
-                                &mut ws,
-                                opts.no_fast_forward,
-                                opts.collect_histograms,
-                            );
-                            wall = retry_started.elapsed();
-                        }
-                    }
+                    let wall = cell_started.elapsed();
                     let metrics = CellMetrics {
                         index,
                         label: cell.label(),
                         wall_ns: wall.as_nanos() as u64,
                         events: outcome.as_ref().map_or(0, |r| r.counters.events),
-                        attempts,
-                        timed_out,
+                        attempts: 1,
                         cycles_detected: ff.cycles_detected,
                         events_skipped: ff.events_skipped,
                     };
                     if !opts.quiet {
                         match &outcome {
                             Ok(_) => eprintln!(
-                                "[{:>4}/{n}] {:<36} {:>9.3?}{}",
+                                "[{:>4}/{n}] {:<36} {:>9.3?}",
                                 index + 1,
                                 metrics.label,
-                                wall,
-                                if timed_out {
-                                    "  (over budget, retried)"
-                                } else {
-                                    ""
-                                }
+                                wall
                             ),
                             Err(error) => eprintln!(
                                 "[{:>4}/{n}] {:<36} FAILED ({}): {}",
@@ -701,38 +636,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn soft_timeout_retries_once_without_changing_results() {
-        let spec = spec();
-        let plain = run_sweep(&spec, &RunOptions::serial());
-        // A zero budget forces every cell over it: each gets exactly one
-        // retry, flagged in metrics, with byte-identical results.
-        let timed = run_sweep(
-            &spec,
-            &RunOptions::serial().with_cell_timeout(Duration::ZERO),
-        );
-        for m in &timed.metrics.per_cell {
-            assert_eq!(m.attempts, 2);
-            assert!(m.timed_out);
-        }
-        for m in &plain.metrics.per_cell {
-            assert_eq!(m.attempts, 1);
-            assert!(!m.timed_out);
-        }
-        let a = serde_json::to_string(&plain.results).unwrap();
-        let b = serde_json::to_string(&timed.results).unwrap();
-        assert_eq!(a, b);
-    }
-
+    /// Failures are deterministic, so a failed cell runs exactly once and
+    /// reports a single attempt like every other cell.
     #[test]
     fn panicking_cells_are_never_retried() {
-        let spec = spec_with_poison();
-        let out = run_sweep(
-            &spec,
-            &RunOptions::serial().with_cell_timeout(Duration::ZERO),
-        );
-        assert_eq!(out.metrics.per_cell[2].attempts, 1);
-        assert!(!out.metrics.per_cell[2].timed_out);
+        let out = run_sweep(&spec_with_poison(), &RunOptions::serial());
+        assert!(out.metrics.per_cell.iter().all(|m| m.attempts == 1));
         assert_eq!(out.metrics.failures, 1);
     }
 }

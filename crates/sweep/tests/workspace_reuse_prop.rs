@@ -11,11 +11,23 @@ use lpfps::driver::{default_horizon, PolicyKind};
 use lpfps_cpu::spec::CpuSpec;
 use lpfps_faults::{FaultConfig, OverrunFault, ReleaseJitter};
 use lpfps_kernel::engine::{simulate_in, SimConfig, SimWorkspace};
+use lpfps_kernel::trace::Trace;
+use lpfps_kernel::{FixedPriority, NoProbe};
 use lpfps_sweep::{Cell, ExecKind};
 use lpfps_tasks::exec::AlwaysWcet;
 use lpfps_tasks::time::Dur;
 use lpfps_workloads::{avionics, cnc, ins, table1};
 use proptest::prelude::*;
+
+/// Runs `cell` fully simulated with a [`Trace`] attached and serializes
+/// the report together with the trace.
+fn traced_json(cell: &Cell, horizon_scale: f64, ws: &mut SimWorkspace) -> String {
+    let mut trace = Trace::new();
+    let report = cell
+        .run_probed_opts(horizon_scale, ws, true, &mut trace)
+        .unwrap();
+    serde_json::to_string(&(report, trace)).unwrap()
+}
 
 /// Runs an adversarial warm-up mix through the workspace: every catalog
 /// workload (including the widest, INS, so every per-task buffer grows
@@ -32,9 +44,8 @@ fn dirty(ws: &mut SimWorkspace, seed: u64) {
             .with_exec(ExecKind::PaperGaussian)
             .with_bcet_fraction(0.4)
             .with_seed(seed ^ i as u64)
-            .with_faults(faults)
-            .with_trace();
-        cell.run_in(0.05, ws).unwrap();
+            .with_faults(faults);
+        traced_json(&cell, 0.05, ws);
     }
     // The validation poison: a zero horizon is rejected with a typed
     // error before the engine ever touches the workspace.
@@ -49,7 +60,16 @@ fn dirty(ws: &mut SimWorkspace, seed: u64) {
     let ts = table1();
     let tight = SimConfig::new(default_horizon(&ts)).with_max_events(40);
     assert!(
-        simulate_in(&ts, &CpuSpec::arm8(), &mut Fps, &AlwaysWcet, &tight, ws).is_err(),
+        simulate_in::<FixedPriority, _>(
+            &ts,
+            &CpuSpec::arm8(),
+            &mut Fps,
+            &AlwaysWcet,
+            &tight,
+            ws,
+            &mut NoProbe
+        )
+        .is_err(),
         "the event-budget poison must fail mid-run"
     );
 }
@@ -75,8 +95,7 @@ proptest! {
         let mut cell = Cell::new(ts, CpuSpec::arm8(), kind)
             .with_exec(ExecKind::PaperGaussian)
             .with_bcet_fraction(frac_pct as f64 / 100.0)
-            .with_seed(seed)
-            .with_trace();
+            .with_seed(seed);
         if faulted {
             cell = cell.with_faults(
                 FaultConfig::none()
@@ -85,27 +104,21 @@ proptest! {
             );
         }
 
-        let fresh = cell.run_in(0.2, &mut SimWorkspace::new()).unwrap();
+        let fresh = traced_json(&cell, 0.2, &mut SimWorkspace::new());
 
         let mut ws = SimWorkspace::new();
         dirty(&mut ws, seed);
-        let reused = cell.run_in(0.2, &mut ws).unwrap();
-
-        let a = serde_json::to_string(&fresh).unwrap();
-        let b = serde_json::to_string(&reused).unwrap();
-        prop_assert_eq!(a, b);
+        let reused = traced_json(&cell, 0.2, &mut ws);
+        prop_assert_eq!(fresh, reused);
 
         // And the workspace stays sound for a *different* follow-up cell.
         let follow = Cell::new(cnc(), CpuSpec::arm8_multimode(), PolicyKind::Lpfps)
             .with_exec(ExecKind::PaperGaussian)
             .with_bcet_fraction(0.5)
-            .with_seed(seed + 1)
-            .with_trace();
-        let follow_fresh = follow.run_in(0.1, &mut SimWorkspace::new()).unwrap();
-        let follow_reused = follow.run_in(0.1, &mut ws).unwrap();
+            .with_seed(seed + 1);
         prop_assert_eq!(
-            serde_json::to_string(&follow_fresh).unwrap(),
-            serde_json::to_string(&follow_reused).unwrap()
+            traced_json(&follow, 0.1, &mut SimWorkspace::new()),
+            traced_json(&follow, 0.1, &mut ws)
         );
     }
 }

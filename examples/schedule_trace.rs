@@ -4,11 +4,12 @@
 //!
 //! Run with: `cargo run --release --example schedule_trace`
 
-use lpfps::{LpfpsPolicy, SimConfig};
+use lpfps::driver::run_in;
+use lpfps::{PolicyKind, SimConfig};
 use lpfps_cpu::spec::CpuSpec;
-use lpfps_kernel::engine::simulate;
+use lpfps_kernel::engine::SimWorkspace;
 use lpfps_kernel::gantt::Gantt;
-use lpfps_kernel::trace::TraceEvent;
+use lpfps_kernel::trace::{Trace, TraceEvent};
 use lpfps_tasks::exec::PaperGaussian;
 use lpfps_tasks::time::{Dur, Time};
 use lpfps_workloads::cnc;
@@ -17,14 +18,27 @@ fn main() {
     let ts = cnc().with_bcet_fraction(0.4);
     let cpu = CpuSpec::arm8();
     let horizon = Dur::from_us(9_600); // one CNC hyperperiod
-    let cfg = SimConfig::new(horizon).with_seed(3).with_trace();
+                                       // The trace is a probe; it is complete only with fast-forward off.
+    let cfg = SimConfig::new(horizon)
+        .with_seed(3)
+        .with_force_full_simulation();
 
-    let report = simulate(&ts, &cpu, &mut LpfpsPolicy::new(), &PaperGaussian, &cfg).unwrap();
+    let mut trace = Trace::new();
+    let mut ws = SimWorkspace::new();
+    let report = run_in(
+        &ts,
+        &cpu,
+        PolicyKind::Lpfps,
+        &PaperGaussian,
+        &cfg,
+        &mut ws,
+        &mut trace,
+    )
+    .unwrap();
     assert!(report.all_deadlines_met(), "misses: {:?}", report.misses);
-    let trace = report.trace.as_ref().expect("tracing enabled");
 
     println!("CNC controller, one hyperperiod ({horizon}) under LPFPS\n");
-    let gantt = Gantt::from_trace(trace, Time::ZERO + horizon);
+    let gantt = Gantt::from_trace(&trace, Time::ZERO + horizon);
     print!("{}", gantt.render(&ts, 100));
     println!("  (one column = 100us; '#' run, '~' ramp, 'z' power-down, '.' idle)\n");
 
