@@ -3,8 +3,8 @@
 //! through the parallel runner at one thread and at all host threads.
 //!
 //! This is the workload the committed `BENCH_kernel.json` trajectory
-//! tracks: per-worker `SimWorkspace` reuse, the cached event horizon, and
-//! the zero-allocation queues all land on this path. `bench_kernel`
+//! tracks: per-worker `SimWorkspace` reuse and the zero-allocation queues
+//! both land on this path. `bench_kernel`
 //! (`src/bin/bench_kernel.rs`) measures the full grid and maintains the
 //! committed before/after numbers; this bench is the quick,
 //! statistics-backed view of the same path.

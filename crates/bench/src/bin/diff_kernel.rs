@@ -8,9 +8,8 @@
 //! columns exercise the shared engine's deadline-ordered
 //! dispatch against the oracle's naive transcription. Any divergence
 //! prints the first differing field with both values and exits nonzero —
-//! this is the CI gate proving the engine's optimizations (event-horizon
-//! cache, power memo, workspace reuse, tuned queues) are behaviorally
-//! invisible.
+//! this is the CI gate proving the engine's optimizations (power memo,
+//! workspace reuse, tuned queues) are behaviorally invisible.
 //!
 //! A second matrix covers the steady-state fast-forward: the same
 //! workload × policy grid under `AlwaysWcet` without a trace (the

@@ -1,6 +1,7 @@
 //! Property-based verification of the paper's Theorem 1 and of the
 //! safety of every speed-ratio variant under the simulator's physical
-//! (trapezoid-ramp) capacity model.
+//! (trapezoid-ramp) capacity model. Counterexamples that earlier proptest
+//! runs recorded are pinned as explicit tests after the properties.
 
 use lpfps::speed::{profile_capacity, r_heu, r_opt, r_opt_trapezoid};
 use lpfps_tasks::time::Dur;
@@ -16,13 +17,7 @@ proptest! {
         rem_ppm in 1u64..1_000_000,
         rho_milli in 1u64..10_000, // 0.001 .. 10 per us
     ) {
-        let window = Dur::from_ns(window_ns);
-        let remaining = Dur::from_ns(((window_ns as u128 * rem_ppm as u128) / 1_000_000) as u64);
-        prop_assume!(!remaining.is_zero() && remaining < window);
-        let rho = rho_milli as f64 / 1_000.0;
-        let heu = r_heu(remaining, window);
-        let opt = r_opt(remaining, window, rho);
-        prop_assert!(heu >= opt - 1e-9, "heu={heu} opt={opt} window={window} rem={remaining} rho={rho}");
+        heu_dominates_opt(window_ns, rem_ppm, rho_milli)?;
     }
 
     /// The heuristic and the trapezoid-optimal both provide at least the
@@ -33,21 +28,7 @@ proptest! {
         rem_pct in 1u64..100,
         rho_milli in 1u64..1_000,
     ) {
-        let window = Dur::from_us(window_us);
-        let remaining = Dur::from_us((window_us * rem_pct / 100).max(1));
-        prop_assume!(remaining < window);
-        let rho = rho_milli as f64 / 1_000.0;
-        let required = remaining.as_us_f64();
-        for (label, r) in [
-            ("heu", r_heu(remaining, window)),
-            ("trap", r_opt_trapezoid(remaining, window, rho)),
-        ] {
-            let cap = profile_capacity(r, window, rho);
-            prop_assert!(
-                cap + 1e-6 >= required,
-                "{label} r={r}: capacity {cap} < required {required} (rho={rho})"
-            );
-        }
+        safe_ratios_cover(window_us, rem_pct, rho_milli)?;
     }
 
     /// The three ratios are totally ordered: Eq. 2 <= trapezoid <= heuristic
@@ -58,15 +39,7 @@ proptest! {
         rem_pct in 1u64..100,
         rho_milli in 1u64..1_000,
     ) {
-        let window = Dur::from_us(window_us);
-        let remaining = Dur::from_us((window_us * rem_pct / 100).max(1));
-        prop_assume!(remaining < window);
-        let rho = rho_milli as f64 / 1_000.0;
-        let opt = r_opt(remaining, window, rho);
-        let trap = r_opt_trapezoid(remaining, window, rho);
-        let heu = r_heu(remaining, window);
-        prop_assert!(opt <= trap + 1e-9, "opt {opt} > trap {trap}");
-        prop_assert!(trap <= heu + 1e-9, "trap {trap} > heu {heu}");
+        ratios_ordered(window_us, rem_pct, rho_milli)?;
     }
 
     /// All ratios are monotone in the remaining work: more work demands at
@@ -86,4 +59,67 @@ proptest! {
             r_opt_trapezoid(r1, window, 0.07) <= r_opt_trapezoid(r2, window, 0.07) + 1e-9
         );
     }
+}
+
+fn heu_dominates_opt(window_ns: u64, rem_ppm: u64, rho_milli: u64) -> Result<(), TestCaseError> {
+    let window = Dur::from_ns(window_ns);
+    let remaining = Dur::from_ns(((window_ns as u128 * rem_ppm as u128) / 1_000_000) as u64);
+    prop_assume!(!remaining.is_zero() && remaining < window);
+    let rho = rho_milli as f64 / 1_000.0;
+    let heu = r_heu(remaining, window);
+    let opt = r_opt(remaining, window, rho);
+    prop_assert!(
+        heu >= opt - 1e-9,
+        "heu={heu} opt={opt} window={window} rem={remaining} rho={rho}"
+    );
+    Ok(())
+}
+
+#[test]
+fn theorem1_holds_at_recorded_window_72811006ns() {
+    heu_dominates_opt(72_811_006, 999_517, 6_196).unwrap();
+}
+
+fn safe_ratios_cover(window_us: u64, rem_pct: u64, rho_milli: u64) -> Result<(), TestCaseError> {
+    let window = Dur::from_us(window_us);
+    let remaining = Dur::from_us((window_us * rem_pct / 100).max(1));
+    prop_assume!(remaining < window);
+    let rho = rho_milli as f64 / 1_000.0;
+    let required = remaining.as_us_f64();
+    for (label, r) in [
+        ("heu", r_heu(remaining, window)),
+        ("trap", r_opt_trapezoid(remaining, window, rho)),
+    ] {
+        let cap = profile_capacity(r, window, rho);
+        prop_assert!(
+            cap + 1e-6 >= required,
+            "{label} r={r}: capacity {cap} < required {required} (rho={rho})"
+        );
+    }
+    Ok(())
+}
+
+fn ratios_ordered(window_us: u64, rem_pct: u64, rho_milli: u64) -> Result<(), TestCaseError> {
+    let window = Dur::from_us(window_us);
+    let remaining = Dur::from_us((window_us * rem_pct / 100).max(1));
+    prop_assume!(remaining < window);
+    let rho = rho_milli as f64 / 1_000.0;
+    let opt = r_opt(remaining, window, rho);
+    let trap = r_opt_trapezoid(remaining, window, rho);
+    let heu = r_heu(remaining, window);
+    prop_assert!(opt <= trap + 1e-9, "opt {opt} > trap {trap}");
+    prop_assert!(trap <= heu + 1e-9, "trap {trap} > heu {heu}");
+    Ok(())
+}
+
+#[test]
+fn ratios_cover_and_order_at_recorded_window_219856us() {
+    safe_ratios_cover(219_856, 27, 551).unwrap();
+    ratios_ordered(219_856, 27, 551).unwrap();
+}
+
+#[test]
+fn ratios_cover_and_order_at_recorded_window_41us() {
+    safe_ratios_cover(41, 8, 23).unwrap();
+    ratios_ordered(41, 8, 23).unwrap();
 }

@@ -59,8 +59,8 @@ impl EnergyMeter {
     }
 
     /// Charges `dur` spent in `state` drawing `power`, for callers that
-    /// already hold `state_power(state)` — the kernel memoizes it per mode
-    /// segment so ramp-power quadrature is not re-run on every advance.
+    /// already hold `state_power(state)`: the kernel's one-entry power memo
+    /// and its fast-forward replay of recorded segments.
     pub fn accumulate_with_power(&mut self, state: CpuState, power: f64, dur: Dur) {
         if dur.is_zero() {
             return;

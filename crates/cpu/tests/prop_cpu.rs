@@ -1,5 +1,7 @@
 //! Property-based tests for the processor model: ladder quantization,
 //! the voltage–frequency curve, ramp geometry, and the power model.
+//! Counterexamples that earlier proptest runs recorded are pinned as
+//! explicit tests after the properties.
 
 use lpfps_cpu::ladder::FrequencyLadder;
 use lpfps_cpu::power::PowerModel;
@@ -110,19 +112,7 @@ proptest! {
         b_mhz in 8u64..100,
         frac_pct in 1u64..100,
     ) {
-        prop_assume!(a_mhz != b_mhz);
-        let ramp = Ramp::between(Freq::from_mhz(a_mhz), Freq::from_mhz(b_mhz), FMAX, 0.07);
-        let total = ramp.total_work(FMAX);
-        let target = Cycles::new((total.as_u64() * frac_pct / 100).max(1));
-        if let Some(t) = ramp.time_to_retire(target, FMAX) {
-            prop_assert!(ramp.work_by(t, FMAX) >= target);
-            if t > Dur::from_ns(0) {
-                let before = Dur::from_ns(t.as_ns() - 1);
-                prop_assert!(ramp.work_by(before, FMAX) < target, "not the earliest instant");
-            }
-        } else {
-            prop_assert!(target > total);
-        }
+        ramp_work_inverse(a_mhz, b_mhz, frac_pct)?;
     }
 
     #[test]
@@ -145,26 +135,67 @@ proptest! {
 
     #[test]
     fn state_power_is_within_unit_range(mhz in 8u64..=100) {
-        let cpu = CpuSpec::arm8();
-        for state in [
-            CpuState::Busy(Freq::from_mhz(mhz)),
-            CpuState::Ramping { from: Freq::from_mhz(mhz), to: Freq::from_mhz(100) },
-            CpuState::RampingIdle { from: Freq::from_mhz(mhz), to: Freq::from_mhz(100) },
-            CpuState::IdleNop,
-            CpuState::PowerDown { power_frac: 0.05 },
-            CpuState::WakingUp,
-        ] {
-            let p = cpu.state_power(state);
-            prop_assert!((0.0..=1.0 + 1e-9).contains(&p), "{state} -> {p}");
-        }
+        state_power_in_unit_range(mhz)?;
     }
 
     #[test]
     fn derating_never_raises_power(mhz in 8u64..=100) {
-        let cpu = CpuSpec::arm8();
-        let derated = cpu.derated_to(Freq::from_mhz(mhz));
-        let p = derated.state_power(CpuState::Busy(derated.full_freq()));
-        prop_assert!(p <= 1.0 + 1e-12);
-        prop_assert_eq!(derated.reference_freq(), cpu.reference_freq());
+        derating_keeps_power(mhz)?;
     }
+}
+
+fn ramp_work_inverse(a_mhz: u64, b_mhz: u64, frac_pct: u64) -> Result<(), TestCaseError> {
+    prop_assume!(a_mhz != b_mhz);
+    let ramp = Ramp::between(Freq::from_mhz(a_mhz), Freq::from_mhz(b_mhz), FMAX, 0.07);
+    let total = ramp.total_work(FMAX);
+    let target = Cycles::new((total.as_u64() * frac_pct / 100).max(1));
+    if let Some(t) = ramp.time_to_retire(target, FMAX) {
+        prop_assert!(ramp.work_by(t, FMAX) >= target);
+        if t > Dur::from_ns(0) {
+            let before = Dur::from_ns(t.as_ns() - 1);
+            prop_assert!(
+                ramp.work_by(before, FMAX) < target,
+                "not the earliest instant"
+            );
+        }
+    } else {
+        prop_assert!(target > total);
+    }
+    Ok(())
+}
+
+#[test]
+fn ramp_work_inverse_holds_at_recorded_65_to_16_mhz() {
+    ramp_work_inverse(65, 16, 41).unwrap();
+}
+
+fn state_power_in_unit_range(mhz: u64) -> Result<(), TestCaseError> {
+    let (cpu, from, to) = (CpuSpec::arm8(), Freq::from_mhz(mhz), FMAX);
+    for state in [
+        CpuState::Busy(from),
+        CpuState::Ramping { from, to },
+        CpuState::RampingIdle { from, to },
+        CpuState::IdleNop,
+        CpuState::PowerDown { power_frac: 0.05 },
+        CpuState::WakingUp,
+    ] {
+        let p = cpu.state_power(state);
+        prop_assert!((0.0..=1.0 + 1e-9).contains(&p), "{state} -> {p}");
+    }
+    Ok(())
+}
+
+fn derating_keeps_power(mhz: u64) -> Result<(), TestCaseError> {
+    let cpu = CpuSpec::arm8();
+    let derated = cpu.derated_to(Freq::from_mhz(mhz));
+    let p = derated.state_power(CpuState::Busy(derated.full_freq()));
+    prop_assert!(p <= 1.0 + 1e-12);
+    prop_assert_eq!(derated.reference_freq(), cpu.reference_freq());
+    Ok(())
+}
+
+#[test]
+fn state_power_and_derating_hold_at_recorded_100_mhz() {
+    state_power_in_unit_range(100).unwrap();
+    derating_keeps_power(100).unwrap();
 }

@@ -80,19 +80,6 @@ pub struct SimConfig {
     /// degradation. [`FaultConfig::none`] (the default) reproduces the
     /// paper's idealized fault-free model exactly.
     pub faults: FaultConfig,
-    /// Bypass the cached event-horizon candidates: recompute the
-    /// completion/budget-exhaust times fresh at every query instead of
-    /// serving them from `Engine::event_cache`. Slower, behaviorally
-    /// identical by construction — the differential tests flip this to
-    /// prove the cache is transparent on arbitrary schedules.
-    pub force_event_recompute: bool,
-    /// Deliberately *skip* the dispatch-site cache invalidation (and the
-    /// debug-mode coherence re-proof that would catch it), leaving a stale
-    /// completion candidate armed across a context switch. Exists only so
-    /// the oracle's differential harness can demonstrate it detects a real
-    /// cache-coherence bug with a first-divergence diagnostic; never set
-    /// it outside tests.
-    pub inject_stale_dispatch_cache: bool,
     /// Cooperative budget on decision points (events): when the count
     /// exceeds the limit the run stops with
     /// [`SimError::BudgetExhausted`](crate::error::SimError) carrying
@@ -126,8 +113,6 @@ impl SimConfig {
             ratio_overhead: Dur::ZERO,
             tick: None,
             faults: FaultConfig::none(),
-            force_event_recompute: false,
-            inject_stale_dispatch_cache: false,
             max_events: None,
             max_segments: None,
             wall_budget: None,
@@ -187,20 +172,6 @@ impl SimConfig {
     /// Injects the given fault model into the run.
     pub fn with_faults(mut self, faults: FaultConfig) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Disables the event-horizon cache (see
-    /// [`SimConfig::force_event_recompute`]).
-    pub fn with_force_event_recompute(mut self) -> Self {
-        self.force_event_recompute = true;
-        self
-    }
-
-    /// Arms the deliberate cache-coherence bug (see
-    /// [`SimConfig::inject_stale_dispatch_cache`]). Test-only.
-    pub fn with_stale_dispatch_cache(mut self) -> Self {
-        self.inject_stale_dispatch_cache = true;
         self
     }
 
@@ -332,26 +303,11 @@ struct Engine<'a, D: Discipline, P: Probe = NoProbe> {
     /// Scratch buffer for due releases, reused across scheduler passes
     /// (see [`DelayQueue::pop_due_into`]).
     due_scratch: Vec<(TaskId, Time)>,
-    /// Cached `(completion, budget-exhaust)` event-time candidates, the
-    /// expensive part of [`Engine::next_event_time`]. `None` means stale.
-    ///
-    /// The candidates are pure functions of the active job's remaining
-    /// work, `pending_overhead`, the processor mode, and `now`-at-fill, so
-    /// the cache must be dropped whenever any of those move: on retirement
-    /// (any executing advance, even one too short to retire a whole cycle
-    /// — a fresh computation at the new `now` re-rounds), on every mode
-    /// change, on dispatch/completion (the active task changes), when
-    /// overhead is charged, and when a job's budget flag trips. Between
-    /// those points — same-instant event cascades and non-executing
-    /// advances — the cached times are exact, which
-    /// [`Engine::next_event_time`] re-proves under `debug_assertions`.
-    event_cache: Option<(Option<Time>, Option<Time>)>,
-    /// Memoized `(state, state_power(state))` for the current processor
-    /// mode segment. Keyed by the state value itself, so it needs no
-    /// invalidation; it exists because `state_power` runs voltage-curve
-    /// math (16-panel quadrature for ramps) that is constant across every
-    /// advance within one segment, and was previously recomputed twice per
-    /// advance (energy metering + per-task attribution).
+    /// `(state, state_power(state))` of the previous advance, keyed by the
+    /// state itself so it needs no invalidation. It hits when consecutive
+    /// segments repeat a `Busy`, `IdleNop` or `PowerDown` state, saving at
+    /// most the `sqrt` of the voltage solve; ramp states do not repeat in
+    /// practice, so it does not skip the 16-panel ramp quadrature.
     power_memo: Option<(CpuState, f64)>,
     /// Energy segments integrated so far. Engine-local on purpose: it
     /// backs the `max_segments` budget and the partial diagnostics, and
@@ -542,13 +498,9 @@ pub fn simulate_in<D: Discipline, P: Probe>(
     validate_task_set(ts)?;
     validate_cpu_spec(cpu)?;
     let mut engine = Engine::<D, P>::new(ts, cpu, exec, cfg, ws, probe);
-    match engine.run(policy) {
-        Ok(()) => Ok(engine.into_report(policy.name(), ws)),
-        Err(e) => {
-            engine.restore_workspace(ws);
-            Err(e)
-        }
-    }
+    let outcome = engine.run(policy);
+    engine.restore_workspace(ws);
+    outcome.map(|()| engine.into_report(policy.name()))
 }
 
 impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
@@ -562,7 +514,7 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
     ) -> Self {
         let reference = cpu.reference_freq();
         // Adopt the workspace buffers (cleared; contents between runs are
-        // unspecified). They return to `ws` in `into_report`.
+        // unspecified). They return to `ws` in `restore_workspace`.
         let mut run_q = D::take_run_queue(ws);
         run_q.clear();
         let mut delay_q = std::mem::take(&mut ws.delay_q);
@@ -613,7 +565,6 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
             task_energy: vec![0.0; ts.len()],
             histograms: vec![ResponseHistogram::new(); ts.len()],
             due_scratch,
-            event_cache: None,
             power_memo: None,
             segments_done: 0,
             steady: SteadyDetector::for_run(cfg, exec, ts),
@@ -698,46 +649,21 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
 
     // ----- event timing ---------------------------------------------------
 
-    /// Marks the completion/budget candidates stale; see
-    /// [`Engine::event_cache`] for the exhaustive list of call sites.
-    fn invalidate_event_cache(&mut self) {
-        self.event_cache = None;
-    }
-
-    /// The cached `(completion, budget-exhaust)` candidates, recomputed
-    /// only when an invalidation point was crossed since the last query.
-    fn cached_event_candidates(&mut self) -> (Option<Time>, Option<Time>) {
-        if self.cfg.force_event_recompute {
-            return (self.completion_time(), self.budget_exhaust_time());
-        }
-        match self.event_cache {
-            Some(cached) => {
-                debug_assert!(
-                    self.cfg.inject_stale_dispatch_cache
-                        || cached == (self.completion_time(), self.budget_exhaust_time()),
-                    "event cache out of sync with a fresh computation at t={}",
-                    self.now
-                );
-                cached
-            }
-            None => {
-                let fresh = (self.completion_time(), self.budget_exhaust_time());
-                self.event_cache = Some(fresh);
-                fresh
-            }
-        }
-    }
-
-    fn next_event_time(&mut self) -> Time {
+    /// The next decision point: the earliest of the delay-queue head, the
+    /// active job's completion and budget exhaustion, the mode's end and
+    /// the armed timers. Computed fresh at every call, as the oracle does:
+    /// the completion and budget candidates change between any two calls
+    /// (the active job retires work, the active task changes or the mode
+    /// changes), so memoizing them would never pay.
+    fn next_event_time(&self) -> Time {
         let mut t = Time::MAX;
         if let Some(r) = self.delay_q.head_release() {
             t = t.min(r);
         }
-        let (completion, budget) = self.cached_event_candidates();
-        if let Some(c) = completion {
+        if let Some(c) = self.completion_time() {
             t = t.min(c);
         }
-        if let Some(b) = budget {
+        if let Some(b) = self.budget_exhaust_time() {
             t = t.min(b);
         }
         match self.mode {
@@ -845,8 +771,8 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
         Freq::from_khz(khz)
     }
 
-    /// `state_power(state)` through the per-segment memo: the quadrature
-    /// runs once per distinct state, not once (or twice) per advance.
+    /// `state_power(state)` through the one-entry memo (see
+    /// `Engine::power_memo`).
     fn state_power_memo(&mut self, state: CpuState) -> f64 {
         match self.power_memo {
             Some((cached_state, power)) if cached_state == state => power,
@@ -905,10 +831,6 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
                 _ => Cycles::ZERO,
             };
             self.retire(retired);
-            // Remaining work moved (and even a sub-cycle advance re-rounds
-            // a fresh computation at the new `now`): the candidates are
-            // stale.
-            self.invalidate_event_cache();
         }
         self.now = t;
     }
@@ -940,7 +862,6 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
         if let ProcMode::Ramping { end, target, .. } = self.mode {
             if self.now >= end {
                 self.mode = ProcMode::Settled(target);
-                self.invalidate_event_cache();
                 self.push_trace(TraceEvent::RampEnd { freq: target });
                 if target == self.cpu.full_freq() {
                     need_sched = true;
@@ -965,12 +886,10 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
                     // Saturating: injected wake-up jitter is unbounded.
                     until: self.now.saturating_add(delay),
                 };
-                self.invalidate_event_cache();
                 self.push_trace(TraceEvent::Wakeup);
             }
             ProcMode::WakingUp { until } if self.now >= until => {
                 self.mode = ProcMode::Settled(self.cpu.full_freq());
-                self.invalidate_event_cache();
                 need_sched = true;
             }
             _ => {}
@@ -1003,8 +922,8 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
                     self.counters.degradations += 1;
                 }
             }
-            for &(tid, release) in &due {
-                self.spawn_job(tid, release);
+            for &(tid, _) in &due {
+                self.spawn_job(tid);
             }
             need_sched = true;
             self.due_scratch = due;
@@ -1030,7 +949,6 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
                 if let Some(job) = self.tasks[tid.0].job.as_mut() {
                     job.budget_exceeded = true;
                 }
-                self.invalidate_event_cache();
                 self.counters.watchdog_faults += 1;
                 self.push_trace(TraceEvent::BudgetOverrun { task: tid });
                 if policy.on_fault(&FaultEvent::BudgetOverrun {
@@ -1059,7 +977,6 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
                     && matches!(self.mode, ProcMode::Settled(f) if f == self.cpu.full_freq());
                 if idle && wake_at > self.now {
                     self.mode = ProcMode::PowerDown { wake_at, mode: 0 };
-                    self.invalidate_event_cache();
                     self.counters.power_downs += 1;
                     self.push_trace(TraceEvent::EnterPowerDown { wake_at });
                 }
@@ -1086,7 +1003,7 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
         }
     }
 
-    fn spawn_job(&mut self, tid: TaskId, _noticed: Time) {
+    fn spawn_job(&mut self, tid: TaskId) {
         let task = self.ts.task(tid);
         let prio = self.ts.priority(tid);
         let sample = self
@@ -1143,7 +1060,6 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
                 what: "completion without an active task",
             });
         };
-        self.invalidate_event_cache();
         let prio = self.ts.priority(tid);
         let rt = &mut self.tasks[tid.0];
         let Some(job) = rt.job.take() else {
@@ -1252,9 +1168,6 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
                 }
                 self.last_dispatched = Some(next);
                 self.active = Some(next);
-                if !self.cfg.inject_stale_dispatch_cache {
-                    self.invalidate_event_cache();
-                }
             }
         }
 
@@ -1341,7 +1254,6 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
                     });
                 }
                 self.mode = ProcMode::PowerDown { wake_at, mode };
-                self.invalidate_event_cache();
                 self.counters.power_downs += 1;
                 self.push_trace(TraceEvent::EnterPowerDown { wake_at });
                 Ok(())
@@ -1377,7 +1289,6 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
                 }
                 if enter_at == self.now {
                     self.mode = ProcMode::PowerDown { wake_at, mode: 0 };
-                    self.invalidate_event_cache();
                     self.counters.power_downs += 1;
                     self.push_trace(TraceEvent::EnterPowerDown { wake_at });
                 } else {
@@ -1404,7 +1315,6 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
                 if !self.cfg.ratio_overhead.is_zero() {
                     self.pending_overhead +=
                         Cycles::from_time_at(self.cfg.ratio_overhead, self.cpu.reference_freq());
-                    self.invalidate_event_cache();
                 }
                 self.speedup_at = Some(speedup_at);
                 self.begin_ramp_from_ratio(1.0, freq, policy)
@@ -1433,7 +1343,6 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
         let dur = ramp.duration();
         if dur.is_zero() {
             self.mode = ProcMode::Settled(target);
-            self.invalidate_event_cache();
             if target == full {
                 self.full_pass(policy)?;
             }
@@ -1453,7 +1362,6 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
             end: self.now.saturating_add(dur),
             target,
         };
-        self.invalidate_event_cache();
         Ok(())
     }
 
@@ -1519,9 +1427,9 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
     /// The complete decision-relevant state at `self.now`, with every
     /// absolute instant re-based to `self.now` (signed: a delay-queue
     /// release sits in the past after a late completion). Excludes
-    /// accumulators (extrapolated instead), caches (transparent), and the
-    /// per-job indices (strictly growing; eligibility guarantees nothing
-    /// decision-relevant reads them).
+    /// accumulators (extrapolated instead), the power memo (transparent),
+    /// and the per-job indices (strictly growing; eligibility guarantees
+    /// nothing decision-relevant reads them).
     fn capture_snapshot(&self, policy_digest: u64) -> SteadySnapshot {
         let now = self.now.as_ns() as i128;
         let rel = |t: Time| t.as_ns() as i128 - now;
@@ -1699,7 +1607,6 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
             let key = self.key_of(tid)?;
             self.run_q.insert(tid, key);
         }
-        self.invalidate_event_cache();
         self.ff_stats.cycles_detected = k;
         self.ff_stats.events_skipped = events_per_cycle * k;
         Ok(())
@@ -1748,27 +1655,18 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
         }
     }
 
-    /// Returns the recycled buffers to the workspace without producing a
-    /// report — the error path of [`simulate_in`]. A failed cell must
-    /// not leak the buffers: the next run on this workspace still pays
-    /// zero allocations.
-    fn restore_workspace(self, ws: &mut SimWorkspace) {
-        D::restore_run_queue(ws, self.run_q);
-        ws.delay_q = self.delay_q;
-        ws.tasks = self.tasks;
-        ws.wcet_cycles = self.wcet_cycles;
-        ws.due_scratch = self.due_scratch;
+    /// Hands the recycled buffers and the detector statistics back to the
+    /// workspace — after failed runs too, so a failed cell leaks nothing.
+    fn restore_workspace(&mut self, ws: &mut SimWorkspace) {
+        D::restore_run_queue(ws, std::mem::take(&mut self.run_q));
+        ws.delay_q = std::mem::take(&mut self.delay_q);
+        ws.tasks = std::mem::take(&mut self.tasks);
+        ws.wcet_cycles = std::mem::take(&mut self.wcet_cycles);
+        ws.due_scratch = std::mem::take(&mut self.due_scratch);
         ws.ff_stats = self.ff_stats;
     }
 
-    fn into_report(self, policy_name: &str, ws: &mut SimWorkspace) -> SimReport {
-        // Return the recycled buffers to the workspace for the next run.
-        D::restore_run_queue(ws, self.run_q);
-        ws.delay_q = self.delay_q;
-        ws.tasks = self.tasks;
-        ws.wcet_cycles = self.wcet_cycles;
-        ws.due_scratch = self.due_scratch;
-        ws.ff_stats = self.ff_stats;
+    fn into_report(self, policy_name: &str) -> SimReport {
         SimReport {
             policy: policy_name.to_string(),
             discipline: D::NAME,

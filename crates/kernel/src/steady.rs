@@ -114,8 +114,8 @@ pub(crate) struct TaskSnapshot {
 ///
 /// Accumulators (energy meter, counters, response stats, misses,
 /// histograms, idle gaps, task energy) are excluded by design — they grow
-/// monotonically and are extrapolated instead. Caches (`event_cache`,
-/// `power_memo`) are excluded because they are behaviorally transparent.
+/// monotonically and are extrapolated instead. The power memo
+/// (`power_memo`) is excluded because it is behaviorally transparent.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct SteadySnapshot {
     /// Run-queue contents in iteration (most-urgent-first) order. The keys
@@ -182,7 +182,6 @@ impl SteadyDetector {
     /// * `force_full_simulation` — the explicit A/B escape hatch;
     /// * any injected fault stream — fault draws are keyed by job index
     ///   and engine ordinals, which are not hyperperiod-periodic;
-    /// * the deliberate stale-cache bug injection;
     /// * `max_events` / `max_segments` budgets — they count *simulated*
     ///   work, and a fast-forwarded run would finish where a full run
     ///   exhausts (the wall-clock budget stays allowed: it never
@@ -195,7 +194,6 @@ impl SteadyDetector {
     pub fn for_run(cfg: &SimConfig, exec: &dyn ExecModel, ts: &TaskSet) -> Option<Self> {
         if cfg.force_full_simulation
             || !cfg.faults.is_none()
-            || cfg.inject_stale_dispatch_cache
             || cfg.max_events.is_some()
             || cfg.max_segments.is_some()
             || !exec.index_invariant()

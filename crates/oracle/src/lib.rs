@@ -15,12 +15,11 @@
 //!
 //! * [`sim::oracle_simulate`] — a deliberately *naive* reference
 //!   simulator: a direct transcription of the paper's Figure 4 with no
-//!   event-horizon cache, no power memo, no workspace reuse, and dumb
-//!   queue structures. The differential tests assert the optimized engine
-//!   matches it **field for field, bit for bit** on the full workload ×
-//!   policy × fault matrix. Like the engine, it is generic over the
-//!   dispatch discipline and streams its events to a probe
-//!   ([`sim::oracle_simulate_for`]).
+//!   power memo, no workspace reuse, and dumb queue structures. The
+//!   differential tests assert the optimized engine matches it **field
+//!   for field, bit for bit** on the full workload × policy × fault
+//!   matrix. Like the engine, it is generic over the dispatch discipline
+//!   and streams its events to a probe ([`sim::oracle_simulate_for`]).
 //! * [`invariants::check_report`] — a trace checker enforcing the paper's
 //!   guarantees as machine-checked invariants (dispatch order under the
 //!   report's discipline — fixed-priority or EDF — full-speed releases,

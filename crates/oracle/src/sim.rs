@@ -7,11 +7,10 @@
 //! same [`SimReport`], but deliberately refuses every optimization the
 //! engine carries:
 //!
-//! * **no event-horizon cache** — the completion and budget-exhaust
-//!   candidates are recomputed from scratch at every decision point, so a
-//!   missed invalidation in the engine cannot be reproduced here;
-//! * **no per-segment power memo** — `CpuSpec::state_power` runs its
-//!   voltage-curve quadrature on every advance;
+//! * **no power memo** — `CpuSpec::state_power` runs on every advance;
+//!   the engine reuses the previous advance's value when the state
+//!   repeats, which saves at most the `sqrt` of a settled state's voltage
+//!   solve (ramp states do not repeat in practice);
 //! * **no workspace reuse** — every run allocates fresh buffers;
 //! * **naive queues** — an insertion-ordered `Vec` scanned linearly and a
 //!   `BTreeSet`, not the kernel's sorted vectors (see `crate::queues`).

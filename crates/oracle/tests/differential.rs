@@ -1,7 +1,8 @@
 //! The differential harness: the optimized kernel against the naive
 //! reference simulator, field for field, over the full workload × policy
 //! × fault matrix — plus the sabotage test proving the oracle actually
-//! discriminates.
+//! discriminates: an engine fed a one-job-short execution model must
+//! diverge from the oracle at a located report field.
 
 use lpfps::driver::{default_horizon, run, run_in, PolicyKind};
 use lpfps_cpu::spec::CpuSpec;
@@ -13,7 +14,9 @@ use lpfps_kernel::trace::Trace;
 use lpfps_kernel::NoProbe;
 use lpfps_oracle::{first_divergence, first_trace_divergence, oracle_run, Divergence};
 use lpfps_tasks::exec::{AlwaysWcet, ExecModel, PaperGaussian};
+use lpfps_tasks::task::{Task, TaskId};
 use lpfps_tasks::taskset::TaskSet;
+use lpfps_tasks::time::Dur;
 use lpfps_workloads::{avionics, cnc, ins, table1};
 
 /// The differential matrix: every paper workload under the policies that
@@ -42,25 +45,25 @@ fn overrun_faults() -> FaultConfig {
 /// agree, else the first divergence of their reports or, failing that, of
 /// their traces — so the comparison also covers every event stamp and the
 /// per-segment energy stream, not just the integrated report.
-/// `engine_cfg` may differ from `cfg` only by test hooks; full simulation
-/// is forced so the engine trace is complete.
+/// `engine_exec` is `exec` except in the sabotage test, which plants a
+/// bug there; full simulation is forced so the engine trace is complete.
 fn check_against_oracle<P: Probe>(
     ts: &TaskSet,
     kind: PolicyKind,
+    engine_exec: &dyn ExecModel,
     exec: &dyn ExecModel,
     cfg: &SimConfig,
-    engine_cfg: &SimConfig,
     probe: &mut P,
 ) -> Result<SimReport, Divergence> {
     let cpu = CpuSpec::arm8();
-    let engine_cfg = engine_cfg.clone().with_force_full_simulation();
+    let engine_cfg = cfg.clone().with_force_full_simulation();
     let mut engine_trace = Trace::new();
     let mut both = |at, ev: &_| {
         engine_trace.on_event(at, ev);
         probe.on_event(at, ev);
     };
     let mut ws = SimWorkspace::new();
-    let engine = run_in(ts, &cpu, kind, exec, &engine_cfg, &mut ws, &mut both).unwrap();
+    let engine = run_in(ts, &cpu, kind, engine_exec, &engine_cfg, &mut ws, &mut both).unwrap();
     let mut oracle_trace = Trace::new();
     let oracle = oracle_run(ts, &cpu, kind, exec, cfg, &mut oracle_trace).unwrap();
     match first_divergence(&engine, &oracle)
@@ -76,7 +79,8 @@ fn assert_matches_oracle(ts: &TaskSet, kind: PolicyKind, faults: FaultConfig) {
     let cfg = SimConfig::new(default_horizon(&scaled))
         .with_seed(42)
         .with_faults(faults);
-    if let Err(d) = check_against_oracle(&scaled, kind, &PaperGaussian, &cfg, &cfg, &mut NoProbe) {
+    let exec = &PaperGaussian;
+    if let Err(d) = check_against_oracle(&scaled, kind, exec, exec, &cfg, &mut NoProbe) {
         panic!("{}/{} diverged from the oracle\n{d}", ts.name(), kind);
     }
 }
@@ -115,7 +119,6 @@ fn engine_matches_oracle_on_every_policy_kind() {
 
 #[test]
 fn engine_matches_oracle_with_kernel_overheads() {
-    use lpfps_tasks::time::Dur;
     // Context-switch + slow-down overheads and a tick-driven kernel walk
     // the `pending_overhead` and quantization paths.
     let scaled = table1().with_bcet_fraction(0.5);
@@ -126,7 +129,7 @@ fn engine_matches_oracle_with_kernel_overheads() {
         .with_tick(Dur::from_us(1));
     for kind in POLICIES {
         let exec = &PaperGaussian;
-        if let Err(d) = check_against_oracle(&scaled, kind, exec, &cfg, &cfg, &mut NoProbe) {
+        if let Err(d) = check_against_oracle(&scaled, kind, exec, exec, &cfg, &mut NoProbe) {
             panic!("table1/{kind} with overheads diverged from the oracle\n{d}");
         }
     }
@@ -151,7 +154,7 @@ fn probed_engine_matches_oracle_across_the_matrix() {
                     .with_faults(faults);
                 let mut rec = JobRecorder::new();
                 let exec = &PaperGaussian;
-                let engine = check_against_oracle(&scaled, kind, exec, &cfg, &cfg, &mut rec)
+                let engine = check_against_oracle(&scaled, kind, exec, exec, &cfg, &mut rec)
                     .unwrap_or_else(|d| {
                         panic!(
                             "{}/{kind} diverged from the oracle with a probe attached\n{d}",
@@ -204,24 +207,41 @@ fn engine_and_oracle_reject_identically() {
     assert_eq!(e.kind(), "budget-exhausted");
 }
 
-/// The non-vacuity proof: an engine with one cache-invalidation site
-/// disabled (the dispatch site, via the test-only
-/// `SimConfig::with_stale_dispatch_cache` hook) must diverge from the
-/// oracle, and the diff must say where.
+/// The planted bug of the non-vacuity proof: [`AlwaysWcet`], except that
+/// the first job of the highest-priority task runs 1 µs short.
+#[derive(Debug)]
+struct OneJobShort;
+
+impl ExecModel for OneJobShort {
+    fn sample(&self, task: &Task, task_id: TaskId, job_index: u64, _seed: u64) -> Dur {
+        if (task_id, job_index) == (TaskId(0), 0) {
+            task.wcet() - Dur::from_us(1)
+        } else {
+            task.wcet()
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        AlwaysWcet.name()
+    }
+}
+
+/// The non-vacuity proof: an engine that retires one job 1 µs early (it
+/// runs [`OneJobShort`] while the oracle runs the true model) must
+/// diverge from the oracle, and the diff must say where.
 #[test]
-fn sabotaged_event_cache_is_caught() {
+fn engine_with_a_one_job_short_demand_is_caught() {
     let ts = table1();
     let cfg = SimConfig::new(default_horizon(&ts));
-    let sabotaged_cfg = cfg.clone().with_stale_dispatch_cache();
     let d = check_against_oracle(
         &ts,
         PolicyKind::Fps,
+        &OneJobShort,
         &AlwaysWcet,
         &cfg,
-        &sabotaged_cfg,
         &mut NoProbe,
     )
-    .expect_err("a stale dispatch-time event cache must produce an observable divergence");
+    .expect_err("a job retiring 1 us early must produce an observable divergence");
     // The diagnostic must locate a concrete field, not just say "differs".
     assert!(d.path.starts_with("report."), "unexpected path {}", d.path);
     assert_ne!(d.left, d.right);

@@ -1,6 +1,7 @@
 //! Property-based tests for the task-model foundations: quantity
 //! arithmetic, cycle/time conversions, analysis invariants, generators,
-//! and execution-time models.
+//! and execution-time models. A counterexample that an earlier proptest
+//! run recorded is pinned as an explicit test after its property.
 
 use lpfps_tasks::analysis::{
     busy_period_responses, hyperperiod, liu_layland_bound, response_time, response_times,
@@ -208,36 +209,48 @@ proptest! {
         periods in proptest::collection::vec(20u64..2_000, 1..7),
         seed in 0u64..2_000,
     ) {
-        let mut rng = SplitMix64::new(seed);
-        let tasks: Vec<Task> = periods
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| {
-                let c = 1 + (rng.next_u64() % (p / 3).max(1));
-                Task::new(format!("t{i}"), Dur::from_us(p), Dur::from_us(c))
-            })
-            .collect();
-        let ts = TaskSet::rate_monotonic("oracles", tasks);
-        prop_assume!(ts.utilization() <= 1.0);
-        let sim = busy_period_responses(&ts).expect("U <= 1");
-        if rta_schedulable(&ts) {
-            // Exact domain: both oracles produce identical responses.
-            let rta = response_times(&ts, &RtaConfig::default());
-            for (i, (s, r)) in sim.iter().zip(&rta).enumerate() {
-                prop_assert!(s.is_schedulable(), "task {} verdict mismatch", i);
-                prop_assert_eq!(
-                    s.response(),
-                    r.response().expect("schedulable"),
-                    "task {} response mismatch", i
-                );
-            }
-        } else {
-            // Both must reject the set (once a job overruns, the sim's
-            // per-task detail is not comparable to RTA's, but the overall
-            // verdict is).
-            prop_assert!(sim.iter().any(|o| !o.is_schedulable()));
-        }
+        oracles_agree(&periods, seed)?;
     }
+}
+
+/// RTA and the busy-period simulation agree on one random task set.
+fn oracles_agree(periods: &[u64], seed: u64) -> Result<(), TestCaseError> {
+    let mut rng = SplitMix64::new(seed);
+    let tasks: Vec<Task> = periods
+        .iter()
+        .enumerate()
+        .map(|(i, &p)| {
+            let c = 1 + (rng.next_u64() % (p / 3).max(1));
+            Task::new(format!("t{i}"), Dur::from_us(p), Dur::from_us(c))
+        })
+        .collect();
+    let ts = TaskSet::rate_monotonic("oracles", tasks);
+    prop_assume!(ts.utilization() <= 1.0);
+    let sim = busy_period_responses(&ts).expect("U <= 1");
+    if rta_schedulable(&ts) {
+        // Exact domain: both oracles produce identical responses.
+        let rta = response_times(&ts, &RtaConfig::default());
+        for (i, (s, r)) in sim.iter().zip(&rta).enumerate() {
+            prop_assert!(s.is_schedulable(), "task {} verdict mismatch", i);
+            prop_assert_eq!(
+                s.response(),
+                r.response().expect("schedulable"),
+                "task {} response mismatch",
+                i
+            );
+        }
+    } else {
+        // Both must reject the set (once a job overruns, the sim's
+        // per-task detail is not comparable to RTA's, but the overall
+        // verdict is).
+        prop_assert!(sim.iter().any(|o| !o.is_schedulable()));
+    }
+    Ok(())
+}
+
+#[test]
+fn rta_and_busy_period_agree_at_recorded_periods() {
+    oracles_agree(&[54, 303, 849, 24], 1134).unwrap();
 }
 
 #[test]
