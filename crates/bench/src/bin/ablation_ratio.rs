@@ -3,8 +3,9 @@
 //! The paper's §5 leaves the heuristic/optimal trade-off as future work:
 //! the optimal ratio extracts more slack when windows are short relative
 //! to the transition delay, at the cost of a more expensive scheduler.
-//! This ablation measures the energy side (the scheduler-cost side is the
-//! `speed_ratio` Criterion bench), sweeping BCET on all four applications.
+//! This ablation measures the energy side (the scheduler-cost side is
+//! perfbench's `core.r_opt_over_r_heu` metric), sweeping BCET on all four
+//! applications.
 //!
 //! Usage: `cargo run --release --bin ablation_ratio -- [--json out.json]`
 

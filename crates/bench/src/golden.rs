@@ -1,12 +1,15 @@
-//! The golden workload matrix behind the engine's determinism tests and
-//! the benchmark suite.
+//! The golden workload matrix behind the engine's determinism tests.
 //!
 //! All four paper workloads × {fps, lpfps, lpfps-wd}, fault-free and
 //! under an injected WCET-overrun model, at fixed seeds. The matrix is a
 //! shared definition so `tests/golden_determinism.rs` (which pins the
-//! fingerprints) and `bench_kernel --golden` (which regenerates them)
-//! can never drift apart.
+//! fingerprints) and `tests/multicore_golden.rs` (which reproduces them
+//! through one-core fleets) can never drift apart. Regenerating the pins
+//! needs no separate tool: when a pin fails and the naive oracle agrees
+//! with the engine, [`diagnose_mismatch`] prints the whole recomputed
+//! table.
 
+use crate::fingerprint::report_fingerprint;
 use lpfps::driver::PolicyKind;
 use lpfps_cpu::spec::CpuSpec;
 use lpfps_faults::{FaultConfig, OverrunFault};
@@ -17,10 +20,10 @@ use lpfps_sweep::{Cell, ExecKind, PolicyChoice};
 use lpfps_workloads::{avionics, cnc, ins, table1};
 
 /// `(label, fingerprint)` of every golden cell, in [`golden_cells`]
-/// order — captured with `bench_kernel --golden` on the engine as of
-/// PR 2. Pinned by `tests/golden_determinism.rs` (uniprocessor engine)
-/// and `tests/multicore_golden.rs` (one-core multicore runs must
-/// reproduce it byte for byte).
+/// order — captured on the pre-optimization reference engine. Pinned by
+/// `tests/golden_determinism.rs` (uniprocessor engine) and
+/// `tests/multicore_golden.rs` (one-core multicore runs must reproduce
+/// it byte for byte).
 pub const GOLDEN_FINGERPRINTS: [(&str, u64); 24] = [
     ("table1/fps/b50%/s42", 0x6980f6940f8b88e2),
     ("table1/lpfps/b50%/s42", 0x96ba117d5e644651),
@@ -83,16 +86,6 @@ pub fn golden_cells() -> Vec<Cell> {
     cells
 }
 
-/// Runs every golden cell, yielding `(label, report)` in matrix order.
-pub fn golden_runs() -> impl Iterator<Item = (String, SimReport)> {
-    golden_cells().into_iter().map(|cell| {
-        let report = cell
-            .run(1.0)
-            .expect("every golden cell is a valid simulation");
-        (cell.label(), report)
-    })
-}
-
 /// Runs a cell through the naive reference simulator (`lpfps-oracle`)
 /// under the exact configuration [`Cell::run`] builds
 /// ([`Cell::sim_config`]), with `probe` receiving every event, or `None`
@@ -112,7 +105,9 @@ pub fn oracle_report<P: Probe>(cell: &Cell, probe: &mut P) -> Option<SimReport> 
 /// Explains a golden fingerprint mismatch: instead of "hash A != hash B",
 /// run the cell through the naive oracle and report either the first
 /// diverging field (an engine bug) or full agreement (an intentional
-/// behavior change whose fingerprints need regenerating).
+/// behavior change). On agreement the message carries the whole matrix
+/// recomputed on the current engine, one `("label", 0x…),` row per cell,
+/// ready to paste over [`GOLDEN_FINGERPRINTS`].
 pub fn diagnose_mismatch(cell: &Cell, engine: &SimReport) -> String {
     let Some(oracle) = oracle_report(cell, &mut NoProbe) else {
         return "no oracle dispatch for this policy; diff the serialized reports by hand".into();
@@ -121,9 +116,29 @@ pub fn diagnose_mismatch(cell: &Cell, engine: &SimReport) -> String {
         Some(d) => format!(
             "the engine DISAGREES with the naive reference simulator — likely an engine bug.\n{d}"
         ),
-        None => "the engine agrees with the naive reference simulator field for field — \
-                 the behavior change looks intentional; regenerate the pinned fingerprints \
-                 with `cargo run --release --bin bench_kernel -- --golden`."
-            .into(),
+        None => format!(
+            "the engine agrees with the naive reference simulator field for field — \
+             the behavior change looks intentional. If it is meant, replace \
+             GOLDEN_FINGERPRINTS in crates/bench/src/golden.rs with:\n{}",
+            recomputed_fingerprints()
+        ),
     }
+}
+
+/// The golden matrix fingerprinted on the current engine, formatted as
+/// the body of [`GOLDEN_FINGERPRINTS`].
+fn recomputed_fingerprints() -> String {
+    golden_cells()
+        .iter()
+        .map(|cell| {
+            let report = cell
+                .run(1.0)
+                .expect("every golden cell is a valid simulation");
+            format!(
+                "    (\"{}\", {:#018x}),\n",
+                cell.label(),
+                report_fingerprint(&report)
+            )
+        })
+        .collect()
 }

@@ -1,7 +1,8 @@
 //! # lpfps-bench
 //!
 //! The experiment harness: one binary per table/figure of the paper plus
-//! extension ablations, and Criterion micro-benchmarks.
+//! extension ablations. The simulator's benchmark is the separate
+//! `perfbench` package (see `BENCHMARK.json`).
 //!
 //! | target | regenerates |
 //! |--------|-------------|
@@ -22,6 +23,10 @@
 //! | `related_work_dvs`    | §2.2 baselines: EDF@1, AVR, YDS, Ishihara–Yasuura |
 //! | `sweep_utilization`   | synthetic UUniFast utilization sweep |
 //! | `multicore_sweep`     | partitioned fleets: cores × partitioner × policy |
+//! | `fault_sweep`         | degradation curves under WCET-overrun faults |
+//! | `fp_vs_edf`           | fixed-priority vs EDF through the shared kernel |
+//! | `diff_kernel`         | engine vs naive oracle vs forced-full simulation gate |
+//! | `export_trace`        | Perfetto rendering of the Figure 2 cell |
 //! | `simulate`            | ad-hoc CLI (named apps or `--taskset file.json`) |
 //!
 //! Each binary prints a human-readable table to stdout and asserts its own
@@ -36,11 +41,8 @@
 pub mod chart;
 pub mod fingerprint;
 pub mod golden;
-pub mod long_horizon;
 
 use lpfps_sweep::CellResult;
-use lpfps_tasks::taskset::TaskSet;
-use lpfps_tasks::time::Dur;
 use serde::Serialize;
 
 /// The BCET/WCET fractions swept in Figure 8 (10 % steps).
@@ -129,14 +131,6 @@ pub fn render_power_table(app: &str, policies: &[&str], cells: &[PowerCell]) -> 
         let _ = writeln!(out, " {:>10.1}%", red * 100.0);
     }
     out
-}
-
-/// The per-application simulation horizons used by the power experiments:
-/// long enough to sample several of the longest periods (and whole
-/// hyperperiods where reachable) while keeping the full Figure-8 sweep in
-/// seconds of wall time.
-pub fn experiment_horizon(ts: &TaskSet) -> Dur {
-    lpfps::driver::default_horizon(ts)
 }
 
 #[cfg(test)]

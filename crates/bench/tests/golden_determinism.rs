@@ -1,16 +1,21 @@
 //! Golden determinism: the optimized engine must produce byte-identical
 //! `SimReport`s to the pre-optimization engine.
 //!
-//! The fingerprints below were captured with `bench_kernel --golden` on
-//! the engine as of PR 2 (commit 924c03a — before the cached event
-//! horizon, zero-allocation queues, and workspace reuse landed). Every
-//! hot-path change since must reproduce them exactly: the hash covers the
-//! *entire* serialized report — counters, energy buckets, per-task
-//! responses and histograms, misses, idle gaps, task energy — so a single
-//! flipped byte anywhere fails the matrix entry by name.
+//! The pinned fingerprints (`lpfps_bench::golden::GOLDEN_FINGERPRINTS`)
+//! were captured on the reference engine before zero-allocation queues
+//! and workspace reuse landed. Every hot-path change since must reproduce
+//! them exactly: the hash covers the *entire* serialized report —
+//! counters, energy buckets, per-task responses and histograms, misses,
+//! idle gaps, task energy — so a single flipped byte anywhere fails the
+//! matrix entry by name.
 //!
-//! Regenerate (only when a change is *meant* to alter behavior, never for
-//! a perf PR): `cargo run --release --bin bench_kernel -- --golden`.
+//! Regenerating them (only when a change is *meant* to alter behavior,
+//! never for a performance change) needs no separate tool: a failing pin
+//! is diagnosed through the naive oracle, and when the oracle agrees with
+//! the engine the panic message lists all 24 recomputed
+//! `("label", 0x…),` rows, ready to paste over the table. Run
+//! `cargo test --release -p lpfps-bench --test golden_determinism` and
+//! copy them from the failure output.
 
 use lpfps_bench::fingerprint::report_fingerprint;
 use lpfps_bench::golden::{diagnose_mismatch, golden_cells, GOLDEN_FINGERPRINTS as GOLDEN};

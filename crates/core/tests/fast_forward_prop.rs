@@ -20,6 +20,7 @@ use lpfps_tasks::exec::AlwaysWcet;
 use lpfps_tasks::task::Task;
 use lpfps_tasks::taskset::TaskSet;
 use lpfps_tasks::time::Dur;
+use lpfps_workloads::{avionics, cnc, ins, table1};
 use proptest::prelude::*;
 use serde::Serialize;
 
@@ -134,25 +135,19 @@ proptest! {
     }
 }
 
-/// Deterministic smoke outside proptest: the motivating example engages
-/// the detector and extrapolates most of a long run.
-#[test]
-fn table1_long_run_actually_skips_cycles() {
-    let ts = TaskSet::rate_monotonic(
-        "table1",
-        vec![
-            Task::new("tau1", Dur::from_us(50), Dur::from_us(10)),
-            Task::new("tau2", Dur::from_us(80), Dur::from_us(20)),
-            Task::new("tau3", Dur::from_us(100), Dur::from_us(40)),
-        ],
-    );
-    let h = hyperperiod(&ts).unwrap();
-    assert_eq!(h, Dur::from_us(400));
-    let cfg = SimConfig::new(h * 40);
+/// Runs `ts` under LPFPS with every job at its WCET for `cycles` whole
+/// hyperperiods and asserts that the detector skipped at least
+/// `min_skipped_cycles` cycles and some events, that the report still
+/// serializes byte-identically to the forced full simulation, and that
+/// no deadline was missed.
+fn assert_long_run_fast_forwards(ts: &TaskSet, cycles: u64, min_skipped_cycles: u64) {
+    let name = ts.name();
+    let cpu = CpuSpec::arm8();
+    let cfg = SimConfig::new(hyperperiod(ts).unwrap() * cycles);
     let mut ws = SimWorkspace::new();
     let fast = run_in(
-        &ts,
-        &CpuSpec::arm8(),
+        ts,
+        &cpu,
         PolicyKind::Lpfps,
         &AlwaysWcet,
         &cfg,
@@ -161,11 +156,15 @@ fn table1_long_run_actually_skips_cycles() {
     )
     .unwrap();
     let ff = ws.fast_forward_stats();
-    assert!(ff.cycles_detected >= 30, "got {}", ff.cycles_detected);
-    assert!(ff.events_skipped > 0);
+    assert!(
+        ff.cycles_detected >= min_skipped_cycles,
+        "{name}: skipped {} cycles",
+        ff.cycles_detected
+    );
+    assert!(ff.events_skipped > 0, "{name}: nothing extrapolated");
     let full = run_in(
-        &ts,
-        &CpuSpec::arm8(),
+        ts,
+        &cpu,
         PolicyKind::Lpfps,
         &AlwaysWcet,
         &cfg.with_force_full_simulation(),
@@ -173,6 +172,29 @@ fn table1_long_run_actually_skips_cycles() {
         &mut NoProbe,
     )
     .unwrap();
-    assert_eq!(report_json(&fast), report_json(&full));
-    assert!(fast.all_deadlines_met());
+    assert_eq!(
+        report_json(&fast),
+        report_json(&full),
+        "{name}: fast-forward report differs from the full simulation"
+    );
+    assert!(fast.all_deadlines_met(), "{name}: deadline missed");
+}
+
+/// Deterministic smoke outside proptest: the motivating example engages
+/// the detector and extrapolates most of a long run.
+#[test]
+fn table1_long_run_actually_skips_cycles() {
+    let ts = table1();
+    assert_eq!(hyperperiod(&ts).unwrap(), Dur::from_us(400));
+    assert_long_run_fast_forwards(&ts, 40, 30);
+}
+
+/// The other catalog workloads at 3 hyperperiods each: the detector
+/// engages on avionics' 118 s hyperperiod and on the INS and CNC sets,
+/// and each fast-forwarded report matches the full simulation.
+#[test]
+fn catalog_long_runs_fast_forward_byte_identically() {
+    for ts in [avionics(), cnc(), ins()] {
+        assert_long_run_fast_forwards(&ts, 3, 1);
+    }
 }

@@ -89,12 +89,6 @@ pub struct SimConfig {
     /// Cooperative budget on energy segments (non-empty advances between
     /// decision points); `None` (the default) is unbounded.
     pub max_segments: Option<u64>,
-    /// Cooperative budget on host wall-clock time, sampled every 65 536
-    /// events so the `Instant` reads cannot dominate short runs; `None`
-    /// (the default) is unbounded. The check never influences scheduling —
-    /// it only decides whether the run is allowed to continue — so
-    /// reports from runs that finish stay bit-reproducible.
-    pub wall_budget: Option<std::time::Duration>,
     /// Disable the steady-state cycle detector and simulate every event of
     /// the horizon, even when the run is eligible for fast-forwarding.
     /// Reports are bit-identical either way (the equivalence gates assert
@@ -115,7 +109,6 @@ impl SimConfig {
             faults: FaultConfig::none(),
             max_events: None,
             max_segments: None,
-            wall_budget: None,
             force_full_simulation: false,
         }
     }
@@ -185,12 +178,6 @@ impl SimConfig {
     /// [`SimConfig::max_segments`]).
     pub fn with_max_segments(mut self, limit: u64) -> Self {
         self.max_segments = Some(limit);
-        self
-    }
-
-    /// Caps host wall-clock time (see [`SimConfig::wall_budget`]).
-    pub fn with_wall_budget(mut self, budget: std::time::Duration) -> Self {
-        self.wall_budget = Some(budget);
         self
     }
 
@@ -573,7 +560,6 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
     }
 
     fn run(&mut self, policy: &mut dyn PowerPolicy<D>) -> Result<(), SimError> {
-        let wall_start = self.cfg.wall_budget.map(|_| std::time::Instant::now());
         loop {
             let t_next = self.next_event_time().min(self.horizon_end);
             self.advance_to(t_next);
@@ -593,7 +579,7 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
                 break;
             }
             self.counters.events += 1;
-            self.check_budgets(wall_start)?;
+            self.check_budgets()?;
             self.handle_events(policy)?;
         }
         if let Some(start) = self.gap_start.take() {
@@ -612,7 +598,7 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
     /// Cooperative resource budgets, checked once per decision point: a
     /// pathological (but valid) configuration surfaces as a typed error
     /// with partial progress attached instead of an unbounded loop.
-    fn check_budgets(&self, wall_start: Option<std::time::Instant>) -> Result<(), SimError> {
+    fn check_budgets(&self) -> Result<(), SimError> {
         if let Some(limit) = self.cfg.max_events {
             if self.counters.events > limit {
                 return Err(self.budget_exhausted(BudgetKind::Events, limit));
@@ -621,13 +607,6 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
         if let Some(limit) = self.cfg.max_segments {
             if self.segments_done > limit {
                 return Err(self.budget_exhausted(BudgetKind::Segments, limit));
-            }
-        }
-        if let (Some(budget), Some(start)) = (self.cfg.wall_budget, wall_start) {
-            // Reading an `Instant` per decision point would dominate short
-            // runs; sample the clock every 65 536 events.
-            if self.counters.events & 0xFFFF == 0 && start.elapsed() > budget {
-                return Err(self.budget_exhausted(BudgetKind::WallClock, budget.as_millis() as u64));
             }
         }
         Ok(())
@@ -2525,8 +2504,7 @@ mod tests {
         let plain = SimConfig::new(Dur::from_us(400));
         let budgeted = SimConfig::new(Dur::from_us(400))
             .with_max_events(1_000_000)
-            .with_max_segments(1_000_000)
-            .with_wall_budget(std::time::Duration::from_secs(3600));
+            .with_max_segments(1_000_000);
         let a = simulate(&table1(), &cpu, &mut AlwaysFullSpeed, &AlwaysWcet, &plain);
         let b = simulate(
             &table1(),

@@ -19,16 +19,15 @@ use lpfps_tasks::error::TaskSetError;
 use lpfps_tasks::time::Time;
 
 /// Which cooperative resource budget ran out (see
-/// [`SimConfig`](crate::engine::SimConfig) `max_events` / `max_segments` /
-/// `wall_budget`).
+/// [`SimConfig`](crate::engine::SimConfig) `max_events` / `max_segments`).
+/// Both count simulated work, never host time, so a budgeted run trips at
+/// the same decision point on every machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BudgetKind {
     /// Decision-point (event) count.
     Events,
     /// Energy-segment count (non-empty inter-event advances).
     Segments,
-    /// Host wall-clock time (limit reported in milliseconds).
-    WallClock,
 }
 
 impl fmt::Display for BudgetKind {
@@ -36,7 +35,6 @@ impl fmt::Display for BudgetKind {
         match self {
             BudgetKind::Events => write!(f, "event"),
             BudgetKind::Segments => write!(f, "segment"),
-            BudgetKind::WallClock => write!(f, "wall-clock (ms)"),
         }
     }
 }

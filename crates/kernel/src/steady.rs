@@ -184,8 +184,7 @@ impl SteadyDetector {
     ///   and engine ordinals, which are not hyperperiod-periodic;
     /// * `max_events` / `max_segments` budgets — they count *simulated*
     ///   work, and a fast-forwarded run would finish where a full run
-    ///   exhausts (the wall-clock budget stays allowed: it never
-    ///   influences results, only whether the run may continue);
+    ///   exhausts;
     /// * an execution model whose draws depend on the job index;
     /// * a hyperperiod that overflows `u64` nanoseconds ([`hyperperiod`]
     ///   returns `None` for co-prime hostile sets) or exceeds the horizon;

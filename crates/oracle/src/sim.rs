@@ -244,7 +244,6 @@ impl<'a, D: Discipline, P: Probe> Oracle<'a, D, P> {
     }
 
     fn run(&mut self, policy: &mut dyn PowerPolicy<D>) -> Result<(), SimError> {
-        let wall_start = self.cfg.wall_budget.map(|_| std::time::Instant::now());
         loop {
             let t_next = self.next_event_time().min(self.horizon_end);
             self.advance_to(t_next);
@@ -252,7 +251,7 @@ impl<'a, D: Discipline, P: Probe> Oracle<'a, D, P> {
                 break;
             }
             self.counters.events += 1;
-            self.check_budgets(wall_start)?;
+            self.check_budgets()?;
             self.handle_events(policy)?;
         }
         if let Some(start) = self.gap_start.take() {
@@ -266,7 +265,7 @@ impl<'a, D: Discipline, P: Probe> Oracle<'a, D, P> {
     /// Cooperative budget checks, once per decision point — the same
     /// placement and thresholds as the engine's, so a budget trips at the
     /// identical event with the identical diagnostic.
-    fn check_budgets(&self, wall_start: Option<std::time::Instant>) -> Result<(), SimError> {
+    fn check_budgets(&self) -> Result<(), SimError> {
         if let Some(limit) = self.cfg.max_events {
             if self.counters.events > limit {
                 return Err(self.budget_exhausted(BudgetKind::Events, limit));
@@ -275,11 +274,6 @@ impl<'a, D: Discipline, P: Probe> Oracle<'a, D, P> {
         if let Some(limit) = self.cfg.max_segments {
             if self.segments_done > limit {
                 return Err(self.budget_exhausted(BudgetKind::Segments, limit));
-            }
-        }
-        if let (Some(budget), Some(start)) = (self.cfg.wall_budget, wall_start) {
-            if self.counters.events & 0xFFFF == 0 && start.elapsed() > budget {
-                return Err(self.budget_exhausted(BudgetKind::WallClock, budget.as_millis() as u64));
             }
         }
         Ok(())

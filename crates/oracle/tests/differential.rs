@@ -33,7 +33,7 @@ fn workloads() -> Vec<TaskSet> {
     vec![table1(), avionics(), cnc(), ins()]
 }
 
-/// Overrun stream at p = 0.1, the acceptance criterion's fault model.
+/// Overrun stream at p = 0.1, the fault model of the differential matrix.
 fn overrun_faults() -> FaultConfig {
     FaultConfig::none()
         .with_seed(7)
