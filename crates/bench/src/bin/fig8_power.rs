@@ -47,11 +47,21 @@ fn main() {
     // The Figure-8 metric averages power across seeds per (app, policy,
     // fraction); the grid puts seeds innermost, so each group is one
     // contiguous chunk of the spec-ordered results.
-    let cells: Vec<PowerCell> = outcome
+    let mut cells: Vec<PowerCell> = outcome
         .results
         .chunks(parsed.seeds as usize)
         .map(|group| PowerCell::mean_over_seeds(&group.iter().collect::<Vec<&CellResult>>()))
         .collect();
+    // `results/fig8_power.json` lists each application's points by BCET
+    // fraction, then policy. The sort is stable, so each fraction keeps
+    // the grid's policy order.
+    let apps = applications();
+    let rank = |c: &PowerCell| apps.iter().position(|ts| ts.name() == c.app);
+    cells.sort_by(|a, b| {
+        rank(a)
+            .cmp(&rank(b))
+            .then(a.bcet_fraction.total_cmp(&b.bcet_fraction))
+    });
 
     println!("Figure 8: average power (1.0 = busy at full speed), FPS vs LPFPS\n");
     for ts in applications() {

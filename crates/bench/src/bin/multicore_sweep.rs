@@ -23,13 +23,19 @@
 //! with a single core there is nothing to decide, so the allocator must
 //! not leak into the results.
 //!
+//! Every fleet's per-core cells run through the shared sweep runner, so
+//! the uniform sweep flags (`--threads`, `--check`, `--hist`,
+//! `--trace-out`, `--no-fast-forward`, `--metrics`) apply per core cell;
+//! each fleet's report is then merged in core order.
+//!
 //! Usage: `cargo run --release --bin multicore_sweep --
 //! [--quick] [--cores M] [--partitioner NAME] [--json out.json]`
 
 use lpfps::driver::PolicyKind;
 use lpfps_cpu::spec::CpuSpec;
-use lpfps_multi::{CoreBreakdown, MultiCell, MultiEngine, Partitioner, PartitionerKind};
-use lpfps_sweep::{Cell, Cli, ExecKind};
+use lpfps_kernel::report::SimReport;
+use lpfps_multi::{CoreBreakdown, MultiCell, Partition, PartitionerKind};
+use lpfps_sweep::{run_sweep, Cell, Cli, ExecKind, SweepSpec};
 use lpfps_tasks::taskset::TaskSet;
 use lpfps_workloads::{ins, table1, WorkloadBuilder};
 use serde::Serialize;
@@ -77,6 +83,15 @@ struct MultiSweepJson {
     points: Vec<MultiPoint>,
 }
 
+/// One fleet of the grid: its multicore cell, its partition, and the
+/// spec index of each core's cell (`None` for an idle core).
+struct Fleet {
+    workload: String,
+    mc: MultiCell,
+    partition: Partition,
+    slots: Vec<Option<usize>>,
+}
+
 /// Fleet workloads: the paper's harmonic Table 1 set and the non-harmonic
 /// INS avionics set, replicated once per core with staggered seeds.
 fn workloads(quick: bool) -> Vec<TaskSet> {
@@ -85,6 +100,11 @@ fn workloads(quick: bool) -> Vec<TaskSet> {
     } else {
         vec![table1(), ins()]
     }
+}
+
+fn die(msg: impl std::fmt::Display) -> ! {
+    eprintln!("multicore_sweep: {msg}");
+    std::process::exit(2);
 }
 
 fn main() {
@@ -96,25 +116,111 @@ fn main() {
         "--quick",
         "shrink the grid for smoke runs (table1 only, cores {1,2}, ffd + rta-ff)",
     )
+    .opt(
+        "--cores",
+        "M",
+        "simulate M identical cores only [default: grid]",
+    )
+    .opt(
+        "--partitioner",
+        "NAME",
+        "task-to-core allocator only: ffd, bfd, wfd, rta-ff [default: grid]",
+    )
     .parse();
     let quick = parsed.has("--quick");
 
-    let core_grid: Vec<usize> = match parsed.cores {
-        Some(m) => vec![m],
+    let core_grid: Vec<usize> = match parsed.value("--cores") {
+        Some(v) => match v.parse() {
+            Ok(m) if m > 0 => vec![m],
+            _ => die(format_args!(
+                "flag `--cores`: `{v}` is not a positive integer"
+            )),
+        },
         None if quick => vec![1, 2],
         None => CORE_GRID.to_vec(),
     };
-    let partitioners: Vec<PartitionerKind> = match parsed.partitioner.as_deref() {
-        Some(name) => vec![PartitionerKind::parse(name)
-            .expect("the CLI already validated --partitioner against PARTITIONER_NAMES")],
+    let partitioners: Vec<PartitionerKind> = match parsed.value("--partitioner") {
+        Some(name) => vec![PartitionerKind::parse(name).unwrap_or_else(|| {
+            die(format_args!(
+                "flag `--partitioner`: `{name}` is not one of ffd, bfd, wfd, rta-ff"
+            ))
+        })],
         None if quick => vec![PartitionerKind::Ffd, PartitionerKind::RtaFf],
         None => PartitionerKind::ALL.to_vec(),
     };
 
-    let mut engine = match parsed.threads {
-        Some(n) => MultiEngine::new().with_threads(n),
-        None => MultiEngine::new(),
+    // Every fleet's per-core cells go into one sweep, in grid order.
+    let mut spec = SweepSpec::new("multicore_sweep");
+    let mut fleets = Vec::new();
+    for base in workloads(quick) {
+        for &cores in &core_grid {
+            for &kind in &partitioners {
+                for policy in POLICIES {
+                    let fleet = WorkloadBuilder::new(base.clone())
+                        .with_seed(REPLICA_SEED)
+                        .replicate(cores);
+                    let cell = Cell::new(fleet, CpuSpec::arm8(), policy)
+                        .with_exec(ExecKind::PaperGaussian)
+                        .with_bcet_fraction(0.5)
+                        .with_seed(CELL_SEED);
+                    let mc = MultiCell::new(cell, cores, kind);
+                    let (partition, cells) = mc
+                        .derived_cells()
+                        .unwrap_or_else(|e| panic!("{}: {e}", mc.label()));
+                    let slots = cells
+                        .into_iter()
+                        .map(|cell| {
+                            cell.map(|cell| {
+                                spec.push(cell);
+                                spec.len() - 1
+                            })
+                        })
+                        .collect();
+                    fleets.push(Fleet {
+                        workload: base.name().to_string(),
+                        mc,
+                        partition,
+                        slots,
+                    });
+                }
+            }
+        }
+    }
+    let outcome = run_sweep(&spec, &parsed.run_options());
+    let core_report = |i: usize| -> SimReport {
+        outcome
+            .report(i)
+            .cloned()
+            .unwrap_or_else(|| panic!("{}: {:?}", spec.cells[i].label(), outcome.results[i].status))
     };
+
+    let mut points = Vec::with_capacity(fleets.len());
+    for fleet in &fleets {
+        let reports = fleet
+            .slots
+            .iter()
+            .map(|slot| slot.map(core_report))
+            .collect();
+        let report = fleet
+            .mc
+            .assemble(&fleet.partition, reports, parsed.horizon_scale);
+        points.push(MultiPoint {
+            workload: fleet.workload.clone(),
+            cores: fleet.mc.cores,
+            partitioner: report.partitioner,
+            policy: report.policy,
+            cores_used: report.per_core.iter().filter(|c| c.tasks > 0).count(),
+            max_core_utilization: report
+                .per_core
+                .iter()
+                .map(|c| c.utilization)
+                .fold(0.0, f64::max),
+            fleet_average_power: report.fleet_average_power,
+            fleet_energy: report.fleet_energy,
+            fleet_misses: report.fleet_misses,
+            per_core: report.per_core,
+        });
+    }
 
     if !parsed.quiet {
         println!("Multicore sweep: partitioned fleets, normalized fleet energy");
@@ -132,67 +238,29 @@ fn main() {
             "miss",
             "vs fps"
         );
-    }
-
-    let mut points = Vec::new();
-    for base in workloads(quick) {
-        for &cores in &core_grid {
-            for &kind in &partitioners {
-                let mut fps_energy = None;
-                for policy in POLICIES {
-                    let fleet = WorkloadBuilder::new(base.clone())
-                        .with_seed(REPLICA_SEED)
-                        .replicate(cores);
-                    let cell = Cell::new(fleet, CpuSpec::arm8(), policy)
-                        .with_exec(ExecKind::PaperGaussian)
-                        .with_bcet_fraction(0.5)
-                        .with_seed(CELL_SEED);
-                    let mc = MultiCell::new(cell, cores, kind);
-                    let label = mc.label();
-                    let report = engine
-                        .run(&mc, parsed.horizon_scale)
-                        .unwrap_or_else(|e| panic!("{label}: {e}"));
-
-                    let cores_used = report.per_core.iter().filter(|c| c.tasks > 0).count();
-                    let max_core_utilization = report
-                        .per_core
-                        .iter()
-                        .map(|c| c.utilization)
-                        .fold(0.0, f64::max);
-                    if policy == PolicyKind::Fps {
-                        fps_energy = Some(report.fleet_energy);
-                    }
-                    if !parsed.quiet {
-                        let vs_fps = match fps_energy {
-                            Some(f) if f > 0.0 => {
-                                format!("{:>7.1}%", 100.0 * (1.0 - report.fleet_energy / f))
-                            }
-                            _ => String::from("       -"),
-                        };
-                        println!(
-                            "{:>8} {cores:>5} {:>7} {:>10} | {cores_used:>4} {max_core_utilization:>6.3} {:>8.4} {:>10.4} {:>6} {vs_fps}",
-                            base.name(),
-                            kind.name(),
-                            policy.name(),
-                            report.fleet_average_power,
-                            report.fleet_energy,
-                            report.fleet_misses,
-                        );
-                    }
-                    points.push(MultiPoint {
-                        workload: base.name().to_string(),
-                        cores,
-                        partitioner: kind.name().to_string(),
-                        policy: policy.name().to_string(),
-                        cores_used,
-                        max_core_utilization,
-                        fleet_average_power: report.fleet_average_power,
-                        fleet_energy: report.fleet_energy,
-                        fleet_misses: report.fleet_misses,
-                        per_core: report.per_core,
-                    });
-                }
+        // Each (workload, cores, partitioner) group starts with its fps row.
+        let mut fps_energy = 0.0;
+        for p in &points {
+            if p.policy == "fps" {
+                fps_energy = p.fleet_energy;
             }
+            let vs_fps = if fps_energy > 0.0 {
+                format!("{:>7.1}%", 100.0 * (1.0 - p.fleet_energy / fps_energy))
+            } else {
+                String::from("       -")
+            };
+            println!(
+                "{:>8} {:>5} {:>7} {:>10} | {:>4} {:>6.3} {:>8.4} {:>10.4} {:>6} {vs_fps}",
+                p.workload,
+                p.cores,
+                p.partitioner,
+                p.policy,
+                p.cores_used,
+                p.max_core_utilization,
+                p.fleet_average_power,
+                p.fleet_energy,
+                p.fleet_misses,
+            );
         }
     }
 
@@ -253,5 +321,6 @@ fn main() {
         }
     }
 
-    parsed.write_json(&MultiSweepJson { points });
+    parsed.emit(&MultiSweepJson { points }, &outcome.metrics);
+    parsed.maybe_export_trace(&spec, &outcome);
 }

@@ -8,8 +8,8 @@
 //! 2. **Standalone equivalence**: every per-core report of a genuine
 //!    multicore run must serialize byte-identically to running that
 //!    core's derived cell standalone through the uniprocessor kernel —
-//!    the engine's work-stealing parallelism and merge step must not
-//!    perturb a single byte.
+//!    the merge step must not perturb a single byte, and neither may
+//!    running the derived cells through the parallel sweep runner.
 
 use lpfps::driver::PolicyKind;
 use lpfps_bench::fingerprint::report_fingerprint;
@@ -17,7 +17,7 @@ use lpfps_bench::golden::{golden_cells, GOLDEN_FAULT_SEED, GOLDEN_FINGERPRINTS, 
 use lpfps_cpu::spec::CpuSpec;
 use lpfps_faults::{FaultConfig, OverrunFault};
 use lpfps_multi::{MultiCell, MultiEngine, Partitioner, PartitionerKind};
-use lpfps_sweep::{Cell, ExecKind};
+use lpfps_sweep::{run_sweep, Cell, ExecKind, RunOptions, SweepSpec};
 use lpfps_workloads::{ins, table1, WorkloadBuilder};
 
 #[test]
@@ -68,7 +68,7 @@ fn per_core_reports_are_bit_identical_to_standalone_runs() {
         PolicyKind::Lpfps,
         PolicyKind::LpfpsWatchdog,
     ];
-    let mut engine = MultiEngine::new().with_threads(4);
+    let mut engine = MultiEngine::serial();
     let mut checked_cores = 0;
     for (base, cores) in [(table1(), 3usize), (ins(), 2)] {
         for policy in policies {
@@ -106,19 +106,43 @@ fn per_core_reports_are_bit_identical_to_standalone_runs() {
     assert!(checked_cores > 50, "only {checked_cores} cores checked");
 }
 
+/// `multicore_sweep`'s path: a fleet's derived cells run through the
+/// sweep runner at any thread count and merge, via `MultiCell::assemble`,
+/// into the same bytes as the serial engine.
 #[test]
-fn multi_reports_are_byte_identical_across_thread_counts() {
-    let cell = fleet_cell(table1(), 4, PolicyKind::Lpfps, FaultConfig::none());
-    let mc = MultiCell::new(cell, 4, PartitionerKind::Wfd);
-    let reference = serde_json::to_string(
-        &MultiEngine::serial()
-            .run(&mc, 1.0)
-            .expect("serial multicore run succeeds"),
-    )
-    .unwrap();
-    for threads in 2..=8 {
-        let mut engine = MultiEngine::new().with_threads(threads);
-        let got = serde_json::to_string(&engine.run(&mc, 1.0).unwrap()).unwrap();
-        assert_eq!(got, reference, "threads={threads} must not change a byte");
+fn fleets_through_the_sweep_runner_match_the_serial_engine() {
+    let overrun = FaultConfig::none()
+        .with_seed(GOLDEN_FAULT_SEED)
+        .with_overrun(OverrunFault::clamped(0.2, 0.3, 1.3));
+    // One engine for both fleets: its workspace reuse must not leak state.
+    let mut engine = MultiEngine::serial();
+    for faults in [FaultConfig::none(), overrun] {
+        let cell = fleet_cell(table1(), 4, PolicyKind::Lpfps, faults);
+        let mc = MultiCell::new(cell, 4, PartitionerKind::Wfd);
+        let label = mc.label();
+        let reference = serde_json::to_string(
+            &engine
+                .run(&mc, 1.0)
+                .unwrap_or_else(|e| panic!("{label}: {e}")),
+        )
+        .unwrap();
+        let (partition, cells) = mc.derived_cells().expect("partition succeeded above");
+        let mut spec = SweepSpec::new(label.clone());
+        for cell in cells.iter().flatten() {
+            spec.push(cell.clone());
+        }
+        for threads in 1..=8 {
+            let outcome = run_sweep(&spec, &RunOptions::serial().with_threads(threads));
+            let mut reports = outcome.reports.into_iter();
+            let per_core = cells
+                .iter()
+                .map(|cell| {
+                    cell.as_ref()
+                        .map(|_| reports.next().flatten().expect("core cell completed"))
+                })
+                .collect();
+            let got = serde_json::to_string(&mc.assemble(&partition, per_core, 1.0)).unwrap();
+            assert_eq!(got, reference, "{label}: threads={threads} changed bytes");
+        }
     }
 }

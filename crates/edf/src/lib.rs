@@ -29,9 +29,7 @@
 //! earliest deadline is the shared engine's job (`PolicyKind::Edf` /
 //! `PolicyKind::CcEdf` in the driver); the simulator in [`sim`] is *not*
 //! that path — it remains a deliberately tiny idealized-model cross-check
-//! for the offline analyses in this crate. The only sanctioned bridge
-//! between this crate's `f64` time model and the kernel's integer grids
-//! is [`convert`].
+//! for the offline analyses in this crate.
 //!
 //! # Example
 //!
@@ -51,14 +49,12 @@
 //! assert!(optimal.energy(&power) <= avr.energy + 1e-12);
 //! ```
 
-pub mod convert;
 pub mod discrete;
 pub mod model;
 pub mod profile;
 pub mod sim;
 pub mod yds;
 
-pub use convert::{speed_to_freq, work_to_dur};
 pub use discrete::{DiscreteSchedule, DiscreteSegment};
 pub use model::{Job, JobSet};
 pub use profile::SpeedProfile;

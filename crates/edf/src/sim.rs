@@ -16,8 +16,7 @@
 //! instantaneous changes, zero idle power. Internally the simulator works
 //! in `f64` nanoseconds (speeds are fractional, so completions fall off
 //! the integer grid); determinism is preserved because the computation is
-//! a fixed sequence of IEEE-754 operations. Crossing from this model to
-//! the kernel's integer grids goes through [`crate::convert`] only.
+//! a fixed sequence of IEEE-754 operations.
 
 use crate::model::JobSet;
 use crate::profile::SpeedProfile;

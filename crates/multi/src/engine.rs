@@ -2,10 +2,12 @@
 //! through the uniprocessor kernel.
 //!
 //! [`MultiCell`] pairs a uniprocessor sweep [`Cell`] with a core count and
-//! a [`PartitionerKind`]; [`MultiEngine`] executes the derived per-core
-//! cells — serially or over a small work-stealing pool with per-worker
-//! [`SimWorkspace`] reuse — and merges the reports **in core order**, so
-//! the assembled [`MultiReport`] is byte-identical across thread counts.
+//! a [`PartitionerKind`]. Its derived per-core cells are ordinary sweep
+//! cells: a grid of fleets runs them through `lpfps_sweep::run_sweep`
+//! like any other sweep, and [`MultiCell::assemble`] merges each fleet's
+//! reports **in core order**, so the [`MultiReport`] is byte-identical
+//! across thread counts. [`MultiEngine`] runs one fleet's cores one after
+//! another on the caller's thread, reusing one [`SimWorkspace`].
 //!
 //! # Bit-identity by construction
 //!
@@ -17,9 +19,6 @@
 //! bit for bit, and a one-core run reproduces the uniprocessor golden
 //! fingerprints (gated in `crates/bench/tests/multicore_golden.rs`).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
 use lpfps::driver::default_horizon;
 use lpfps_faults::core_seed;
 use lpfps_kernel::engine::SimWorkspace;
@@ -29,7 +28,7 @@ use lpfps_sweep::Cell;
 use lpfps_tasks::time::Dur;
 
 use crate::partition::{Partition, Partitioner, PartitionerKind};
-use crate::report::MultiReport;
+use crate::report::{CoreBreakdown, MultiReport};
 
 /// A multicore simulation point: a uniprocessor [`Cell`] (workload,
 /// processor, policy, execution model, seed, overheads) plus the core
@@ -118,51 +117,80 @@ impl MultiCell {
         }
         Ok((partition, cells))
     }
+
+    /// Merges the per-core reports of one run of this cell into a
+    /// [`MultiReport`]. `partition` and `reports` come from
+    /// [`Self::derived_cells`] and the runs of its cells: `reports[k]` is
+    /// core `k`'s report (`None` for an idle core), run with the same
+    /// `horizon_scale` passed here.
+    pub fn assemble(
+        &self,
+        partition: &Partition,
+        reports: Vec<Option<SimReport>>,
+        horizon_scale: f64,
+    ) -> MultiReport {
+        let horizon = self.base.effective_horizon(horizon_scale);
+        let seconds = horizon.as_secs_f64();
+        let mut per_core = Vec::with_capacity(reports.len());
+        let mut fleet_energy = 0.0;
+        let mut power_sum = 0.0;
+        let mut fleet_misses = 0;
+        for (k, report) in reports.iter().enumerate() {
+            let (average_power, misses) = match report {
+                Some(r) => (r.average_power(), r.misses.len()),
+                None => (0.0, 0),
+            };
+            let energy = average_power * seconds;
+            fleet_energy += energy;
+            power_sum += average_power;
+            fleet_misses += misses;
+            per_core.push(CoreBreakdown {
+                core: k,
+                tasks: partition.tasks_on(k),
+                utilization: partition.utilizations[k],
+                average_power,
+                energy,
+                misses,
+            });
+        }
+        let cores = reports.len();
+        MultiReport {
+            policy: self.base.policy.name(),
+            partitioner: self.partitioner.name().to_string(),
+            cores,
+            taskset: self.base.app.clone(),
+            horizon,
+            assignment: partition.assignment.clone(),
+            per_core,
+            fleet_energy,
+            fleet_average_power: if cores == 0 {
+                0.0
+            } else {
+                power_sum / cores as f64
+            },
+            fleet_misses,
+            reports,
+        }
+    }
 }
 
-/// Runs [`MultiCell`]s, reusing per-worker simulation workspaces across
-/// runs (the same allocation-reuse contract as the sweep runner).
+/// Runs [`MultiCell`]s serially, reusing one [`SimWorkspace`] across
+/// cores and runs (the same allocation-reuse contract as the sweep
+/// runner's workers).
 #[derive(Debug, Default)]
 pub struct MultiEngine {
-    threads: usize,
-    workspaces: Vec<SimWorkspace>,
+    ws: SimWorkspace,
 }
 
 impl MultiEngine {
-    /// An engine using all available parallelism.
-    pub fn new() -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        MultiEngine {
-            threads,
-            workspaces: Vec::new(),
-        }
-    }
-
-    /// A single-threaded engine (cores run in index order on the caller's
-    /// thread).
+    /// An engine that runs cores in index order on the caller's thread.
     pub fn serial() -> Self {
-        MultiEngine {
-            threads: 1,
-            workspaces: Vec::new(),
-        }
-    }
-
-    /// Caps the worker count (0 is treated as 1).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
+        MultiEngine::default()
     }
 
     /// Runs every core of `mc` to its shared horizon (scaled by
-    /// `horizon_scale`) and aggregates the per-core reports.
-    ///
-    /// Cores execute on up to `threads` workers via an atomic
-    /// work-stealing counter; each worker checks a [`SimWorkspace`] out of
-    /// the engine's pool for its whole shift. Results land in a slot
-    /// vector indexed by core, so the merged [`MultiReport`] is identical
-    /// bytes regardless of worker count or completion order.
+    /// `horizon_scale`) and aggregates the per-core reports with
+    /// [`MultiCell::assemble`].
     ///
     /// # Errors
     ///
@@ -170,81 +198,14 @@ impl MultiEngine {
     /// lowest-indexed core's simulation error, if any.
     pub fn run(&mut self, mc: &MultiCell, horizon_scale: f64) -> Result<MultiReport, SimError> {
         let (partition, cells) = mc.derived_cells()?;
-        let live: Vec<(usize, &Cell)> = cells
+        let reports = cells
             .iter()
-            .enumerate()
-            .filter_map(|(k, c)| c.as_ref().map(|c| (k, c)))
-            .collect();
-        let workers = self.threads.min(live.len()).max(1);
-        while self.workspaces.len() < workers {
-            self.workspaces.push(SimWorkspace::new());
-        }
-
-        let mut slots: Vec<Option<Result<SimReport, SimError>>> = Vec::new();
-        slots.resize_with(cells.len(), || None);
-
-        if workers <= 1 {
-            let ws = &mut self.workspaces[0];
-            for &(k, cell) in &live {
-                slots[k] = Some(cell.run_in(horizon_scale, ws));
-            }
-        } else {
-            let pool: Mutex<Vec<SimWorkspace>> =
-                Mutex::new(self.workspaces.drain(..workers).collect());
-            let shared = Mutex::new(&mut slots);
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| {
-                        let mut ws = match pool.lock() {
-                            Ok(mut g) => g.pop(),
-                            Err(p) => p.into_inner().pop(),
-                        }
-                        .unwrap_or_default();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(&(k, cell)) = live.get(i) else {
-                                break;
-                            };
-                            let out = cell.run_in(horizon_scale, &mut ws);
-                            match shared.lock() {
-                                Ok(mut g) => g[k] = Some(out),
-                                Err(p) => p.into_inner()[k] = Some(out),
-                            }
-                        }
-                        match pool.lock() {
-                            Ok(mut g) => g.push(ws),
-                            Err(p) => p.into_inner().push(ws),
-                        }
-                    });
-                }
-            });
-            let returned = match pool.into_inner() {
-                Ok(v) => v,
-                Err(p) => p.into_inner(),
-            };
-            self.workspaces.splice(0..0, returned);
-        }
-
-        let mut reports: Vec<Option<SimReport>> = Vec::with_capacity(cells.len());
-        for slot in slots {
-            match slot {
-                Some(Ok(report)) => reports.push(Some(report)),
-                Some(Err(e)) => return Err(e),
-                None => reports.push(None),
-            }
-        }
-        let horizon = scaled_horizon(mc.shared_horizon(), horizon_scale);
-        Ok(MultiReport::assemble(mc, &partition, horizon, reports))
+            .map(|cell| {
+                cell.as_ref()
+                    .map(|cell| cell.run_in(horizon_scale, &mut self.ws))
+                    .transpose()
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(mc.assemble(&partition, reports, horizon_scale))
     }
-}
-
-/// Mirrors `Cell::effective_horizon`'s scaling so the fleet horizon
-/// matches the per-core report horizons.
-fn scaled_horizon(h: Dur, scale: f64) -> Dur {
-    #[allow(clippy::float_cmp)] // deliberate exact mirror of the cell path
-    if scale == 1.0 {
-        return h;
-    }
-    Dur::from_ns(((h.as_ns() as f64) * scale).round().max(1.0) as u64)
 }

@@ -26,10 +26,12 @@
 //!   priorities — or a structured [`PartitionError`] that folds into the
 //!   kernel's `SimError` taxonomy (kind `"invalid-partition"`).
 //! * [`engine`] — [`MultiCell`] (a uniprocessor sweep `Cell` plus a core
-//!   count and a partitioner) and [`MultiEngine`], which runs each core's
-//!   subset through the existing kernel with per-worker `SimWorkspace`
-//!   reuse and optional work-stealing parallelism, merging results in
-//!   core order so output is byte-deterministic across thread counts.
+//!   count and a partitioner). It derives one ordinary sweep `Cell` per
+//!   non-idle core and merges their reports in core order
+//!   ([`MultiCell::assemble`]). A grid of fleets runs its per-core cells
+//!   through `lpfps_sweep::run_sweep`, the same parallel runner as every
+//!   other experiment, so output is byte-deterministic across thread
+//!   counts; [`MultiEngine`] runs one fleet serially.
 //! * [`report`] — [`MultiReport`]: the per-core `SimReport`s plus
 //!   fleet-level energy / average-power / miss aggregation and a per-core
 //!   utilization/energy breakdown, with hand-written serde following the

@@ -4,9 +4,6 @@ use lpfps_kernel::report::SimReport;
 use lpfps_tasks::time::Dur;
 use serde::{value, Deserialize, Error, Map, Serialize, Value};
 
-use crate::engine::MultiCell;
-use crate::partition::{Partition, Partitioner};
-
 /// Per-core summary row of a [`MultiReport`] — enough to read load
 /// balance and energy split without digging into the full per-core
 /// reports.
@@ -64,57 +61,6 @@ pub struct MultiReport {
 }
 
 impl MultiReport {
-    /// Builds the aggregate view from a run's parts. `reports` must be in
-    /// core order and align with `partition`.
-    pub(crate) fn assemble(
-        mc: &MultiCell,
-        partition: &Partition,
-        horizon: Dur,
-        reports: Vec<Option<SimReport>>,
-    ) -> Self {
-        let seconds = horizon.as_secs_f64();
-        let mut per_core = Vec::with_capacity(reports.len());
-        let mut fleet_energy = 0.0;
-        let mut power_sum = 0.0;
-        let mut fleet_misses = 0;
-        for (k, report) in reports.iter().enumerate() {
-            let (average_power, misses) = match report {
-                Some(r) => (r.average_power(), r.misses.len()),
-                None => (0.0, 0),
-            };
-            let energy = average_power * seconds;
-            fleet_energy += energy;
-            power_sum += average_power;
-            fleet_misses += misses;
-            per_core.push(CoreBreakdown {
-                core: k,
-                tasks: partition.tasks_on(k),
-                utilization: partition.utilizations[k],
-                average_power,
-                energy,
-                misses,
-            });
-        }
-        let cores = reports.len();
-        MultiReport {
-            policy: mc.base.policy.name(),
-            partitioner: mc.partitioner.name().to_string(),
-            cores,
-            taskset: mc.base.app.clone(),
-            horizon,
-            assignment: partition.assignment.clone(),
-            per_core,
-            fleet_energy,
-            fleet_average_power: if cores == 0 {
-                0.0
-            } else {
-                power_sum / cores as f64
-            },
-            fleet_misses,
-            reports,
-        }
-    }
-
     /// The report of core `k`, if that core ran anything.
     pub fn core_report(&self, k: usize) -> Option<&SimReport> {
         self.reports.get(k).and_then(|r| r.as_ref())

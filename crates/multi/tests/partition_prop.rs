@@ -185,14 +185,9 @@ fn zero_cores_is_always_no_cores() {
 }
 
 #[test]
-fn kind_names_round_trip_and_match_the_sweep_cli_list() {
+fn kind_names_round_trip() {
     for kind in PartitionerKind::ALL {
         assert_eq!(PartitionerKind::parse(kind.name()), Some(kind));
     }
     assert_eq!(PartitionerKind::parse("round-robin"), None);
-    // The sweep CLI validates `--partitioner` against a copy of this
-    // list (it cannot depend on this crate); keep the two in lockstep.
-    let from_cli: Vec<&str> = lpfps_sweep::PARTITIONER_NAMES.to_vec();
-    let from_kinds: Vec<&str> = PartitionerKind::ALL.iter().map(|k| k.name()).collect();
-    assert_eq!(from_cli, from_kinds);
 }

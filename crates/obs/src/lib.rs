@@ -22,8 +22,7 @@
 //!   exactly associative and commutative, making sweep-level percentiles
 //!   (`p50`/`p95`/`p99`/`max`) byte-identical across `--threads 1..=8`.
 //! * [`perfetto`] — a Chrome-trace-event exporter
-//!   ([`export_chrome_trace`], per-core [`export_multi_chrome_trace`])
-//!   rendering any `Trace` as a document
+//!   ([`export_chrome_trace`]) rendering any `Trace` as a document
 //!   `chrome://tracing` / ui.perfetto.dev loads directly, plus an
 //!   independent schema validator ([`validate_chrome_trace`]).
 //!
@@ -38,7 +37,5 @@ pub mod perfetto;
 pub mod probe;
 
 pub use hist::{HistSummary, LogHistogram};
-pub use perfetto::{
-    export_chrome_trace, export_multi_chrome_trace, validate_chrome_trace, ChromeTraceStats,
-};
+pub use perfetto::{export_chrome_trace, validate_chrome_trace, ChromeTraceStats};
 pub use probe::{JobRecorder, FJ_PER_J};

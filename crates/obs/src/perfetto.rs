@@ -82,22 +82,10 @@ struct Ev {
 }
 
 struct Emitter {
-    /// The Chrome-trace process every subsequent record lands in. A
-    /// uniprocessor export is all `pid` 0 (printed `0`, byte-identical to
-    /// the pre-multicore exporter); the multicore export uses one process
-    /// — one Perfetto track group — per core.
-    pid: usize,
     events: Vec<Ev>,
 }
 
 impl Emitter {
-    fn new() -> Self {
-        Emitter {
-            pid: 0,
-            events: Vec::new(),
-        }
-    }
-
     fn push(&mut self, at: Time, json: String) {
         self.events.push(Ev {
             at_ns: at.as_ns(),
@@ -111,9 +99,8 @@ impl Emitter {
         self.push(
             Time::ZERO,
             format!(
-                "{{\"name\":\"{}\",\"ph\":\"M\",\"ts\":0,\"pid\":{},\"tid\":{},\"args\":{{\"name\":\"{}\"}}}}",
+                "{{\"name\":\"{}\",\"ph\":\"M\",\"ts\":0,\"pid\":0,\"tid\":{},\"args\":{{\"name\":\"{}\"}}}}",
                 name,
-                self.pid,
                 tid,
                 json_escape(value)
             ),
@@ -123,18 +110,16 @@ impl Emitter {
     /// A `B`/`E` duration pair on one lane.
     fn span(&mut self, name: &str, tid: usize, from: Time, to: Time) {
         let b = format!(
-            "{{\"name\":\"{}\",\"ph\":\"B\",\"ts\":{},\"pid\":{},\"tid\":{}}}",
+            "{{\"name\":\"{}\",\"ph\":\"B\",\"ts\":{},\"pid\":0,\"tid\":{}}}",
             json_escape(name),
             ts_us(from),
-            self.pid,
             tid
         );
         self.push(from, b);
         let e = format!(
-            "{{\"name\":\"{}\",\"ph\":\"E\",\"ts\":{},\"pid\":{},\"tid\":{}}}",
+            "{{\"name\":\"{}\",\"ph\":\"E\",\"ts\":{},\"pid\":0,\"tid\":{}}}",
             json_escape(name),
             ts_us(to),
-            self.pid,
             tid
         );
         self.push(to, e);
@@ -143,10 +128,9 @@ impl Emitter {
     /// A thread-scoped instant marker (`ph: i`).
     fn instant(&mut self, name: &str, tid: usize, at: Time) {
         let json = format!(
-            "{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":{},\"tid\":{}}}",
+            "{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":0,\"tid\":{}}}",
             json_escape(name),
             ts_us(at),
-            self.pid,
             tid
         );
         self.push(at, json);
@@ -155,10 +139,9 @@ impl Emitter {
     /// A counter sample (`ph: C`).
     fn counter(&mut self, name: &str, at: Time, value: f64) {
         let json = format!(
-            "{{\"name\":\"{}\",\"ph\":\"C\",\"ts\":{},\"pid\":{},\"tid\":0,\"args\":{{\"{}\":{}}}}}",
+            "{{\"name\":\"{}\",\"ph\":\"C\",\"ts\":{},\"pid\":0,\"tid\":0,\"args\":{{\"{}\":{}}}}}",
             name,
             ts_us(at),
-            self.pid,
             name,
             value
         );
@@ -185,18 +168,9 @@ impl Emitter {
 /// Chrome Trace Event Format JSON document. See the module docs for the
 /// lane layout and the byte-determinism contract.
 pub fn export_chrome_trace(trace: &Trace, ts: &TaskSet, end: Time) -> String {
-    let mut em = Emitter::new();
-    emit_schedule(&mut em, trace, ts, end, "lpfps schedule");
-    em.render()
-}
-
-/// Renders one core's schedule into the emitter's current process: lane
-/// metadata, task spans, the CPU condition lane, and the per-core counter
-/// tracks. This is the whole body of the uniprocessor export, shared with
-/// the multicore exporter (which calls it once per core at `pid = k`).
-fn emit_schedule(em: &mut Emitter, trace: &Trace, ts: &TaskSet, end: Time, process_name: &str) {
+    let mut em = Emitter { events: Vec::new() };
     // Lane names. Metadata first (all at ts 0, lowest sequence numbers).
-    em.meta("process_name", CPU_TID, process_name);
+    em.meta("process_name", CPU_TID, "lpfps schedule");
     em.meta("thread_name", CPU_TID, "cpu");
     for (id, task, _) in ts.iter() {
         em.meta("thread_name", id.0 + 1, task.name());
@@ -230,15 +204,15 @@ fn emit_schedule(em: &mut Emitter, trace: &Trace, ts: &TaskSet, end: Time, proce
         match e {
             TraceEvent::Dispatch { .. } => {
                 running = true;
-                flip(em, &mut cond, t, Condition::Run);
+                flip(&mut em, &mut cond, t, Condition::Run);
             }
             TraceEvent::Complete { .. } => {
                 running = false;
-                flip(em, &mut cond, t, Condition::Idle);
+                flip(&mut em, &mut cond, t, Condition::Idle);
             }
             TraceEvent::RampStart { from, to } => {
                 em.instant(&format!("ramp {from} -> {to}"), CPU_TID, t);
-                flip(em, &mut cond, t, Condition::Ramp);
+                flip(&mut em, &mut cond, t, Condition::Ramp);
             }
             TraceEvent::RampEnd { freq } => {
                 em.instant(&format!("settled at {freq}"), CPU_TID, t);
@@ -247,17 +221,17 @@ fn emit_schedule(em: &mut Emitter, trace: &Trace, ts: &TaskSet, end: Time, proce
                 } else {
                     Condition::Idle
                 };
-                flip(em, &mut cond, t, next);
+                flip(&mut em, &mut cond, t, next);
             }
             TraceEvent::EnterPowerDown { wake_at } => {
                 em.instant(&format!("power-down until {wake_at}"), CPU_TID, t);
-                flip(em, &mut cond, t, Condition::PowerDown);
+                flip(&mut em, &mut cond, t, Condition::PowerDown);
             }
             TraceEvent::Wakeup => {
                 em.instant("wake-up", CPU_TID, t);
-                flip(em, &mut cond, t, Condition::Idle);
+                flip(&mut em, &mut cond, t, Condition::Idle);
             }
-            TraceEvent::IdleStart => flip(em, &mut cond, t, Condition::Idle),
+            TraceEvent::IdleStart => flip(&mut em, &mut cond, t, Condition::Idle),
             TraceEvent::BudgetOverrun { task } => {
                 em.instant(&format!("budget overrun: task{}", task.0), CPU_TID, t);
             }
@@ -285,52 +259,6 @@ fn emit_schedule(em: &mut Emitter, trace: &Trace, ts: &TaskSet, end: Time, proce
         }
     }
     em.counter("energy_uj", end, cum_joules * 1e6);
-}
-
-/// Renders a partitioned multicore run as one Chrome-trace document:
-/// core `k`'s schedule (task lanes, CPU condition lane, per-core
-/// counters) lands in process `k` — one collapsible track group per core
-/// in the Perfetto UI, named `core{k}` — plus a final `fleet` process
-/// carrying a `fleet_power_w` counter: the sum of every core's
-/// instantaneous power draw, re-sampled at each core's power boundaries
-/// (merged in `(time, core)` order, so the document stays a pure function
-/// of the traces).
-///
-/// `cores` is `(task set, trace)` per core, in core order; `end` is the
-/// shared horizon. Events sort by `(timestamp, emission sequence)`
-/// exactly like the uniprocessor export, so the output is
-/// byte-deterministic and passes [`validate_chrome_trace`].
-pub fn export_multi_chrome_trace(cores: &[(&TaskSet, &Trace)], end: Time) -> String {
-    let mut em = Emitter::new();
-    for (k, (ts, trace)) in cores.iter().enumerate() {
-        em.pid = k;
-        emit_schedule(&mut em, trace, ts, end, &format!("core{k}"));
-    }
-
-    // Fleet power: a step function summing the per-core step functions.
-    em.pid = cores.len();
-    em.meta("process_name", 0, "fleet");
-    let mut edges: Vec<(u64, usize, f64)> = Vec::new();
-    for (k, (_, trace)) in cores.iter().enumerate() {
-        for (t, e) in trace.iter() {
-            if let TraceEvent::EnergySegment { power, .. } = e {
-                edges.push((t.as_ns(), k, power));
-            }
-        }
-    }
-    edges.sort_by_key(|&(at, core, _)| (at, core));
-    let mut per_core_power = vec![0.0f64; cores.len()];
-    let mut i = 0;
-    while i < edges.len() {
-        let at = edges[i].0;
-        while i < edges.len() && edges[i].0 == at {
-            per_core_power[edges[i].1] = edges[i].2;
-            i += 1;
-        }
-        let total: f64 = per_core_power.iter().sum();
-        em.counter("fleet_power_w", Time::from_ns(at), total);
-    }
-
     em.render()
 }
 
@@ -504,68 +432,6 @@ mod tests {
         assert!(validate_chrome_trace(bad_ph)
             .unwrap_err()
             .contains("invalid ph"));
-    }
-
-    #[test]
-    fn multi_export_validates_and_groups_by_core() {
-        let (ts_a, trace_a) = fps_trace(400);
-        let (ts_b, trace_b) = fps_trace(800);
-        let cores = [(&ts_a, &trace_a), (&ts_b, &trace_b)];
-        let end = Time::from_us(800);
-        let a = export_multi_chrome_trace(&cores, end);
-        let b = export_multi_chrome_trace(&cores, end);
-        assert_eq!(a, b, "multi export must be byte-deterministic");
-        let stats = validate_chrome_trace(&a).expect("multi export must self-validate");
-        assert!(stats.spans > 0 && stats.counters > 0);
-        // One process per core, plus the fleet process.
-        for needle in [
-            "\"core0\"",
-            "\"core1\"",
-            "\"fleet\"",
-            "\"pid\":1,",
-            "\"pid\":2,",
-        ] {
-            assert!(a.contains(needle), "expected {needle} in the document");
-        }
-        assert!(a.contains("fleet_power_w"));
-    }
-
-    #[test]
-    fn fleet_power_sums_the_cores() {
-        // Two identical cores: every fleet sample must be an exact double
-        // of one core's sample at that instant (same trace, same floats).
-        let (ts, trace) = fps_trace(400);
-        let cores = [(&ts, &trace), (&ts, &trace)];
-        let json = export_multi_chrome_trace(&cores, Time::from_us(400));
-        let doc: serde_json::Value = serde_json::from_str(&json).unwrap();
-        let events = doc["traceEvents"].as_array().unwrap();
-        let mut core0_power = None;
-        let mut checked = 0;
-        for ev in events {
-            if ev["ph"] == "C" && ev["name"] == "power_w" && ev["pid"] == 0 {
-                core0_power = ev["args"]["power_w"].as_f64();
-            }
-            if ev["ph"] == "C" && ev["name"] == "fleet_power_w" {
-                let fleet = ev["args"]["fleet_power_w"].as_f64().unwrap();
-                let single = core0_power.unwrap_or(0.0);
-                assert!(
-                    (fleet - 2.0 * single).abs() < 1e-12,
-                    "fleet {fleet} != 2 x {single}"
-                );
-                checked += 1;
-            }
-        }
-        assert!(checked > 0, "expected fleet power samples");
-    }
-
-    #[test]
-    fn single_core_multi_export_matches_pid_zero_layout() {
-        // The Emitter's pid parameterization must not perturb the
-        // uniprocessor document: every record still prints `"pid":0`.
-        let (ts, trace) = fps_trace(400);
-        let json = export_chrome_trace(&trace, &ts, Time::from_us(400));
-        assert!(!json.contains("\"pid\":1"));
-        assert!(json.matches("\"pid\":0").count() > 0);
     }
 
     #[test]

@@ -21,12 +21,15 @@ use lpfps_workloads::{avionics, cnc, ins, table1};
 
 /// The differential matrix: every paper workload under the policies that
 /// exercise distinct engine paths (plain FPS, power-down only, the full
-/// heuristic, and the fault-reactive watchdog).
-const POLICIES: [PolicyKind; 4] = [
+/// heuristic, the fault-reactive watchdog) and both dispatch disciplines
+/// (EDF at full speed, and the LPFPS manager under EDF dispatch).
+const POLICIES: [PolicyKind; 6] = [
     PolicyKind::Fps,
     PolicyKind::FpsPd,
     PolicyKind::Lpfps,
     PolicyKind::LpfpsWatchdog,
+    PolicyKind::Edf,
+    PolicyKind::CcEdf,
 ];
 
 fn workloads() -> Vec<TaskSet> {

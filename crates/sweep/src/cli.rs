@@ -6,8 +6,8 @@
 //! happened to reach it. This module gives all binaries one strict parser:
 //!
 //! * uniform flags: `--json PATH`, `--metrics PATH`, `--threads N`,
-//!   `--seeds N`, `--horizon-scale F`, `--check N`, `--cores M`,
-//!   `--partitioner NAME`, `--quiet`, `--help`;
+//!   `--seeds N`, `--horizon-scale F`, `--check N`, `--no-fast-forward`,
+//!   `--hist`, `--trace-out PATH`, `--quiet`, `--help`;
 //! * binary-specific flags declared up front (`opt` / `switch`);
 //! * *errors* on unknown flags, missing values, and unparsable numbers.
 
@@ -19,13 +19,6 @@ use lpfps_kernel::trace::Trace;
 use lpfps_tasks::time::Time;
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
-
-/// The task-to-core allocator names multicore-aware binaries accept for
-/// `--partitioner`. The authoritative list is
-/// `lpfps_multi::PartitionerKind` (which `lpfps-sweep` cannot depend on —
-/// the multicore crate sits *above* the sweep layer); a cross-check test
-/// in `lpfps-multi` pins the two lists against each other.
-pub const PARTITIONER_NAMES: [&str; 4] = ["ffd", "bfd", "wfd", "rta-ff"];
 
 /// What went wrong while parsing.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -187,14 +180,6 @@ impl Cli {
             "invariant-check N sampled cells after the sweep [default: 0 = off]",
         );
         row(
-            "--cores <M>".into(),
-            "simulate M identical cores (multicore-aware binaries) [default: grid]",
-        );
-        row(
-            "--partitioner <NAME>".into(),
-            "task-to-core allocator: ffd, bfd, wfd, rta-ff [default: grid]",
-        );
-        row(
             "--no-fast-forward".into(),
             "disable steady-state fast-forward (results are identical; timing only)",
         );
@@ -221,8 +206,6 @@ impl Cli {
             seeds: self.default_seeds,
             horizon_scale: 1.0,
             check: 0,
-            cores: None,
-            partitioner: None,
             no_fast_forward: false,
             hist: false,
             trace_out: None,
@@ -298,33 +281,6 @@ impl Cli {
                     }
                     parsed.horizon_scale = scale;
                 }
-                "--cores" => {
-                    let v = value_for("--cores")?;
-                    let n: usize = v.parse().map_err(|_| CliError::BadValue {
-                        flag: "--cores".into(),
-                        value: v,
-                        expected: "positive integer",
-                    })?;
-                    if n == 0 {
-                        return Err(CliError::BadValue {
-                            flag: "--cores".into(),
-                            value: "0".into(),
-                            expected: "positive integer",
-                        });
-                    }
-                    parsed.cores = Some(n);
-                }
-                "--partitioner" => {
-                    let v = value_for("--partitioner")?;
-                    if !PARTITIONER_NAMES.contains(&v.as_str()) {
-                        return Err(CliError::BadValue {
-                            flag: "--partitioner".into(),
-                            value: v,
-                            expected: "partitioner name (ffd, bfd, wfd, rta-ff)",
-                        });
-                    }
-                    parsed.partitioner = Some(v);
-                }
                 "--check" => {
                     let v = value_for("--check")?;
                     parsed.check = v.parse().map_err(|_| CliError::BadValue {
@@ -385,12 +341,6 @@ pub struct Parsed {
     pub horizon_scale: f64,
     /// `--check N`: sampled invariant checks after the sweep (0 = off).
     pub check: usize,
-    /// `--cores M`: restrict a multicore-aware grid to M cores; `None`
-    /// lets the binary use its full core-count grid.
-    pub cores: Option<usize>,
-    /// `--partitioner NAME`: restrict a multicore-aware grid to one
-    /// allocator (one of [`PARTITIONER_NAMES`]); `None` = full grid.
-    pub partitioner: Option<String>,
     /// `--no-fast-forward`: force full event-by-event simulation.
     pub no_fast_forward: bool,
     /// `--hist`: collect per-job response/energy histograms.
@@ -675,36 +625,6 @@ mod tests {
         let doc: serde_json::Value = serde_json::from_str(&body).unwrap();
         assert!(doc.get("histograms").is_none(), "bare payload: {body}");
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn cores_and_partitioner_parse_and_validate() {
-        let p = parse(&["--cores", "4", "--partitioner", "rta-ff"]).unwrap();
-        assert_eq!(p.cores, Some(4));
-        assert_eq!(p.partitioner.as_deref(), Some("rta-ff"));
-        let p = parse(&[]).unwrap();
-        assert!(p.cores.is_none() && p.partitioner.is_none());
-        for name in PARTITIONER_NAMES {
-            assert!(parse(&["--partitioner", name]).is_ok(), "{name} must parse");
-        }
-        assert!(matches!(
-            parse(&["--cores", "0"]),
-            Err(CliError::BadValue { .. })
-        ));
-        assert!(matches!(
-            parse(&["--cores", "x"]),
-            Err(CliError::BadValue { .. })
-        ));
-        assert!(matches!(
-            parse(&["--partitioner", "round-robin"]),
-            Err(CliError::BadValue { .. })
-        ));
-        assert_eq!(
-            parse(&["--partitioner"]),
-            Err(CliError::MissingValue("--partitioner".into()))
-        );
-        let usage = cli().usage();
-        assert!(usage.contains("--cores") && usage.contains("--partitioner"));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Every experiment binary in `lpfps-bench` used to carry its own nested
 //! `for` loops, its own `std::env::args` scanning, and no timing at all.
-//! This crate factors that machinery into four pieces:
+//! This crate factors that machinery into five pieces:
 //!
 //! * [`spec`] — a [`SweepSpec`] is an ordered list of [`Cell`]s (workload ×
 //!   policy × BCET fraction × execution model × seed × horizon), with
@@ -15,8 +15,7 @@
 //!   serial path. Cells are failure-isolated: a cell rejected with a
 //!   typed `SimError` — or, as a last resort, one that panics — becomes a
 //!   [`cell::CellStatus::Failed`] entry carrying a structured
-//!   [`cell::CellError`] instead of aborting the sweep, and an optional
-//!   soft per-cell timeout grants one retry.
+//!   [`cell::CellError`] instead of aborting the sweep.
 //! * [`cli`] — the uniform experiment command line (`--json`, `--metrics`,
 //!   `--threads`, `--seeds`, `--horizon-scale`, `--check`, `--quiet`),
 //!   which *errors* on unknown flags instead of silently ignoring them.
@@ -36,7 +35,7 @@ pub mod spec;
 
 pub use cell::{Cell, CellError, CellResult, CellStatus, ExecKind, PolicyChoice};
 pub use check::{check_sampled_cells, CellCheck};
-pub use cli::{Cli, CliError, Parsed, PARTITIONER_NAMES};
+pub use cli::{Cli, CliError, Parsed};
 pub use metrics::{CellMetrics, SweepMetrics};
 pub use runner::{run_sweep, RunOptions, SweepOutcome};
 pub use spec::SweepSpec;
