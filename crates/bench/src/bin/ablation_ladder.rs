@@ -89,5 +89,5 @@ fn main() {
     println!("a handful of levels captures most of the benefit: the jump from 93");
     println!("levels (1 MHz) to 24 (4 MHz) costs almost nothing, and even the");
     println!("2-level on/off ladder retains the power-down half of the saving.");
-    parsed.emit(&cells, &outcome.metrics);
+    parsed.emit(&cells, &spec, &outcome);
 }

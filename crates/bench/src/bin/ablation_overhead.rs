@@ -104,5 +104,5 @@ fn main() {
     println!("where the overhead-aware RTA admits the set, zero misses were observed;");
     println!("power rises with overhead (context loads are real cycles), and CNC —");
     println!("whose WCETs are tens of microseconds — is the first to lose feasibility.");
-    parsed.emit(&cells, &outcome.metrics);
+    parsed.emit(&cells, &spec, &outcome);
 }

@@ -92,5 +92,5 @@ fn main() {
         "static slowdown wins only what offline analysis can prove; LPFPS\n\
          reclaims the dynamic slack it cannot see."
     );
-    parsed.emit(cells, &outcome.metrics);
+    parsed.emit(cells, &spec, &outcome);
 }

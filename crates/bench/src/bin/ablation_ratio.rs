@@ -85,5 +85,5 @@ fn main() {
             "{app}: the optimal ratio should never cost energy materially"
         );
     }
-    parsed.emit(cells, &outcome.metrics);
+    parsed.emit(cells, &spec, &outcome);
 }

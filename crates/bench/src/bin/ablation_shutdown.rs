@@ -107,5 +107,5 @@ fn main() {
     println!();
     println!("exact-pd <= timeout-pd <= fps verified for every timeout; the gap");
     println!("widens with the timeout, worst where idle intervals are short (CNC).");
-    parsed.emit(&cells, &outcome.metrics);
+    parsed.emit(&cells, &spec, &outcome);
 }

@@ -93,5 +93,5 @@ fn main() {
     println!("for deep sleep's 100us relock (avionics, flight control, INS) and");
     println!("vanishes where gaps are short; safety is unaffected because the");
     println!("window length is exact (delay-queue head), never predicted.");
-    parsed.emit(&cells, &outcome.metrics);
+    parsed.emit(&cells, &spec, &outcome);
 }

@@ -103,5 +103,5 @@ fn main() {
     println!("meets every deadline; power is essentially tick-independent (the");
     println!("kernel defers *noticing* work, not doing it), while CNC — with");
     println!("millisecond periods — is the first to lose admission as ticks grow.");
-    parsed.emit(&cells, &outcome.metrics);
+    parsed.emit(&cells, &spec, &outcome);
 }

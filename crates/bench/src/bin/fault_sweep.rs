@@ -97,6 +97,7 @@ fn main() {
         "fault_sweep",
         "degradation curves: overrun probability × policy, vanilla LPFPS vs watchdog",
     )
+    .default_seeds(1)
     .parse();
     let seeds = parsed.seed_list();
 
@@ -224,6 +225,5 @@ fn main() {
         points,
         cells: outcome.results.clone(),
     };
-    parsed.emit(&payload, &outcome.metrics);
-    parsed.maybe_export_trace(&spec, &outcome);
+    parsed.emit(&payload, &spec, &outcome);
 }

@@ -112,6 +112,5 @@ fn main() {
     println!("(paper: up to 62% for INS; see EXPERIMENTS.md for the metric discussion)");
     println!("\nall Figure 8 qualitative claims verified.");
 
-    parsed.emit(&cells, &outcome.metrics);
-    parsed.maybe_export_trace(&spec, &outcome);
+    parsed.emit(&cells, &spec, &outcome);
 }

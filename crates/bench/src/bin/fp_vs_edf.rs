@@ -112,6 +112,5 @@ fn main() {
          One engine serves both dispatch families; the power manager's wins\n\
          carry over from fixed priorities to deadline order."
     );
-    parsed.emit(cells, &outcome.metrics);
-    parsed.maybe_export_trace(&spec, &outcome);
+    parsed.emit(cells, &spec, &outcome);
 }

@@ -321,6 +321,5 @@ fn main() {
         }
     }
 
-    parsed.emit(&MultiSweepJson { points }, &outcome.metrics);
-    parsed.maybe_export_trace(&spec, &outcome);
+    parsed.emit(&MultiSweepJson { points }, &spec, &outcome);
 }

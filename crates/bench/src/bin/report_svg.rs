@@ -67,5 +67,5 @@ fn main() {
         std::fs::write(&path, svg).expect("write svg");
         println!("wrote {path}");
     }
-    parsed.emit(&outcome.results, &outcome.metrics);
+    parsed.emit(&outcome.results, &spec, &outcome);
 }

@@ -151,5 +151,5 @@ fn main() {
             Gantt::from_trace(&trace, Time::ZERO + horizon).render(&ts, cols)
         );
     }
-    parsed.emit(&outcome.results, &outcome.metrics);
+    parsed.emit(&outcome.results, &spec, &outcome);
 }

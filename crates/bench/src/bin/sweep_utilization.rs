@@ -96,5 +96,5 @@ fn main() {
         assert!(p.reduction > 0.0, "LPFPS should win at U={}", p.utilization);
     }
     println!("\nFPS power tracks utilization; LPFPS wins at every load level.");
-    parsed.emit(&points, &outcome.metrics);
+    parsed.emit(&points, &spec, &outcome);
 }

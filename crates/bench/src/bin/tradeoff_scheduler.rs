@@ -130,5 +130,5 @@ fn main() {
     println!("millisecond-scale workloads (ins, avionics, flight), while CNC —");
     println!("whose windows rival the 10us ramp, exactly SS5's scenario — keeps");
     println!("a sliver of benefit. The paper's choice of the heuristic stands.");
-    parsed.emit(&cells, &outcome.metrics);
+    parsed.emit(&cells, &spec, &outcome);
 }

@@ -13,7 +13,7 @@ use crate::fingerprint::report_fingerprint;
 use lpfps::driver::PolicyKind;
 use lpfps_cpu::spec::CpuSpec;
 use lpfps_faults::{FaultConfig, OverrunFault};
-use lpfps_kernel::probe::{NoProbe, Probe};
+use lpfps_kernel::probe::NoProbe;
 use lpfps_kernel::report::SimReport;
 use lpfps_oracle::{first_divergence, oracle_run};
 use lpfps_sweep::{Cell, ExecKind, PolicyChoice};
@@ -86,32 +86,23 @@ pub fn golden_cells() -> Vec<Cell> {
     cells
 }
 
-/// Runs a cell through the naive reference simulator (`lpfps-oracle`)
-/// under the exact configuration [`Cell::run`] builds
-/// ([`Cell::sim_config`]), with `probe` receiving every event, or `None`
-/// for the timeout-shutdown policy (which has no `PolicyKind` dispatch).
-pub fn oracle_report<P: Probe>(cell: &Cell, probe: &mut P) -> Option<SimReport> {
-    let PolicyChoice::Kind(kind) = cell.policy else {
-        return None;
-    };
-    let scaled = cell.ts.with_bcet_fraction(cell.bcet_fraction);
-    let cfg = cell.sim_config(1.0, false);
-    let mut report = oracle_run(&scaled, &cell.cpu, kind, cell.exec.model(), &cfg, probe)
-        .expect("every golden cell is a valid simulation for the oracle too");
-    report.taskset = cell.app.clone();
-    Some(report)
-}
-
 /// Explains a golden fingerprint mismatch: instead of "hash A != hash B",
-/// run the cell through the naive oracle and report either the first
+/// run the cell through the naive oracle under the exact configuration
+/// the engine ran ([`Cell::sim_config`]) and report either the first
 /// diverging field (an engine bug) or full agreement (an intentional
 /// behavior change). On agreement the message carries the whole matrix
 /// recomputed on the current engine, one `("label", 0x…),` row per cell,
 /// ready to paste over [`GOLDEN_FINGERPRINTS`].
 pub fn diagnose_mismatch(cell: &Cell, engine: &SimReport) -> String {
-    let Some(oracle) = oracle_report(cell, &mut NoProbe) else {
+    let PolicyChoice::Kind(kind) = cell.policy else {
         return "no oracle dispatch for this policy; diff the serialized reports by hand".into();
     };
+    let scaled = cell.ts.with_bcet_fraction(cell.bcet_fraction);
+    let exec = cell.exec.model();
+    let cfg = cell.sim_config(1.0, false);
+    let mut oracle = oracle_run(&scaled, &cell.cpu, kind, exec, &cfg, &mut NoProbe)
+        .expect("every golden cell is a valid simulation for the oracle too");
+    oracle.taskset = cell.app.clone();
     match first_divergence(engine, &oracle) {
         Some(d) => format!(
             "the engine DISAGREES with the naive reference simulator — likely an engine bug.\n{d}"

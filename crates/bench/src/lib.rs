@@ -25,8 +25,6 @@
 //! | `multicore_sweep`     | partitioned fleets: cores × partitioner × policy |
 //! | `fault_sweep`         | degradation curves under WCET-overrun faults |
 //! | `fp_vs_edf`           | fixed-priority vs EDF through the shared kernel |
-//! | `diff_kernel`         | engine vs naive oracle vs forced-full simulation gate |
-//! | `export_trace`        | Perfetto rendering of the Figure 2 cell |
 //! | `simulate`            | ad-hoc CLI (named apps or `--taskset file.json`) |
 //!
 //! Each binary prints a human-readable table to stdout and asserts its own
@@ -34,9 +32,10 @@
 //! [`lpfps_sweep::SweepSpec`]s and executed by the multi-threaded
 //! [`lpfps_sweep::run_sweep`] runner; every binary shares the
 //! [`lpfps_sweep::Cli`] flags (`--json`, `--metrics`, `--threads`,
-//! `--seeds`, `--horizon-scale`, `--quiet` — see `README.md`), so
-//! `--json <path>` emits machine-readable results for EXPERIMENTS.md
-//! regeneration and unknown flags are hard errors everywhere.
+//! `--horizon-scale`, `--trace-out`, `--quiet`, … — see `README.md`;
+//! `--seeds` only where the experiment sweeps seeds), so `--json <path>`
+//! emits machine-readable results for EXPERIMENTS.md regeneration and
+//! unknown flags are hard errors everywhere.
 
 pub mod chart;
 pub mod fingerprint;

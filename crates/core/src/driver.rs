@@ -5,7 +5,7 @@
 use crate::baselines::{static_slowdown_spec, EdfFps, Fps};
 use crate::lpfps_policy::LpfpsPolicy;
 use lpfps_cpu::spec::CpuSpec;
-use lpfps_kernel::discipline::Edf as EdfDispatch;
+use lpfps_kernel::discipline::{Discipline, Edf as EdfDispatch};
 use lpfps_kernel::engine::{simulate_in, SimConfig, SimWorkspace};
 use lpfps_kernel::error::SimError;
 use lpfps_kernel::policy::PowerPolicy;
@@ -142,9 +142,62 @@ pub fn run_in<P: Probe>(
     ws: &mut SimWorkspace,
     probe: &mut P,
 ) -> Result<SimReport, SimError> {
-    let mut fp = |cpu: &CpuSpec, policy: &mut dyn PowerPolicy| {
-        simulate_in(ts, cpu, policy, exec, cfg, ws, probe)
-    };
+    run_with(&mut Kernel(exec, cfg, ws, probe), ts, cpu, kind)
+}
+
+/// A simulator with everything bound but the task set, the processor and
+/// the policy with its dispatch discipline: the optimized kernel behind
+/// [`run_in`], or the naive reference simulator of `lpfps-oracle`. Both
+/// go through [`run_with`], so a [`PolicyKind`] means the same run on
+/// either side of the differential.
+pub trait Simulator {
+    /// Simulates `ts` on `cpu` under `policy`, dispatching jobs by `D`.
+    ///
+    /// # Errors
+    ///
+    /// As [`simulate_in`].
+    fn simulate<D: Discipline>(
+        &mut self,
+        ts: &TaskSet,
+        cpu: &CpuSpec,
+        policy: &mut dyn PowerPolicy<D>,
+    ) -> Result<SimReport, SimError>;
+}
+
+/// The optimized kernel as a [`Simulator`]: [`simulate_in`] with the rest
+/// of [`run_in`]'s arguments bound, in order (`exec`, `cfg`, `ws`, `probe`).
+struct Kernel<'a, P>(
+    &'a dyn ExecModel,
+    &'a SimConfig,
+    &'a mut SimWorkspace,
+    &'a mut P,
+);
+
+impl<P: Probe> Simulator for Kernel<'_, P> {
+    fn simulate<D: Discipline>(
+        &mut self,
+        ts: &TaskSet,
+        cpu: &CpuSpec,
+        policy: &mut dyn PowerPolicy<D>,
+    ) -> Result<SimReport, SimError> {
+        simulate_in(ts, cpu, policy, self.0, self.1, self.2, self.3)
+    }
+}
+
+/// Runs `kind` on `sim`: the one place a [`PolicyKind`] becomes a policy
+/// object, a dispatch discipline, a processor ([`effective_cpu`]) and a
+/// report name.
+///
+/// # Errors
+///
+/// As [`Simulator::simulate`].
+pub fn run_with<S: Simulator>(
+    sim: &mut S,
+    ts: &TaskSet,
+    cpu: &CpuSpec,
+    kind: PolicyKind,
+) -> Result<SimReport, SimError> {
+    let mut fp = |cpu: &CpuSpec, policy: &mut dyn PowerPolicy| sim.simulate(ts, cpu, policy);
     match kind {
         PolicyKind::Fps => fp(cpu, &mut Fps),
         PolicyKind::FpsPd => fp(cpu, &mut LpfpsPolicy::power_down_only()),
@@ -156,18 +209,23 @@ pub fn run_in<P: Probe>(
             &mut LpfpsPolicy::with_watchdog(PolicyKind::DEFAULT_WATCHDOG_COOLDOWN),
         ),
         PolicyKind::StaticSlowdown => {
-            let derated = static_slowdown_spec(ts, cpu).unwrap_or_else(|| cpu.clone());
-            let mut report = fp(&derated, &mut Fps)?;
-            report.policy = PolicyKind::StaticSlowdown.name().to_string();
+            let mut report = fp(&effective_cpu(ts, cpu, kind), &mut Fps)?;
+            report.policy = kind.name().to_string();
             Ok(report)
         }
-        PolicyKind::Edf => {
-            simulate_in::<EdfDispatch, P>(ts, cpu, &mut EdfFps, exec, cfg, ws, probe)
-        }
-        PolicyKind::CcEdf => {
-            let policy = &mut LpfpsPolicy::cc_edf();
-            simulate_in::<EdfDispatch, P>(ts, cpu, policy, exec, cfg, ws, probe)
-        }
+        PolicyKind::Edf => sim.simulate::<EdfDispatch>(ts, cpu, &mut EdfFps),
+        PolicyKind::CcEdf => sim.simulate::<EdfDispatch>(ts, cpu, &mut LpfpsPolicy::cc_edf()),
+    }
+}
+
+/// The processor `kind` actually runs on: the derated static operating
+/// point for [`PolicyKind::StaticSlowdown`] (the full-speed processor if
+/// the set has no feasible slowdown), `cpu` itself for every other kind.
+/// The invariant checker compares segment powers against this spec.
+pub fn effective_cpu(ts: &TaskSet, cpu: &CpuSpec, kind: PolicyKind) -> CpuSpec {
+    match kind {
+        PolicyKind::StaticSlowdown => static_slowdown_spec(ts, cpu).unwrap_or_else(|| cpu.clone()),
+        _ => cpu.clone(),
     }
 }
 

@@ -1,13 +1,14 @@
 //! Golden snapshot of the Perfetto exporter: the committed
-//! `results/fig2_trace.perfetto.json` (written by the `export_trace`
-//! binary) must be byte-identical to a fresh export of the same cell,
-//! and must pass the exporter's own schema validation.
+//! `results/fig2_trace.perfetto.json` must be byte-identical to a fresh
+//! export of the same cell, and must pass the exporter's own schema
+//! validation.
 //!
 //! Byte identity pins *both* sides at once: the schedule (Table 1 under
 //! LPFPS, clamped Gaussian at BCET = 50 %, seed 42, 400 µs) and the
 //! exporter's serialization (field order, timestamp formatting, event
 //! ordering). Regenerate only for an intentional change, with
-//! `cargo run --release --bin export_trace`.
+//! [`REGENERATE`]; `lpfps-bench`'s `multicore_flags` suite checks that
+//! this command writes the committed bytes.
 
 use lpfps::driver::{run_in, PolicyKind};
 use lpfps_cpu::spec::CpuSpec;
@@ -23,7 +24,12 @@ const GOLDEN_PATH: &str = concat!(
     "/../../results/fig2_trace.perfetto.json"
 );
 
-/// Fresh export of the exact cell `export_trace` renders.
+/// The command that writes the committed snapshot.
+const REGENERATE: &str = "cargo run --release --bin simulate -- --seed 42 --horizon-scale 0.5 \
+                          --quiet --trace-out results/fig2_trace.perfetto.json";
+
+/// Fresh export of the cell [`REGENERATE`] renders: `simulate`'s default
+/// cell at seed 42 over half its 800 µs horizon.
 fn fresh_export() -> String {
     let ts = table1().with_bcet_fraction(0.5);
     let horizon = Dur::from_us(400);
@@ -60,7 +66,7 @@ fn committed_snapshot_is_byte_identical_to_a_fresh_export() {
         panic!(
             "committed Perfetto snapshot diverged from a fresh export at line {line}; \
              if the schedule or exporter changed intentionally, regenerate with \
-             `cargo run --release --bin export_trace`"
+             `{REGENERATE}`"
         );
     }
 }

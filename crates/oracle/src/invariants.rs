@@ -70,7 +70,7 @@ impl fmt::Display for Violation {
 ///
 /// `cpu` must be the processor spec the simulation actually ran on — for
 /// the `static` policy that is the derated spec (see
-/// [`crate::run::effective_cpu`]). `trace` must be complete, i.e. recorded
+/// [`lpfps::driver::effective_cpu`]). `trace` must be complete, i.e. recorded
 /// with [`SimConfig::force_full_simulation`] set: a fast-forwarded run's
 /// trace has gaps, which the tiling and counter invariants report.
 ///

@@ -29,7 +29,7 @@
 //!   over [`lpfps::RatioLogger`] samples.
 //! * [`diff::first_divergence`] — a structural report diff that turns
 //!   "hash mismatch" into "first diverging field, with both values",
-//!   reused by the golden suite and the `diff_kernel` bench binary;
+//!   reused by the golden suite and the differential tests;
 //!   [`diff::first_trace_divergence`] does the same for event traces.
 
 pub mod diff;
@@ -40,5 +40,5 @@ pub mod sim;
 
 pub use diff::{first_divergence, first_trace_divergence, Divergence};
 pub use invariants::{check_report, check_theorem1, Violation};
-pub use run::{effective_cpu, oracle_run};
+pub use run::oracle_run;
 pub use sim::{oracle_simulate, oracle_simulate_for};

@@ -3,6 +3,8 @@
 //! × fault matrix — plus the sabotage test proving the oracle actually
 //! discriminates: an engine fed a one-job-short execution model must
 //! diverge from the oracle at a located report field.
+//! The fast-forward matrix checks the steady-state detector's eligible
+//! regime the same way, and against each cell's forced-full run.
 
 use lpfps::driver::{default_horizon, run, run_in, PolicyKind};
 use lpfps_cpu::spec::CpuSpec;
@@ -13,6 +15,7 @@ use lpfps_kernel::report::SimReport;
 use lpfps_kernel::trace::Trace;
 use lpfps_kernel::NoProbe;
 use lpfps_oracle::{first_divergence, first_trace_divergence, oracle_run, Divergence};
+use lpfps_tasks::analysis::hyperperiod;
 use lpfps_tasks::exec::{AlwaysWcet, ExecModel, PaperGaussian};
 use lpfps_tasks::task::{Task, TaskId};
 use lpfps_tasks::taskset::TaskSet;
@@ -35,6 +38,10 @@ const POLICIES: [PolicyKind; 6] = [
 fn workloads() -> Vec<TaskSet> {
     vec![table1(), avionics(), cnc(), ins()]
 }
+
+/// The fast-forward matrix's horizon, in default horizons: at 1× the
+/// detector never engages on Table 1.
+const FAST_FORWARD_SCALE: u64 = 10;
 
 /// Overrun stream at p = 0.1, the fault model of the differential matrix.
 fn overrun_faults() -> FaultConfig {
@@ -77,9 +84,11 @@ fn check_against_oracle<P: Probe>(
     }
 }
 
-fn assert_matches_oracle(ts: &TaskSet, kind: PolicyKind, faults: FaultConfig) {
+/// One Gaussian cell of the matrix (BCET 50 %, seed 42) over `scale`
+/// default horizons.
+fn assert_matches_oracle(ts: &TaskSet, kind: PolicyKind, faults: FaultConfig, scale: u64) {
     let scaled = ts.with_bcet_fraction(0.5);
-    let cfg = SimConfig::new(default_horizon(&scaled))
+    let cfg = SimConfig::new(default_horizon(&scaled) * scale)
         .with_seed(42)
         .with_faults(faults);
     let exec = &PaperGaussian;
@@ -92,7 +101,7 @@ fn assert_matches_oracle(ts: &TaskSet, kind: PolicyKind, faults: FaultConfig) {
 fn engine_matches_oracle_fault_free() {
     for ts in workloads() {
         for kind in POLICIES {
-            assert_matches_oracle(&ts, kind, FaultConfig::none());
+            assert_matches_oracle(&ts, kind, FaultConfig::none(), 1);
         }
     }
 }
@@ -101,9 +110,64 @@ fn engine_matches_oracle_fault_free() {
 fn engine_matches_oracle_under_overruns() {
     for ts in workloads() {
         for kind in POLICIES {
-            assert_matches_oracle(&ts, kind, overrun_faults());
+            assert_matches_oracle(&ts, kind, overrun_faults(), 1);
         }
     }
+}
+
+/// The Gaussian matrix, both fault halves, at the fast-forward matrix's
+/// horizon. Release builds only: it takes ~40 s in a debug build on a
+/// 2-vCPU host.
+#[cfg(not(debug_assertions))]
+#[test]
+fn engine_matches_oracle_at_ten_times_the_horizon() {
+    for faults in [FaultConfig::none(), overrun_faults()] {
+        for ts in workloads() {
+            for kind in POLICIES {
+                assert_matches_oracle(&ts, kind, faults, FAST_FORWARD_SCALE);
+            }
+        }
+    }
+}
+
+/// The fast-forward matrix: each `AlwaysWcet` cell at 10× the default
+/// horizon runs with the detector on, and its report must match the
+/// oracle field for field and its own forced-full run byte for byte.
+/// The detector must engage on every cell whose hyperperiod fits in the
+/// horizon — all 18 but avionics', whose hyperperiod is 118 s.
+#[test]
+fn fast_forward_matches_oracle_and_forced_full() {
+    let cpu = CpuSpec::arm8();
+    let mut ws = SimWorkspace::new();
+    let mut engaged = 0;
+    for ts in workloads() {
+        let horizon = default_horizon(&ts) * FAST_FORWARD_SCALE;
+        let fits = hyperperiod(&ts).is_some_and(|h| h <= horizon);
+        let cfg = SimConfig::new(horizon).with_seed(42);
+        let full_cfg = cfg.clone().with_force_full_simulation();
+        for kind in POLICIES {
+            let label = format!("{}/{kind}", ts.name());
+            let fast = run_in(&ts, &cpu, kind, &AlwaysWcet, &cfg, &mut ws, &mut NoProbe).unwrap();
+            let cycles = ws.fast_forward_stats().cycles_detected;
+            let full = run(&ts, &cpu, kind, &AlwaysWcet, &full_cfg).unwrap();
+            let oracle = oracle_run(&ts, &cpu, kind, &AlwaysWcet, &cfg, &mut NoProbe).unwrap();
+            if let Some(d) = first_divergence(&fast, &oracle) {
+                panic!("{label}: the fast-forwarding engine diverged from the oracle\n{d}");
+            }
+            assert_eq!(
+                serde_json::to_string(&fast).unwrap(),
+                serde_json::to_string(&full).unwrap(),
+                "{label}: the fast-forwarded report differs from the forced-full one"
+            );
+            assert_eq!(
+                cycles > 0,
+                fits,
+                "{label}: {cycles} cycles detected, hyperperiod within the horizon: {fits}"
+            );
+            engaged += usize::from(cycles > 0);
+        }
+    }
+    assert_eq!(engaged, 18, "cells on which the detector engaged");
 }
 
 #[test]
@@ -115,8 +179,8 @@ fn engine_matches_oracle_on_every_policy_kind() {
         PolicyKind::LpfpsOptimal,
         PolicyKind::StaticSlowdown,
     ] {
-        assert_matches_oracle(&table1(), kind, FaultConfig::none());
-        assert_matches_oracle(&table1(), kind, overrun_faults());
+        assert_matches_oracle(&table1(), kind, FaultConfig::none(), 1);
+        assert_matches_oracle(&table1(), kind, overrun_faults(), 1);
     }
 }
 

@@ -344,19 +344,6 @@ impl CellError {
             seed: cell.seed,
         }
     }
-
-    /// A legacy record deserialized from the pre-`CellError` JSON shape
-    /// (`{"Failed":{"message":"..."}}`): message only, no kind or
-    /// coordinates recorded.
-    fn legacy(message: String) -> Self {
-        CellError {
-            kind: "panic".to_string(),
-            message,
-            app: String::new(),
-            policy: String::new(),
-            seed: 0,
-        }
-    }
 }
 
 /// How a sweep cell finished.
@@ -365,48 +352,13 @@ impl CellError {
 /// given cell either always completes or always fails with the same
 /// error — across thread counts and re-runs alike. (Wall-clock facts
 /// live in [`CellMetrics`](crate::metrics::CellMetrics), never here.)
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CellStatus {
     /// The simulation ran to its horizon.
     Ok,
     /// The cell was rejected with a typed error, or its execution
     /// panicked; [`CellError`] preserves the kind and origin.
     Failed { error: CellError },
-}
-
-// Hand-written to keep the *old* JSON shape parseable: committed results
-// predating `CellError` serialized failures as
-// `{"Failed":{"message":"..."}}`. The derive would accept only the new
-// `{"Failed":{"error":{...}}}` shape, so this impl aliases the legacy
-// field onto a coordinate-less `CellError` of kind `"panic"` (the only
-// failure mode that era had).
-impl Deserialize for CellStatus {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        if value.as_str() == Some("Ok") {
-            return Ok(CellStatus::Ok);
-        }
-        let failed = value
-            .as_object()
-            .and_then(|m| m.get("Failed"))
-            .and_then(serde::Value::as_object)
-            .ok_or_else(|| {
-                serde::Error::custom("expected \"Ok\" or a {\"Failed\": {...}} object")
-            })?;
-        if let Some(error) = failed.get("error") {
-            return Ok(CellStatus::Failed {
-                error: CellError::from_value(error)?,
-            });
-        }
-        let message = failed
-            .get("message")
-            .and_then(serde::Value::as_str)
-            .ok_or_else(|| {
-                serde::Error::custom("Failed cell carries neither `error` nor a legacy `message`")
-            })?;
-        Ok(CellStatus::Failed {
-            error: CellError::legacy(message.to_string()),
-        })
-    }
 }
 
 impl CellStatus {
@@ -419,8 +371,7 @@ impl CellStatus {
 /// The deterministic, serializable summary of one finished cell — what
 /// sweep binaries write to `--json`. Contains no wall-clock data, so
 /// parallel and serial runs serialize byte-identically. Round-trips
-/// through JSON, including results committed under the legacy failure
-/// shape (see the [`CellStatus`] deserializer).
+/// through JSON.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CellResult {
     /// Cell label (application or synthetic-set name).
@@ -491,21 +442,6 @@ impl CellResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Committed results predate `CellError`; the legacy failure shape
-    /// must keep parsing (satellite requirement of the error-taxonomy PR).
-    #[test]
-    fn legacy_failed_json_shape_still_parses() {
-        let legacy = r#"{"Failed":{"message":"attempt to add with overflow"}}"#;
-        let status: CellStatus = serde_json::from_str(legacy).unwrap();
-        assert_eq!(
-            status,
-            CellStatus::Failed {
-                error: CellError::legacy("attempt to add with overflow".to_string()),
-            }
-        );
-        assert!(!status.is_ok());
-    }
 
     #[test]
     fn new_failed_json_shape_round_trips() {

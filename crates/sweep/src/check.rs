@@ -13,12 +13,13 @@
 //! traced replay is the same simulation the sweep measured (reports are
 //! bit-identical with the fast-forward on or off), plus the event stream.
 
-use crate::cell::Cell;
+use crate::cell::{Cell, PolicyChoice};
 use crate::runner::SweepOutcome;
 use crate::spec::SweepSpec;
+use lpfps::driver::effective_cpu;
 use lpfps_kernel::engine::SimWorkspace;
 use lpfps_kernel::trace::Trace;
-use lpfps_oracle::{check_report, effective_cpu, Violation};
+use lpfps_oracle::{check_report, Violation};
 
 /// The invariant-check outcome of one sampled cell.
 #[derive(Debug)]
@@ -79,7 +80,10 @@ fn check_cell(cell: &Cell, index: usize, horizon_scale: f64) -> CellCheck {
         }
     };
     let scaled = cell.ts.with_bcet_fraction(cell.bcet_fraction);
-    let cpu = effective_cpu(&scaled, &cell.cpu, &report.policy);
+    let cpu = match cell.policy {
+        PolicyChoice::Kind(kind) => effective_cpu(&scaled, &cell.cpu, kind),
+        PolicyChoice::TimeoutShutdown(_) => cell.cpu.clone(),
+    };
     CellCheck {
         index,
         label: cell.label(),

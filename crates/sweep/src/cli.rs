@@ -6,12 +6,12 @@
 //! happened to reach it. This module gives all binaries one strict parser:
 //!
 //! * uniform flags: `--json PATH`, `--metrics PATH`, `--threads N`,
-//!   `--seeds N`, `--horizon-scale F`, `--check N`, `--no-fast-forward`,
-//!   `--hist`, `--trace-out PATH`, `--quiet`, `--help`;
-//! * binary-specific flags declared up front (`opt` / `switch`);
+//!   `--horizon-scale F`, `--check N`, `--no-fast-forward`, `--hist`,
+//!   `--trace-out PATH`, `--quiet`, `--help`;
+//! * binary-specific flags declared up front (`opt` / `switch`), and
+//!   `--seeds N` only where the binary reads it (`default_seeds`);
 //! * *errors* on unknown flags, missing values, and unparsable numbers.
 
-use crate::metrics::SweepMetrics;
 use crate::runner::{RunOptions, SweepOutcome};
 use crate::spec::SweepSpec;
 use lpfps_kernel::engine::SimWorkspace;
@@ -75,7 +75,7 @@ struct SwitchSpec {
 pub struct Cli {
     name: &'static str,
     about: &'static str,
-    default_seeds: u64,
+    default_seeds: Option<u64>,
     opts: Vec<OptSpec>,
     switches: Vec<SwitchSpec>,
 }
@@ -86,15 +86,16 @@ impl Cli {
         Cli {
             name,
             about,
-            default_seeds: 1,
+            default_seeds: None,
             opts: Vec::new(),
             switches: Vec::new(),
         }
     }
 
-    /// Default for `--seeds` when the flag is absent.
+    /// Declares `--seeds N` with its default: only a binary that sweeps
+    /// seeds accepts the flag, every other one rejects it as unknown.
     pub fn default_seeds(mut self, seeds: u64) -> Self {
-        self.default_seeds = seeds;
+        self.default_seeds = Some(seeds);
         self
     }
 
@@ -139,7 +140,7 @@ impl Cli {
         let _ = writeln!(out, "{} — {}", self.name, self.about);
         let _ = writeln!(out, "\nUsage: {} [OPTIONS]", self.name);
         let _ = writeln!(out, "\nOptions:");
-        let mut row = |flag: String, help: &str| {
+        let mut row = |flag: &str, help: &str| {
             let _ = writeln!(out, "  {flag:<28} {help}");
         };
         for o in &self.opts {
@@ -147,52 +148,46 @@ impl Cli {
                 Some(d) => format!("{} [default: {d}]", o.help),
                 None => o.help.to_string(),
             };
-            row(format!("{} <{}>", o.flag, o.value_name), &help);
+            row(&format!("{} <{}>", o.flag, o.value_name), &help);
         }
         for s in &self.switches {
-            row(s.flag.to_string(), s.help);
+            row(s.flag, s.help);
         }
         row(
-            "--json <PATH>".into(),
+            "--json <PATH>",
             "write deterministic results as pretty JSON",
         );
         row(
-            "--metrics <PATH>".into(),
+            "--metrics <PATH>",
             "write SweepMetrics (wall times, throughput) as JSON",
         );
+        row("--threads <N>", "worker threads [default: all cores]");
+        if let Some(n) = self.default_seeds {
+            let help = format!("execution-time seeds per cell (0..N) [default: {n}]");
+            row("--seeds <N>", &help);
+        }
         row(
-            "--threads <N>".into(),
-            "worker threads [default: all cores]",
-        );
-        row(
-            "--seeds <N>".into(),
-            &format!(
-                "execution-time seeds per cell (0..N) [default: {}]",
-                self.default_seeds
-            ),
-        );
-        row(
-            "--horizon-scale <F>".into(),
+            "--horizon-scale <F>",
             "stretch every cell's horizon by F [default: 1.0]",
         );
         row(
-            "--check <N>".into(),
+            "--check <N>",
             "invariant-check N sampled cells after the sweep [default: 0 = off]",
         );
         row(
-            "--no-fast-forward".into(),
+            "--no-fast-forward",
             "disable steady-state fast-forward (results are identical; timing only)",
         );
         row(
-            "--hist".into(),
+            "--hist",
             "collect per-job response/energy histograms (deterministic percentiles)",
         );
         row(
-            "--trace-out <PATH>".into(),
+            "--trace-out <PATH>",
             "export the first completed cell's schedule as Perfetto/Chrome-trace JSON",
         );
-        row("--quiet".into(), "suppress per-cell progress on stderr");
-        row("--help".into(), "print this help");
+        row("--quiet", "suppress per-cell progress on stderr");
+        row("--help", "print this help");
         out
     }
 
@@ -203,7 +198,7 @@ impl Cli {
             json: None,
             metrics: None,
             threads: None,
-            seeds: self.default_seeds,
+            seeds: self.default_seeds.unwrap_or(1),
             horizon_scale: 1.0,
             check: 0,
             no_fast_forward: false,
@@ -235,59 +230,19 @@ impl Cli {
                 "--json" => parsed.json = Some(value_for("--json")?),
                 "--metrics" => parsed.metrics = Some(value_for("--metrics")?),
                 "--threads" => {
-                    let v = value_for("--threads")?;
-                    let n: usize = v.parse().map_err(|_| CliError::BadValue {
-                        flag: "--threads".into(),
-                        value: v,
-                        expected: "positive integer",
-                    })?;
-                    if n == 0 {
-                        return Err(CliError::BadValue {
-                            flag: "--threads".into(),
-                            value: "0".into(),
-                            expected: "positive integer",
-                        });
-                    }
+                    let n = number(arg, value_for(arg)?, "positive integer", |&n| n > 0)?;
                     parsed.threads = Some(n);
                 }
-                "--seeds" => {
-                    let v = value_for("--seeds")?;
-                    parsed.seeds = v.parse().map_err(|_| CliError::BadValue {
-                        flag: "--seeds".into(),
-                        value: v,
-                        expected: "positive integer",
-                    })?;
-                    if parsed.seeds == 0 {
-                        return Err(CliError::BadValue {
-                            flag: "--seeds".into(),
-                            value: "0".into(),
-                            expected: "positive integer",
-                        });
-                    }
+                "--seeds" if self.default_seeds.is_some() => {
+                    parsed.seeds = number(arg, value_for(arg)?, "positive integer", |&n| n > 0)?;
                 }
                 "--horizon-scale" => {
-                    let v = value_for("--horizon-scale")?;
-                    let scale: f64 = v.parse().map_err(|_| CliError::BadValue {
-                        flag: "--horizon-scale".into(),
-                        value: v.clone(),
-                        expected: "positive number",
-                    })?;
-                    if !(scale.is_finite() && scale > 0.0) {
-                        return Err(CliError::BadValue {
-                            flag: "--horizon-scale".into(),
-                            value: v,
-                            expected: "positive number",
-                        });
-                    }
-                    parsed.horizon_scale = scale;
+                    let positive = |&f: &f64| f.is_finite() && f > 0.0;
+                    parsed.horizon_scale =
+                        number(arg, value_for(arg)?, "positive number", positive)?;
                 }
                 "--check" => {
-                    let v = value_for("--check")?;
-                    parsed.check = v.parse().map_err(|_| CliError::BadValue {
-                        flag: "--check".into(),
-                        value: v,
-                        expected: "non-negative integer",
-                    })?;
+                    parsed.check = number(arg, value_for(arg)?, "non-negative integer", |_| true)?;
                 }
                 flag if self.switches.iter().any(|s| s.flag == flag) => {
                     parsed.switches.insert(flag.to_string());
@@ -326,6 +281,23 @@ impl Cli {
     }
 }
 
+/// Parses `value` of `flag` as a `T` that passes `valid`.
+fn number<T: std::str::FromStr>(
+    flag: &str,
+    value: String,
+    expected: &'static str,
+    valid: impl Fn(&T) -> bool,
+) -> Result<T, CliError> {
+    match value.parse() {
+        Ok(n) if valid(&n) => Ok(n),
+        _ => Err(CliError::BadValue {
+            flag: flag.to_string(),
+            value,
+            expected,
+        }),
+    }
+}
+
 /// The parsed command line of a sweep binary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Parsed {
@@ -335,7 +307,7 @@ pub struct Parsed {
     pub metrics: Option<String>,
     /// `--threads N` if given; `None` = all cores.
     pub threads: Option<usize>,
-    /// `--seeds N` (or the binary's default).
+    /// `--seeds N`, or the binary's default (1 when it declares none).
     pub seeds: u64,
     /// `--horizon-scale F`.
     pub horizon_scale: f64,
@@ -395,13 +367,7 @@ impl Parsed {
     /// ([`lpfps_obs::validate_chrome_trace`]), and writes it to the
     /// requested path. No-op when the flag is absent; a warning when the
     /// sweep has no completed cell to export.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the traced re-run fails (it cannot: the cell already
-    /// completed, and cell execution is deterministic), if the export
-    /// fails its own validator, or if the output file cannot be written.
-    pub fn maybe_export_trace(&self, spec: &SweepSpec, outcome: &SweepOutcome) {
+    fn maybe_export_trace(&self, spec: &SweepSpec, outcome: &SweepOutcome) {
         let Some(path) = &self.trace_out else {
             return;
         };
@@ -427,7 +393,7 @@ impl Parsed {
 
     /// Writes the deterministic results to the `--json` path, if any.
     /// For binaries whose tables are computed rather than swept (no
-    /// [`SweepMetrics`] to report); sweeps use [`Parsed::emit`].
+    /// [`SweepOutcome`] to report); sweeps use [`Parsed::emit`].
     ///
     /// # Panics
     ///
@@ -440,18 +406,24 @@ impl Parsed {
         }
     }
 
-    /// Writes the deterministic results (`--json`) and the metrics
-    /// (`--metrics` / stderr summary). The two payloads are kept strictly
-    /// separate so results stay byte-identical across thread counts —
-    /// with one deliberate exception: under `--hist` the sweep-wide
-    /// histogram percentiles are *also* deterministic (associative
-    /// merge in spec order), so they ride along in the `--json` document
-    /// as a `histograms` block wrapping the results.
+    /// Writes every output a sweep's flags ask for: the deterministic
+    /// results (`--json`), the metrics of `outcome` (`--metrics` / stderr
+    /// summary) and the `--trace-out` export of `spec`'s first completed
+    /// cell. The results and the metrics are kept strictly separate so
+    /// results stay byte-identical across thread counts — with one
+    /// deliberate exception: under `--hist` the sweep-wide histogram
+    /// percentiles are *also* deterministic (associative merge in spec
+    /// order), so they ride along in the `--json` document as a
+    /// `histograms` block wrapping the results.
     ///
     /// # Panics
     ///
-    /// Panics if a requested output file cannot be written.
-    pub fn emit<T: Serialize>(&self, results: &T, metrics: &SweepMetrics) {
+    /// Panics if a requested output file cannot be written, if the
+    /// traced re-run of the exported cell fails (it cannot: the cell
+    /// already completed, and cell execution is deterministic), or if the
+    /// export fails its own validator.
+    pub fn emit<T: Serialize>(&self, results: &T, spec: &SweepSpec, outcome: &SweepOutcome) {
+        let metrics = &outcome.metrics;
         match (&metrics.response_ns, &metrics.job_energy_fj) {
             (Some(response), Some(energy)) if self.hist => {
                 if let Some(path) = &self.json {
@@ -479,6 +451,7 @@ impl Parsed {
         if !self.quiet {
             eprint!("{}", metrics.render());
         }
+        self.maybe_export_trace(spec, outcome);
     }
 }
 
@@ -587,25 +560,14 @@ mod tests {
         let mut h = LogHistogram::new();
         h.record(1_000);
         h.record(2_000);
-        let metrics = SweepMetrics {
-            sweep: "t".into(),
-            cells: 1,
-            threads: 1,
-            wall_ns: 1,
-            total_events: 2,
-            cycles_detected: 0,
-            events_skipped: 0,
-            failures: 0,
-            failure_kinds: Default::default(),
-            cell_wall_ns: LogHistogram::new().summary(),
-            response_ns: Some(h.summary()),
-            job_energy_fj: Some(h.summary()),
-            per_cell: Vec::new(),
-        };
+        let spec = SweepSpec::new("t");
+        let mut outcome = crate::run_sweep(&spec, &RunOptions::serial());
+        outcome.metrics.response_ns = Some(h.summary());
+        outcome.metrics.job_energy_fj = Some(h.summary());
 
         let mut p = parse(&["--hist", "--quiet"]).unwrap();
         p.json = Some(path_str.clone());
-        p.emit(&vec![41u64, 42u64], &metrics);
+        p.emit(&vec![41u64, 42u64], &spec, &outcome);
         let body = std::fs::read_to_string(&path).unwrap();
         let doc: serde_json::Value = serde_json::from_str(&body).unwrap();
         let hist = doc.get("histograms").expect("histograms block present");
@@ -620,7 +582,7 @@ mod tests {
         // No --hist: bare results, no wrapper.
         let mut p = parse(&["--quiet"]).unwrap();
         p.json = Some(path_str);
-        p.emit(&vec![41u64, 42u64], &metrics);
+        p.emit(&vec![41u64, 42u64], &spec, &outcome);
         let body = std::fs::read_to_string(&path).unwrap();
         let doc: serde_json::Value = serde_json::from_str(&body).unwrap();
         assert!(doc.get("histograms").is_none(), "bare payload: {body}");
@@ -704,6 +666,17 @@ mod tests {
             parse(&["out.json"]),
             Err(CliError::UnexpectedPositional("out.json".into()))
         );
+    }
+
+    #[test]
+    fn seeds_is_accepted_only_where_declared() {
+        let plain = Cli::new("t", "t");
+        assert_eq!(
+            plain.try_parse(&["--seeds".to_string(), "2".to_string()]),
+            Err(CliError::UnknownFlag("--seeds".into()))
+        );
+        assert!(!plain.usage().contains("--seeds"));
+        assert_eq!(plain.try_parse(&[]).unwrap().seed_list(), vec![0]);
     }
 
     #[test]
