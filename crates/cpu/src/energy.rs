@@ -59,8 +59,9 @@ impl EnergyMeter {
     }
 
     /// Charges `dur` spent in `state` drawing `power`, for callers that
-    /// already hold `state_power(state)`: the kernel's one-entry power memo
-    /// and its fast-forward replay of recorded segments.
+    /// already hold `state_power(state)`: the kernel, which serves ramp
+    /// states from its ramp-power table, and its fast-forward replay of
+    /// recorded segments.
     pub fn accumulate_with_power(&mut self, state: CpuState, power: f64, dur: Dur) {
         if dur.is_zero() {
             return;

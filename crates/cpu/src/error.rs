@@ -27,6 +27,22 @@ pub enum CpuSpecError {
     /// The ladder maximum exceeds the V–f anchor frequency, so busy power
     /// would extrapolate beyond the model's domain.
     LadderAboveReference,
+    /// The V–f curve breaks `0 <= Vt < Vmax` with `Vmax` finite (a NaN
+    /// voltage breaks it too), so the voltage solve has no valid root.
+    BadVfCurve {
+        /// The rejected anchor voltage, in volts.
+        v_max: f64,
+        /// The rejected threshold voltage, in volts.
+        v_t: f64,
+    },
+    /// A power-model fraction (NOP idle or power-down) is outside `[0, 1]`
+    /// or NaN.
+    BadPowerFraction {
+        /// Which fraction: `"idle"` or `"power-down"`.
+        what: &'static str,
+        /// The rejected fraction.
+        frac: f64,
+    },
     /// The speed-ratio ramp rate `rho` is zero, negative, or not finite —
     /// a non-monotone ramp table: transitions would never converge.
     BadRampRate {
@@ -64,6 +80,18 @@ impl fmt::Display for CpuSpecError {
                 write!(
                     f,
                     "frequency ladder maximum must not exceed the V-f reference frequency"
+                )
+            }
+            CpuSpecError::BadVfCurve { v_max, v_t } => {
+                write!(
+                    f,
+                    "V-f curve must satisfy 0 <= Vt < Vmax with Vmax finite, got Vt = {v_t} V, Vmax = {v_max} V"
+                )
+            }
+            CpuSpecError::BadPowerFraction { what, frac } => {
+                write!(
+                    f,
+                    "power model: {what} fraction must be in [0, 1], got {frac}"
                 )
             }
             CpuSpecError::BadRampRate { rate } => {
@@ -108,6 +136,19 @@ pub fn validate_cpu_spec(cpu: &CpuSpec) -> Result<(), CpuSpecError> {
     }
     if ladder.max() > cpu.reference_freq() {
         return Err(CpuSpecError::LadderAboveReference);
+    }
+    let (v_max, v_t) = (cpu.vf().v_max().0, cpu.vf().v_t().0);
+    if !(v_t >= 0.0 && v_t < v_max && v_max.is_finite()) {
+        return Err(CpuSpecError::BadVfCurve { v_max, v_t });
+    }
+    let power = cpu.power();
+    for (what, frac) in [
+        ("idle", power.idle_nop()),
+        ("power-down", power.power_down()),
+    ] {
+        if !(0.0..=1.0).contains(&frac) {
+            return Err(CpuSpecError::BadPowerFraction { what, frac });
+        }
     }
     let rate = cpu.ramp_rate_per_us();
     if !(rate.is_finite() && rate > 0.0) {
@@ -174,6 +215,42 @@ mod tests {
     }
 
     #[test]
+    fn deserialized_idle_fraction_above_one_is_caught() {
+        let cpu = doctored_arm8("\"idle_frac\":0.2", "\"idle_frac\":1.5");
+        assert_eq!(
+            validate_cpu_spec(&cpu),
+            Err(CpuSpecError::BadPowerFraction {
+                what: "idle",
+                frac: 1.5
+            })
+        );
+    }
+
+    #[test]
+    fn deserialized_threshold_above_anchor_voltage_is_caught() {
+        let cpu = doctored_arm8("\"v_t\":0.8", "\"v_t\":4.0");
+        assert_eq!(
+            validate_cpu_spec(&cpu),
+            Err(CpuSpecError::BadVfCurve {
+                v_max: 3.3,
+                v_t: 4.0
+            })
+        );
+    }
+
+    #[test]
+    fn deserialized_negative_power_down_fraction_is_caught() {
+        let cpu = doctored_arm8("\"powerdown_frac\":0.05", "\"powerdown_frac\":-3.0");
+        assert_eq!(
+            validate_cpu_spec(&cpu),
+            Err(CpuSpecError::BadPowerFraction {
+                what: "power-down",
+                frac: -3.0
+            })
+        );
+    }
+
+    #[test]
     fn display_strings_are_stable() {
         assert_eq!(
             CpuSpecError::ZeroFrequency.to_string(),
@@ -182,6 +259,22 @@ mod tests {
         assert_eq!(
             CpuSpecError::BadRampRate { rate: 0.0 }.to_string(),
             "ramp rate must be positive and finite, got 0"
+        );
+        assert_eq!(
+            CpuSpecError::BadVfCurve {
+                v_max: 3.3,
+                v_t: 4.0
+            }
+            .to_string(),
+            "V-f curve must satisfy 0 <= Vt < Vmax with Vmax finite, got Vt = 4 V, Vmax = 3.3 V"
+        );
+        assert_eq!(
+            CpuSpecError::BadPowerFraction {
+                what: "power-down",
+                frac: f64::NAN
+            }
+            .to_string(),
+            "power model: power-down fraction must be in [0, 1], got NaN"
         );
     }
 }

@@ -29,6 +29,7 @@ use crate::error::{BudgetKind, PartialDiagnostic, SimError};
 use crate::policy::{ActiveView, FaultEvent, PowerDirective, PowerPolicy, SchedulerContext};
 use crate::probe::{NoProbe, Probe};
 use crate::queues::{DelayQueue, RunQueue};
+use crate::ramp_power::RampPowerTable;
 use crate::report::{Counters, DeadlineMiss, ResponseStats, SimReport};
 use crate::stats::{IntervalStats, ResponseHistogram};
 use crate::steady::{
@@ -290,12 +291,9 @@ struct Engine<'a, D: Discipline, P: Probe = NoProbe> {
     /// Scratch buffer for due releases, reused across scheduler passes
     /// (see [`DelayQueue::pop_due_into`]).
     due_scratch: Vec<(TaskId, Time)>,
-    /// `(state, state_power(state))` of the previous advance, keyed by the
-    /// state itself so it needs no invalidation. It hits when consecutive
-    /// segments repeat a `Busy`, `IdleNop` or `PowerDown` state, saving at
-    /// most the `sqrt` of the voltage solve; ramp states do not repeat in
-    /// practice, so it does not skip the 16-panel ramp quadrature.
-    power_memo: Option<(CpuState, f64)>,
+    /// Ramp-state powers already computed under this spec's power model,
+    /// adopted from the workspace (see [`crate::ramp_power`]).
+    ramp_power: RampPowerTable,
     /// Energy segments integrated so far. Engine-local on purpose: it
     /// backs the `max_segments` budget and the partial diagnostics, and
     /// must *not* live in [`Counters`] (which is serialized into every
@@ -317,13 +315,18 @@ struct Engine<'a, D: Discipline, P: Probe = NoProbe> {
 /// # Lifetime contract
 ///
 /// Only buffers that never escape into the [`SimReport`] live here — the
-/// run/delay queues, per-task runtime slots, WCET cycle counts, and the
-/// release scratch buffer. Report fields (responses, histograms, energy,
-/// misses, traces) are freshly allocated by every run *by design*: sweeps
-/// keep all reports alive side by side, so recycling them is impossible.
-/// The workspace is inert between runs (cleared on entry, contents
-/// unspecified after a run) and carries no result state: reusing one
-/// workspace across different cells cannot couple their reports.
+/// run/delay queues, per-task runtime slots, WCET cycle counts, the
+/// release scratch buffer, and a table of ramp-state powers. Report
+/// fields (responses, histograms, energy, misses, traces) are freshly
+/// allocated by every run *by design*: sweeps keep all reports alive side
+/// by side, so recycling them is impossible. The buffers are inert
+/// between runs (cleared on entry, contents unspecified after a run). The
+/// ramp-power table is the one thing kept across runs: it holds values
+/// of the pure function `CpuSpec::state_power`, recorded with the
+/// `PowerModel` they were computed under, and a run whose processor has
+/// another model (compared bit for bit) empties it on entry. So the
+/// workspace carries no result state, and reusing one across different
+/// cells cannot couple their reports.
 ///
 /// # Examples
 ///
@@ -359,6 +362,7 @@ pub struct SimWorkspace {
     tasks: Vec<TaskRt>,
     wcet_cycles: Vec<Cycles>,
     due_scratch: Vec<(TaskId, Time)>,
+    ramp_power: RampPowerTable,
     /// Steady-state detector statistics of the most recent run on this
     /// workspace (success *or* failure; overwritten every run, so stale
     /// values never leak across cells).
@@ -512,6 +516,8 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
         wcet_cycles.clear();
         let mut due_scratch = std::mem::take(&mut ws.due_scratch);
         due_scratch.clear();
+        let mut ramp_power = std::mem::take(&mut ws.ramp_power);
+        ramp_power.adopt(cpu.power());
         tasks.reserve(ts.len());
         wcet_cycles.reserve(ts.len());
         for (id, task, prio) in ts.iter() {
@@ -552,7 +558,7 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
             task_energy: vec![0.0; ts.len()],
             histograms: vec![ResponseHistogram::new(); ts.len()],
             due_scratch,
-            power_memo: None,
+            ramp_power,
             segments_done: 0,
             steady: SteadyDetector::for_run(cfg, exec, ts),
             ff_stats: FastForwardStats::default(),
@@ -750,19 +756,6 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
         Freq::from_khz(khz)
     }
 
-    /// `state_power(state)` through the one-entry memo (see
-    /// `Engine::power_memo`).
-    fn state_power_memo(&mut self, state: CpuState) -> f64 {
-        match self.power_memo {
-            Some((cached_state, power)) if cached_state == state => power,
-            _ => {
-                let power = self.cpu.state_power(state);
-                self.power_memo = Some((state, power));
-                power
-            }
-        }
-    }
-
     fn advance_to(&mut self, t: Time) {
         debug_assert!(t >= self.now);
         let dur = t.saturating_since(self.now);
@@ -771,7 +764,7 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
             return;
         }
         let state = self.current_cpu_state();
-        let power = self.state_power_memo(state);
+        let power = self.ramp_power.state_power(self.cpu, state);
         self.segments_done += 1;
         self.meter.accumulate_with_power(state, power, dur);
         if let Some(d) = self.steady.as_mut() {
@@ -1406,9 +1399,9 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
     /// The complete decision-relevant state at `self.now`, with every
     /// absolute instant re-based to `self.now` (signed: a delay-queue
     /// release sits in the past after a late completion). Excludes
-    /// accumulators (extrapolated instead), the power memo (transparent),
-    /// and the per-job indices (strictly growing; eligibility guarantees
-    /// nothing decision-relevant reads them).
+    /// accumulators (extrapolated instead), the ramp-power table (it only
+    /// caches `state_power`), and the per-job indices (strictly growing;
+    /// eligibility guarantees nothing decision-relevant reads them).
     fn capture_snapshot(&self, policy_digest: u64) -> SteadySnapshot {
         let now = self.now.as_ns() as i128;
         let rel = |t: Time| t.as_ns() as i128 - now;
@@ -1642,6 +1635,7 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
         ws.tasks = std::mem::take(&mut self.tasks);
         ws.wcet_cycles = std::mem::take(&mut self.wcet_cycles);
         ws.due_scratch = std::mem::take(&mut self.due_scratch);
+        ws.ramp_power = std::mem::take(&mut self.ramp_power);
         ws.ff_stats = self.ff_stats;
     }
 

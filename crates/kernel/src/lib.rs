@@ -64,6 +64,7 @@ pub mod gantt;
 pub mod policy;
 pub mod probe;
 pub mod queues;
+mod ramp_power;
 pub mod report;
 pub mod stats;
 pub mod steady;

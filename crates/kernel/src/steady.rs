@@ -114,8 +114,8 @@ pub(crate) struct TaskSnapshot {
 ///
 /// Accumulators (energy meter, counters, response stats, misses,
 /// histograms, idle gaps, task energy) are excluded by design — they grow
-/// monotonically and are extrapolated instead. The power memo
-/// (`power_memo`) is excluded because it is behaviorally transparent.
+/// monotonically and are extrapolated instead. The engine's ramp-power
+/// table is excluded because it only caches `CpuSpec::state_power`.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct SteadySnapshot {
     /// Run-queue contents in iteration (most-urgent-first) order. The keys

@@ -3,7 +3,7 @@
 //! The `Display` strings of [`SimError`] (and the domain errors it wraps)
 //! are part of the tool's surface: sweep progress lines, `CellError`
 //! payloads in results JSON, and CLI diagnostics all print them verbatim.
-//! These tests pin the exact text of the five most common validation
+//! These tests pin the exact text of the most common validation
 //! failures — plus the budget-exhaustion diagnostic shape — so a refactor
 //! that drifts a message fails here by name instead of silently changing
 //! every downstream artifact.
@@ -111,6 +111,39 @@ fn missing_sleep_modes_message() {
     assert_eq!(
         err.to_string(),
         "invalid processor spec: a processor needs at least one sleep mode"
+    );
+    assert_eq!(err.kind(), "invalid-cpu-spec");
+}
+
+/// The paper's spec with one JSON fragment swapped for a hostile one.
+fn doctored_arm8(needle: &str, replacement: &str) -> CpuSpec {
+    let json = serde_json::to_string(&CpuSpec::arm8()).unwrap();
+    let doctored = json.replace(needle, replacement);
+    assert_ne!(json, doctored, "needle `{needle}` not found in {json}");
+    serde_json::from_str(&doctored).unwrap()
+}
+
+#[test]
+fn bad_power_fraction_message() {
+    let cpu = doctored_arm8("\"idle_frac\":0.2", "\"idle_frac\":1.5");
+    let ts = smuggle_task_set(&[smuggle_task("tau1", 50_000, 50_000, 10_000, 10_000)]);
+    let err = boundary_error(&ts, &cpu, &SimConfig::new(Dur::from_ms(1)));
+    assert_eq!(
+        err.to_string(),
+        "invalid processor spec: power model: idle fraction must be in [0, 1], got 1.5"
+    );
+    assert_eq!(err.kind(), "invalid-cpu-spec");
+}
+
+#[test]
+fn bad_vf_curve_message() {
+    let cpu = doctored_arm8("\"v_t\":0.8", "\"v_t\":4.0");
+    let ts = smuggle_task_set(&[smuggle_task("tau1", 50_000, 50_000, 10_000, 10_000)]);
+    let err = boundary_error(&ts, &cpu, &SimConfig::new(Dur::from_ms(1)));
+    assert_eq!(
+        err.to_string(),
+        "invalid processor spec: V-f curve must satisfy 0 <= Vt < Vmax with Vmax finite, \
+         got Vt = 4 V, Vmax = 3.3 V"
     );
     assert_eq!(err.kind(), "invalid-cpu-spec");
 }

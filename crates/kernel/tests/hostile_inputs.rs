@@ -203,7 +203,8 @@ proptest! {
     /// fraction, a ramp rate, a wake-up latency ...) with an adversarial
     /// number, and push the result through `Deserialize` into `simulate`.
     /// Outcome must be a report or a typed error — in particular
-    /// `SimError::CpuSpec` for broken ladders and sleep modes.
+    /// `SimError::CpuSpec` for broken ladders, sleep modes and power
+    /// models.
     #[test]
     fn mutated_cpu_specs_yield_typed_errors_not_panics(
         leaf_raw in 0usize..1_000,

@@ -8,13 +8,17 @@
 
 use lpfps::baselines::Fps;
 use lpfps::driver::{default_horizon, PolicyKind};
+use lpfps_cpu::ladder::FrequencyLadder;
+use lpfps_cpu::power::PowerModel;
 use lpfps_cpu::spec::CpuSpec;
+use lpfps_cpu::vf::VfCurve;
 use lpfps_faults::{FaultConfig, OverrunFault, ReleaseJitter};
 use lpfps_kernel::engine::{simulate_in, SimConfig, SimWorkspace};
 use lpfps_kernel::trace::Trace;
 use lpfps_kernel::{FixedPriority, NoProbe};
 use lpfps_sweep::{Cell, ExecKind};
 use lpfps_tasks::exec::AlwaysWcet;
+use lpfps_tasks::freq::Freq;
 use lpfps_tasks::time::Dur;
 use lpfps_workloads::{avionics, cnc, ins, table1};
 use proptest::prelude::*;
@@ -29,11 +33,25 @@ fn traced_json(cell: &Cell, horizon_scale: f64, ws: &mut SimWorkspace) -> String
     serde_json::to_string(&(report, trace)).unwrap()
 }
 
+/// The paper's processor with the V–f threshold at 0.4 V instead of
+/// 0.8 V, built as `examples/design_space.rs` builds it: another power
+/// model, so other ramp powers.
+fn low_vt_arm8() -> CpuSpec {
+    CpuSpec::new(
+        FrequencyLadder::default(),
+        PowerModel::new(VfCurve::new(Freq::from_mhz(100), 3.3, 0.4), 0.2, 0.05),
+        0.07,
+        10,
+    )
+}
+
 /// Runs an adversarial warm-up mix through the workspace: every catalog
 /// workload (including the widest, INS, so every per-task buffer grows
-/// past the target cell's needs), a faulted traced run, a zero-horizon
-/// cell (rejected up front with a typed error), and a budget-aborted
-/// simulation that abandons the buffers mid-run.
+/// past the target cell's needs), a faulted traced run, LPFPS runs on a
+/// processor with another power model (whose ramp powers must not reach
+/// the next cell), a zero-horizon cell (rejected up front with a typed
+/// error), and a budget-aborted simulation that abandons the buffers
+/// mid-run.
 fn dirty(ws: &mut SimWorkspace, seed: u64) {
     let faults = FaultConfig::none()
         .with_seed(seed)
@@ -46,6 +64,13 @@ fn dirty(ws: &mut SimWorkspace, seed: u64) {
             .with_seed(seed ^ i as u64)
             .with_faults(faults);
         traced_json(&cell, 0.05, ws);
+    }
+    for (i, ts) in [ins(), avionics(), cnc(), table1()].into_iter().enumerate() {
+        let cell = Cell::new(ts, low_vt_arm8(), PolicyKind::Lpfps)
+            .with_exec(ExecKind::PaperGaussian)
+            .with_bcet_fraction(0.4)
+            .with_seed(seed ^ i as u64);
+        traced_json(&cell, 0.2, ws);
     }
     // The validation poison: a zero horizon is rejected with a typed
     // error before the engine ever touches the workspace.
