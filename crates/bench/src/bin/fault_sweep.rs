@@ -119,7 +119,10 @@ fn main() {
     let outcome = run_sweep(&spec, &parsed.run_options());
     assert!(outcome.all_ok(), "fault_sweep cells must all complete");
 
-    println!("Fault sweep: WCET overruns (mean +{MAGNITUDE:.0}0% of WCET, clamped at {CLAMP}x)");
+    println!(
+        "Fault sweep: WCET overruns (mean +{:.0}% of WCET, clamped at {CLAMP}x)",
+        MAGNITUDE * 100.0
+    );
     println!("workload {ts}");
     println!();
     println!(
@@ -161,8 +164,8 @@ fn main() {
         }
     }
 
-    // The qualitative claims need the full horizon; a scaled-down smoke
-    // run (CI) still exercises every cell but skips them.
+    // The qualitative claims need the full horizon; a run at
+    // `--horizon-scale` below 1 still exercises every cell but skips them.
     if parsed.horizon_scale >= 1.0 {
         fn by<'a>(
             points: &'a [FaultPoint],

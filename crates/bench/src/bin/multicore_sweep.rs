@@ -25,11 +25,11 @@
 //!
 //! Every fleet's per-core cells run through the shared sweep runner, so
 //! the uniform sweep flags (`--threads`, `--check`, `--hist`,
-//! `--trace-out`, `--no-fast-forward`, `--metrics`) apply per core cell;
-//! each fleet's report is then merged in core order.
+//! `--trace-out`, `--metrics`) apply per core cell; each fleet's report
+//! is then merged in core order.
 //!
 //! Usage: `cargo run --release --bin multicore_sweep --
-//! [--quick] [--cores M] [--partitioner NAME] [--json out.json]`
+//! [--cores M] [--partitioner NAME] [--json out.json]`
 
 use lpfps::driver::PolicyKind;
 use lpfps_cpu::spec::CpuSpec;
@@ -94,12 +94,8 @@ struct Fleet {
 
 /// Fleet workloads: the paper's harmonic Table 1 set and the non-harmonic
 /// INS avionics set, replicated once per core with staggered seeds.
-fn workloads(quick: bool) -> Vec<TaskSet> {
-    if quick {
-        vec![table1()]
-    } else {
-        vec![table1(), ins()]
-    }
+fn workloads() -> [TaskSet; 2] {
+    [table1(), ins()]
 }
 
 fn die(msg: impl std::fmt::Display) -> ! {
@@ -112,10 +108,6 @@ fn main() {
         "multicore_sweep",
         "partitioned fleets: cores × partitioner × policy, aggregate power accounting",
     )
-    .switch(
-        "--quick",
-        "shrink the grid for smoke runs (table1 only, cores {1,2}, ffd + rta-ff)",
-    )
     .opt(
         "--cores",
         "M",
@@ -127,7 +119,6 @@ fn main() {
         "task-to-core allocator only: ffd, bfd, wfd, rta-ff [default: grid]",
     )
     .parse();
-    let quick = parsed.has("--quick");
 
     let core_grid: Vec<usize> = match parsed.value("--cores") {
         Some(v) => match v.parse() {
@@ -136,7 +127,6 @@ fn main() {
                 "flag `--cores`: `{v}` is not a positive integer"
             )),
         },
-        None if quick => vec![1, 2],
         None => CORE_GRID.to_vec(),
     };
     let partitioners: Vec<PartitionerKind> = match parsed.value("--partitioner") {
@@ -145,14 +135,13 @@ fn main() {
                 "flag `--partitioner`: `{name}` is not one of ffd, bfd, wfd, rta-ff"
             ))
         })],
-        None if quick => vec![PartitionerKind::Ffd, PartitionerKind::RtaFf],
         None => PartitionerKind::ALL.to_vec(),
     };
 
     // Every fleet's per-core cells go into one sweep, in grid order.
     let mut spec = SweepSpec::new("multicore_sweep");
     let mut fleets = Vec::new();
-    for base in workloads(quick) {
+    for base in workloads() {
         for &cores in &core_grid {
             for &kind in &partitioners {
                 for policy in POLICIES {
@@ -222,50 +211,40 @@ fn main() {
         });
     }
 
-    if !parsed.quiet {
-        println!("Multicore sweep: partitioned fleets, normalized fleet energy");
-        println!();
-        println!(
-            "{:>8} {:>5} {:>7} {:>10} | {:>4} {:>6} {:>8} {:>10} {:>6} {:>8}",
-            "workload",
-            "cores",
-            "part",
-            "policy",
-            "used",
-            "maxU",
-            "power",
-            "energy",
-            "miss",
-            "vs fps"
-        );
-        // Each (workload, cores, partitioner) group starts with its fps row.
-        let mut fps_energy = 0.0;
-        for p in &points {
-            if p.policy == "fps" {
-                fps_energy = p.fleet_energy;
-            }
-            let vs_fps = if fps_energy > 0.0 {
-                format!("{:>7.1}%", 100.0 * (1.0 - p.fleet_energy / fps_energy))
-            } else {
-                String::from("       -")
-            };
-            println!(
-                "{:>8} {:>5} {:>7} {:>10} | {:>4} {:>6.3} {:>8.4} {:>10.4} {:>6} {vs_fps}",
-                p.workload,
-                p.cores,
-                p.partitioner,
-                p.policy,
-                p.cores_used,
-                p.max_core_utilization,
-                p.fleet_average_power,
-                p.fleet_energy,
-                p.fleet_misses,
-            );
+    println!("Multicore sweep: partitioned fleets, normalized fleet energy");
+    println!();
+    println!(
+        "{:>8} {:>5} {:>7} {:>10} | {:>4} {:>6} {:>8} {:>10} {:>6} {:>8}",
+        "workload", "cores", "part", "policy", "used", "maxU", "power", "energy", "miss", "vs fps"
+    );
+    // Each (workload, cores, partitioner) group starts with its fps row.
+    let mut fps_energy = 0.0;
+    for p in &points {
+        if p.policy == "fps" {
+            fps_energy = p.fleet_energy;
         }
+        let vs_fps = if fps_energy > 0.0 {
+            format!("{:>7.1}%", 100.0 * (1.0 - p.fleet_energy / fps_energy))
+        } else {
+            String::from("       -")
+        };
+        println!(
+            "{:>8} {:>5} {:>7} {:>10} | {:>4} {:>6.3} {:>8.4} {:>10.4} {:>6} {vs_fps}",
+            p.workload,
+            p.cores,
+            p.partitioner,
+            p.policy,
+            p.cores_used,
+            p.max_core_utilization,
+            p.fleet_average_power,
+            p.fleet_energy,
+            p.fleet_misses,
+        );
     }
 
-    // The qualitative claims need the full horizon; scaled-down smoke runs
-    // still exercise every grid point but skip them.
+    // The qualitative claims need the full horizon; a run at
+    // `--horizon-scale` below 1 still exercises every grid point but skips
+    // them.
     if parsed.horizon_scale >= 1.0 {
         let group = |p: &MultiPoint| (p.workload.clone(), p.cores, p.partitioner.clone());
         for p in &points {
@@ -315,10 +294,8 @@ fn main() {
                 );
             }
         }
-        if !parsed.quiet {
-            println!();
-            println!("checked: lpfps & lpfps-wd < fps at every point; rta-ff miss-free; 1-core partitioner-independent");
-        }
+        println!();
+        println!("checked: lpfps & lpfps-wd < fps at every point; rta-ff miss-free; 1-core partitioner-independent");
     }
 
     parsed.emit(&MultiSweepJson { points }, &spec, &outcome);

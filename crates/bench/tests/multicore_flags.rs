@@ -1,8 +1,11 @@
 //! The shared sweep CLI's flag contract, checked on the built binaries:
 //! `--cores`, `--partitioner` and `--seeds` are accepted only by the
 //! binaries that act on them (elsewhere they exit 2 before any
-//! simulation runs), and every sweep binary honors `--trace-out`.
+//! simulation runs), every sweep binary honors `--trace-out` and
+//! `--hist`, `--check` audits sampled cells, and `simulate --trace-out`
+//! writes the committed Perfetto golden.
 
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn exit_code(bin: &str, args: &[&str]) -> Option<i32> {
@@ -14,22 +17,19 @@ fn exit_code(bin: &str, args: &[&str]) -> Option<i32> {
         .code()
 }
 
-/// Runs `bin` with `args` followed by `--trace-out <tmp>` and returns the
-/// exported file.
-fn trace_out(bin: &str, args: &[&str]) -> String {
-    let name = std::path::Path::new(bin)
-        .file_stem()
-        .unwrap()
-        .to_str()
-        .unwrap();
-    let file = format!("lpfps_{}_{name}.perfetto.json", std::process::id());
-    let path = std::env::temp_dir().join(file);
-    let out = path.to_str().unwrap();
-    let code = exit_code(bin, &[args, &["--trace-out", out]].concat());
-    assert_eq!(code, Some(0), "{bin} {args:?} --trace-out");
-    let json = std::fs::read_to_string(&path).expect("--trace-out wrote its file");
-    std::fs::remove_file(&path).ok();
-    json
+/// A per-process temporary path for `bin`'s output with extension `ext`.
+fn tmp_path(bin: &str, ext: &str) -> PathBuf {
+    let name = Path::new(bin).file_stem().unwrap().to_str().unwrap();
+    let file = format!("lpfps_{}_{name}.{ext}", std::process::id());
+    std::env::temp_dir().join(file)
+}
+
+/// Reads and deletes a file a binary wrote.
+fn take(path: &Path) -> String {
+    let body = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| panic!("{} was not written: {e}", path.display()));
+    std::fs::remove_file(path).ok();
+    body
 }
 
 #[test]
@@ -60,10 +60,49 @@ fn binaries_without_a_seed_sweep_reject_seeds() {
     assert_eq!(exit_code(bin, &["--seeds", "2"]), Some(2));
 }
 
+/// `--trace-out` writes a Perfetto file that validates, and `--hist`
+/// wraps the `--json` results in a `histograms` block.
 #[test]
 fn every_sweep_binary_honors_trace_out() {
-    let json = trace_out(env!("CARGO_BIN_EXE_ablation_policies"), &["--quiet"]);
-    lpfps_obs::validate_chrome_trace(&json).expect("the exported trace validates");
+    let bin = env!("CARGO_BIN_EXE_ablation_policies");
+    let (trace, json) = (tmp_path(bin, "perfetto.json"), tmp_path(bin, "json"));
+    let args = [
+        "--quiet",
+        "--hist",
+        "--trace-out",
+        trace.to_str().unwrap(),
+        "--json",
+        json.to_str().unwrap(),
+    ];
+    assert_eq!(exit_code(bin, &args), Some(0), "{bin} {args:?}");
+    lpfps_obs::validate_chrome_trace(&take(&trace)).expect("the exported trace validates");
+    let doc: serde_json::Value = serde_json::from_str(&take(&json)).expect("--json is JSON");
+    let responses = doc
+        .get("histograms")
+        .and_then(|h| h.get("response_ns"))
+        .and_then(|r| r.get("count"))
+        .and_then(serde_json::Value::as_u64);
+    assert!(
+        responses.is_some_and(|n| n > 0),
+        "--hist --json must carry a histograms block with response_ns samples, got {responses:?}"
+    );
+}
+
+/// `--check N` re-runs N sampled cells traced through the invariant
+/// checker, which panics on a violation: exit 0 is the check.
+#[test]
+fn check_audits_sampled_cells() {
+    let bin = env!("CARGO_BIN_EXE_fig8_power");
+    let args = [
+        "--quiet",
+        "--seeds",
+        "1",
+        "--horizon-scale",
+        "0.25",
+        "--check",
+        "4",
+    ];
+    assert_eq!(exit_code(bin, &args), Some(0), "fig8_power {args:?}");
 }
 
 /// The committed Perfetto golden regenerates from one `simulate` command:
@@ -71,11 +110,21 @@ fn every_sweep_binary_honors_trace_out() {
 /// horizon.
 #[test]
 fn simulate_trace_out_regenerates_the_fig2_golden() {
-    let args = ["--seed", "42", "--horizon-scale", "0.5", "--quiet"];
-    let fresh = trace_out(env!("CARGO_BIN_EXE_simulate"), &args);
+    let bin = env!("CARGO_BIN_EXE_simulate");
+    let trace = tmp_path(bin, "perfetto.json");
+    let args = [
+        "--seed",
+        "42",
+        "--horizon-scale",
+        "0.5",
+        "--quiet",
+        "--trace-out",
+        trace.to_str().unwrap(),
+    ];
+    assert_eq!(exit_code(bin, &args), Some(0), "simulate {args:?}");
     let golden = include_str!("../../../results/fig2_trace.perfetto.json");
     assert!(
-        fresh == golden,
+        take(&trace) == golden,
         "simulate --trace-out no longer reproduces results/fig2_trace.perfetto.json"
     );
 }

@@ -7,8 +7,9 @@
 //! LPFPS, clamped Gaussian at BCET = 50 %, seed 42, 400 µs) and the
 //! exporter's serialization (field order, timestamp formatting, event
 //! ordering). Regenerate only for an intentional change, with
-//! [`REGENERATE`]; `lpfps-bench`'s `multicore_flags` suite checks that
-//! this command writes the committed bytes.
+//! [`REGENERATE`]; `lpfps-bench`'s `committed_results` table and its
+//! `multicore_flags` suite check that this command writes the committed
+//! bytes.
 
 use lpfps::driver::{run_in, PolicyKind};
 use lpfps_cpu::spec::CpuSpec;

@@ -6,8 +6,8 @@
 //! happened to reach it. This module gives all binaries one strict parser:
 //!
 //! * uniform flags: `--json PATH`, `--metrics PATH`, `--threads N`,
-//!   `--horizon-scale F`, `--check N`, `--no-fast-forward`, `--hist`,
-//!   `--trace-out PATH`, `--quiet`, `--help`;
+//!   `--horizon-scale F`, `--check N`, `--hist`, `--trace-out PATH`,
+//!   `--quiet`, `--help`;
 //! * binary-specific flags declared up front (`opt` / `switch`), and
 //!   `--seeds N` only where the binary reads it (`default_seeds`);
 //! * *errors* on unknown flags, missing values, and unparsable numbers.
@@ -175,10 +175,6 @@ impl Cli {
             "invariant-check N sampled cells after the sweep [default: 0 = off]",
         );
         row(
-            "--no-fast-forward",
-            "disable steady-state fast-forward (results are identical; timing only)",
-        );
-        row(
             "--hist",
             "collect per-job response/energy histograms (deterministic percentiles)",
         );
@@ -201,7 +197,6 @@ impl Cli {
             seeds: self.default_seeds.unwrap_or(1),
             horizon_scale: 1.0,
             check: 0,
-            no_fast_forward: false,
             hist: false,
             trace_out: None,
             quiet: false,
@@ -224,7 +219,6 @@ impl Cli {
             match arg.as_str() {
                 "--help" | "-h" => parsed.help = true,
                 "--quiet" => parsed.quiet = true,
-                "--no-fast-forward" => parsed.no_fast_forward = true,
                 "--hist" => parsed.hist = true,
                 "--trace-out" => parsed.trace_out = Some(value_for("--trace-out")?),
                 "--json" => parsed.json = Some(value_for("--json")?),
@@ -313,8 +307,6 @@ pub struct Parsed {
     pub horizon_scale: f64,
     /// `--check N`: sampled invariant checks after the sweep (0 = off).
     pub check: usize,
-    /// `--no-fast-forward`: force full event-by-event simulation.
-    pub no_fast_forward: bool,
     /// `--hist`: collect per-job response/energy histograms.
     pub hist: bool,
     /// `--trace-out PATH`: export the first completed cell's schedule as
@@ -355,7 +347,6 @@ impl Parsed {
         }
         opts.horizon_scale = self.horizon_scale;
         opts.check_sample = self.check;
-        opts.no_fast_forward = self.no_fast_forward;
         opts.collect_histograms = self.hist;
         opts
     }
@@ -522,16 +513,6 @@ mod tests {
     }
 
     #[test]
-    fn no_fast_forward_parses_and_reaches_run_options() {
-        let p = parse(&["--no-fast-forward"]).unwrap();
-        assert!(p.no_fast_forward);
-        assert!(p.run_options().no_fast_forward);
-        let p = parse(&[]).unwrap();
-        assert!(!p.no_fast_forward);
-        assert!(!p.run_options().no_fast_forward);
-    }
-
-    #[test]
     fn hist_and_trace_out_parse_and_reach_run_options() {
         let p = parse(&["--hist", "--trace-out", "out.perfetto.json"]).unwrap();
         assert!(p.hist);
@@ -690,7 +671,6 @@ mod tests {
             "--threads",
             "--seeds",
             "--horizon-scale",
-            "--no-fast-forward",
             "--quiet",
             "--app",
             "--gantt",

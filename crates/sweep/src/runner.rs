@@ -22,7 +22,6 @@ use crate::cell::{Cell, CellError, CellHistograms, CellResult, CellStatus};
 use crate::metrics::{CellMetrics, SweepMetrics};
 use crate::spec::SweepSpec;
 use lpfps_kernel::engine::SimWorkspace;
-use lpfps_kernel::probe::NoProbe;
 use lpfps_kernel::report::SimReport;
 use lpfps_kernel::steady::FastForwardStats;
 use lpfps_obs::{JobRecorder, LogHistogram};
@@ -46,11 +45,6 @@ pub struct RunOptions {
     /// invariant checker ([`crate::check`]); any violation panics with the
     /// cell and trace position. `0` disables the pass (the default).
     pub check_sample: usize,
-    /// Force every cell through the full event-by-event simulation,
-    /// disabling the kernel's steady-state fast-forward. Results are
-    /// bit-identical either way (the kernel guarantees it); the flag
-    /// exists for A/B timing and differential testing.
-    pub no_fast_forward: bool,
     /// Attach a [`JobRecorder`] probe to every cell and aggregate per-job
     /// response-time and energy histograms (per-cell summaries in
     /// [`CellResult::hist`], sweep-wide merges in
@@ -73,7 +67,6 @@ impl Default for RunOptions {
             horizon_scale: 1.0,
             quiet: true,
             check_sample: 0,
-            no_fast_forward: false,
             collect_histograms: false,
         }
     }
@@ -102,12 +95,6 @@ impl RunOptions {
     /// Enables the post-sweep invariant sampling pass over `n` cells.
     pub fn with_check_sample(mut self, n: usize) -> Self {
         self.check_sample = n;
-        self
-    }
-
-    /// Disables the steady-state fast-forward for every cell.
-    pub fn with_no_fast_forward(mut self) -> Self {
-        self.no_fast_forward = true;
         self
     }
 
@@ -182,13 +169,12 @@ fn run_cell(
     cell: &Cell,
     horizon_scale: f64,
     ws: &mut SimWorkspace,
-    force_full: bool,
     hist: bool,
 ) -> (Result<SimReport, CellError>, FastForwardStats, CellHists) {
     let mut rec = hist.then(JobRecorder::new);
     let outcome = catch_unwind(AssertUnwindSafe(|| match rec.as_mut() {
         Some(rec) => cell.run_probed_opts(horizon_scale, ws, true, rec),
-        None => cell.run_probed_opts(horizon_scale, ws, force_full, &mut NoProbe),
+        None => cell.run_in(horizon_scale, ws),
     }));
     let outcome = match outcome {
         Ok(result) => result.map_err(|err| CellError::from_sim(cell, &err)),
@@ -236,13 +222,8 @@ pub fn run_sweep(spec: &SweepSpec, opts: &RunOptions) -> SweepOutcome {
                     }
                     let cell = &spec.cells[index];
                     let cell_started = Instant::now();
-                    let (outcome, ff, hists) = run_cell(
-                        cell,
-                        opts.horizon_scale,
-                        &mut ws,
-                        opts.no_fast_forward,
-                        opts.collect_histograms,
-                    );
+                    let (outcome, ff, hists) =
+                        run_cell(cell, opts.horizon_scale, &mut ws, opts.collect_histograms);
                     let wall = cell_started.elapsed();
                     let metrics = CellMetrics {
                         index,
@@ -452,8 +433,8 @@ mod tests {
     }
 
     /// Deterministic cells (AlwaysWcet) settle into a steady state, so
-    /// the fast-forward engages — and must not move a single result bit
-    /// relative to `--no-fast-forward`.
+    /// the sweep's fast-forward engages — and must not move a single
+    /// result bit relative to the cell's forced-full run.
     #[test]
     fn fast_forward_engages_and_results_match_forced_full() {
         let ts = TaskSet::rate_monotonic(
@@ -465,21 +446,21 @@ mod tests {
         );
         let mut spec = SweepSpec::new("ff");
         spec.push(Cell::new(ts, CpuSpec::arm8(), PolicyKind::Lpfps));
-        let opts = RunOptions::serial().with_horizon_scale(8.0);
-        let fast = run_sweep(&spec, &opts);
-        let full = run_sweep(&spec, &opts.clone().with_no_fast_forward());
+        let scale = 8.0;
+        let fast = run_sweep(&spec, &RunOptions::serial().with_horizon_scale(scale));
         assert!(fast.metrics.cycles_detected > 0, "detector must engage");
         assert!(fast.metrics.events_skipped > 0);
-        assert_eq!(full.metrics.cycles_detected, 0, "flag must disable it");
-        assert_eq!(full.metrics.events_skipped, 0);
+        let mut ws = SimWorkspace::new();
+        let full = spec.cells[0].run_opts(scale, &mut ws, true).unwrap();
+        assert_eq!(ws.fast_forward_stats(), FastForwardStats::default());
         let a = serde_json::to_string(&fast.results).unwrap();
-        let b = serde_json::to_string(&full.results).unwrap();
+        let b = serde_json::to_string(&[CellResult::from_report(&spec.cells[0], &full)]).unwrap();
         assert_eq!(a, b, "fast-forward must not change deterministic results");
-        let (ra, rb) = (fast.report(0).unwrap(), full.report(0).unwrap());
-        assert_eq!(ra.counters, rb.counters);
+        let ra = fast.report(0).unwrap();
+        assert_eq!(ra.counters, full.counters);
         assert_eq!(
             ra.energy.total_energy().to_bits(),
-            rb.energy.total_energy().to_bits()
+            full.energy.total_energy().to_bits()
         );
     }
 
