@@ -36,6 +36,7 @@ fn main() {
         "ablation_ladder",
         "frequency-ladder granularity: LPFPS power vs operating-point count",
     )
+    .sweep()
     .parse();
 
     let mut spec = SweepSpec::new("ablation_ladder");

@@ -35,6 +35,7 @@ fn main() {
         "ablation_overhead",
         "context-switch cost vs RTA admission and measured power",
     )
+    .sweep()
     .parse();
 
     // Two cells (FPS, LPFPS) per (app, cost), cost-major within each app.

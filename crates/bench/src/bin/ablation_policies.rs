@@ -26,6 +26,7 @@ fn main() {
         "ablation_policies",
         "policy ablation: FPS / FPS+PD / static slowdown / DVS-only / LPFPS",
     )
+    .sweep()
     .parse();
 
     let spec = SweepSpec::grid(

@@ -20,6 +20,7 @@ fn main() {
         "ablation_ratio",
         "heuristic (Eq. 3) vs optimal (Eq. 2) speed-ratio energy",
     )
+    .sweep()
     .parse();
 
     let spec = SweepSpec::grid(

@@ -31,6 +31,7 @@ fn main() {
         "ablation_shutdown",
         "exact-knowledge power-down vs timeout shutdown (idle-gap ablation)",
     )
+    .sweep()
     .parse();
 
     // Per app: FPS baseline, LPFPS's exact power-down (FPS+PD), then the

@@ -33,6 +33,7 @@ fn main() {
         "ablation_sleep_modes",
         "single sleep mode vs the full PowerPC-style mode family under LPFPS",
     )
+    .sweep()
     .parse();
 
     // Pairs of cells differing only in the processor's sleep-mode family.

@@ -35,6 +35,7 @@ fn main() {
         "ablation_tick",
         "tick-driven vs event-driven kernel, cross-checked against jitter RTA",
     )
+    .sweep()
     .parse();
 
     let mut spec = SweepSpec::new("ablation_tick");

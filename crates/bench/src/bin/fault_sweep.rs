@@ -97,6 +97,7 @@ fn main() {
         "fault_sweep",
         "degradation curves: overrun probability × policy, vanilla LPFPS vs watchdog",
     )
+    .sweep()
     .default_seeds(1)
     .parse();
     let seeds = parsed.seed_list();

@@ -11,6 +11,7 @@ fn main() {
         "fig1_bcet_ratio",
         "Figure 1: BCET/WCET ratio per application (Ernst & Ye data)",
     )
+    .json()
     .parse();
     println!("Figure 1: BCET/WCET ratio per application");
     println!("{:<20} {:>8}  {:<16} bar", "application", "ratio", "class");

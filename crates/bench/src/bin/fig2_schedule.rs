@@ -12,10 +12,11 @@
 use lpfps::LpfpsPolicy;
 use lpfps_cpu::spec::CpuSpec;
 use lpfps_kernel::engine::{simulate_in, SimConfig, SimWorkspace};
-use lpfps_kernel::gantt::Gantt;
 use lpfps_kernel::policy::{AlwaysFullSpeed, PowerPolicy};
 use lpfps_kernel::report::SimReport;
 use lpfps_kernel::trace::{Trace, TraceEvent};
+use lpfps_obs::gantt::Gantt;
+use lpfps_obs::text::render_trace;
 use lpfps_tasks::exec::{AlwaysWcet, ExecModel};
 use lpfps_tasks::task::{Task, TaskId};
 use lpfps_tasks::taskset::TaskSet;
@@ -137,7 +138,7 @@ fn main() {
     let gantt = Gantt::from_trace(&trace_a, Time::from_us(400));
     print!("{}", gantt.render(&ts, 5));
     println!("\nevents:");
-    print!("{}", trace_a.render());
+    print!("{}", render_trace(&trace_a));
     assert!(fps.all_deadlines_met());
 
     println!("\n--- Figure 3: queue snapshots under FPS ---");
@@ -149,7 +150,7 @@ fn main() {
     let gantt = Gantt::from_trace(&trace_b, Time::from_us(400));
     print!("{}", gantt.render(&ts, 5));
     println!("\nevents:");
-    print!("{}", trace_b.render());
+    print!("{}", render_trace(&trace_b));
     assert!(lp.all_deadlines_met(), "misses: {:?}", lp.misses);
 
     println!("\n--- Figure 5: queue snapshots under LPFPS ---");

@@ -31,6 +31,7 @@ fn main() {
         "fig7_ratio",
         "Figure 7: optimal (Eq. 2) vs heuristic (Eq. 3) speed ratio",
     )
+    .json()
     .parse();
     println!("Figure 7: optimal ratio vs heuristic ratio (rho = {RHO}/us)");
     print!("{:>9}", "t_a-t_c");

@@ -20,6 +20,7 @@ fn main() {
         "fig8_power",
         "Figure 8: average power of FPS vs LPFPS over the BCET/WCET sweep",
     )
+    .sweep()
     .default_seeds(3)
     .parse();
 

@@ -45,6 +45,7 @@ fn main() {
         "fp_vs_edf",
         "fixed-priority vs EDF dispatch through the shared kernel",
     )
+    .sweep()
     .parse();
 
     let spec = SweepSpec::grid(

@@ -108,6 +108,7 @@ fn main() {
         "multicore_sweep",
         "partitioned fleets: cores × partitioner × policy, aggregate power accounting",
     )
+    .sweep()
     .opt(
         "--cores",
         "M",

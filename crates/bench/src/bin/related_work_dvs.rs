@@ -55,6 +55,7 @@ fn main() {
         "related_work_dvs",
         "SS2.2 dynamic-priority DVS baselines: EDF@1, AVR, YDS, discrete levels",
     )
+    .json()
     .parse();
     let power = PowerModel::default();
     let mut cells = Vec::new();

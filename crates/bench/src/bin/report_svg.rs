@@ -14,6 +14,7 @@ use lpfps_workloads::applications;
 
 fn main() {
     let parsed = Cli::new("report_svg", "render Figure 8 panels as SVG charts")
+        .sweep()
         .opt_default("--out", "DIR", "output directory", "results")
         .parse();
     let dir = parsed.value("--out").unwrap().to_string();

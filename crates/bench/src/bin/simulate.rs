@@ -7,7 +7,7 @@
 //! cargo run --release --bin simulate -- \
 //!     [--app avionics|ins|flight_control|cnc|table1 | --taskset <file.json>] \
 //!     [--policy fps|fps-pd|static|lpfps-dvs|lpfps|lpfps-opt] \
-//!     [--bcet <fraction 0..1>] [--seed <n>] [--horizon-ms <n>] \
+//!     [--bcet <fraction in (0, 1]>] [--seed <n>] [--horizon-ms <n>] \
 //!     [--gantt <us-per-col>] [--json <out.json>]
 //! ```
 //!
@@ -18,8 +18,9 @@
 use lpfps::driver::PolicyKind;
 use lpfps_cpu::spec::CpuSpec;
 use lpfps_kernel::engine::SimWorkspace;
-use lpfps_kernel::gantt::Gantt;
 use lpfps_kernel::trace::Trace;
+use lpfps_obs::gantt::Gantt;
+use lpfps_obs::text::render_detailed;
 use lpfps_sweep::{run_sweep, Cell, CellStatus, Cli, ExecKind, SweepSpec};
 use lpfps_tasks::taskset::TaskSet;
 use lpfps_tasks::time::{Dur, Time};
@@ -60,6 +61,7 @@ fn main() {
         "simulate",
         "run one simulation cell and print the full report",
     )
+    .sweep()
     .opt_default("--app", "NAME", "named application workload", "table1")
     .opt("--taskset", "FILE", "load a task-set JSON instead of --app")
     .opt_default("--policy", "NAME", "scheduling policy", "lpfps")
@@ -92,18 +94,18 @@ fn main() {
         .value("--bcet")
         .unwrap()
         .parse()
-        .unwrap_or_else(|_| die("flag `--bcet` takes a fraction in 0..=1"));
-    if !(0.0..=1.0).contains(&bcet) {
-        die("flag `--bcet` takes a fraction in 0..=1");
-    }
+        .ok()
+        .filter(|f| *f > 0.0 && *f <= 1.0)
+        .unwrap_or_else(|| die("flag `--bcet` takes a fraction in (0, 1]"));
     let seed: u64 = parsed
         .value("--seed")
         .unwrap()
         .parse()
         .unwrap_or_else(|_| die("flag `--seed` takes a non-negative integer"));
     let gantt: Option<u64> = parsed.value("--gantt").map(|v| {
-        v.parse()
-            .unwrap_or_else(|_| die("flag `--gantt` takes microseconds per column"))
+        v.parse().ok().filter(|&cols| cols > 0).unwrap_or_else(|| {
+            die("flag `--gantt` takes a positive number of microseconds per column")
+        })
     });
 
     let mut cell = Cell::new(
@@ -135,7 +137,7 @@ fn main() {
 
     let ts = base.with_bcet_fraction(bcet);
     println!("{ts}");
-    print!("{}", report.render_detailed(&ts));
+    print!("{}", render_detailed(report, &ts));
     if !report.all_deadlines_met() {
         println!("  DEADLINE MISSES: {:?}", report.misses);
     }

@@ -32,6 +32,7 @@ fn main() {
         "sweep_utilization",
         "LPFPS gain vs utilization on synthetic UUniFast task sets",
     )
+    .sweep()
     .parse();
 
     let spec = SweepSpec::utilization(

@@ -6,7 +6,9 @@ use lpfps_sweep::Cli;
 use lpfps_workloads::{applications, table2};
 
 fn main() {
-    let parsed = Cli::new("table2_summary", "Table 2: the experiment task sets").parse();
+    let parsed = Cli::new("table2_summary", "Table 2: the experiment task sets")
+        .json()
+        .parse();
     println!("Table 2: task sets for experiments");
     println!(
         "{:<16} {:>7} {:>22} {:>12}",

@@ -46,6 +46,7 @@ fn main() {
         "tradeoff_scheduler",
         "SS5 trade-off: heuristic vs optimal ratio with scheduler cost charged",
     )
+    .sweep()
     .parse();
 
     // Per app: one heuristic reference cell, then the optimal-cost ladder.

@@ -89,12 +89,12 @@ impl Scale {
     }
 
     /// Data x to pixel x.
-    pub fn px(&self, x: f64) -> f64 {
+    fn px(&self, x: f64) -> f64 {
         self.left + (x - self.x_min) / (self.x_max - self.x_min) * (self.right - self.left)
     }
 
     /// Data y to pixel y (inverted: larger y is higher on screen).
-    pub fn py(&self, y: f64) -> f64 {
+    fn py(&self, y: f64) -> f64 {
         self.bottom - (y - self.y_min) / (self.y_max - self.y_min) * (self.bottom - self.top)
     }
 }

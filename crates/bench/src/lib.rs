@@ -64,17 +64,6 @@ pub struct PowerCell {
 }
 
 impl PowerCell {
-    /// Builds a cell from a single sweep result.
-    pub fn from_result(result: &CellResult) -> Self {
-        PowerCell {
-            app: result.app.clone(),
-            policy: result.policy.clone(),
-            bcet_fraction: result.bcet_fraction,
-            average_power: result.average_power,
-            misses: result.misses,
-        }
-    }
-
     /// Averages power (and sums misses) over one `(app, policy, fraction)`
     /// group of per-seed results.
     ///
@@ -156,9 +145,10 @@ mod tests {
     #[test]
     fn power_cell_from_result_checks_out() {
         let results = cells_for(&[PolicyKind::Fps], &[1.0], 0);
-        let cell = PowerCell::from_result(&results[0]);
+        let cell = PowerCell::mean_over_seeds(&[&results[0]]);
         assert_eq!(cell.app, "table1");
         assert_eq!(cell.policy, "fps");
+        assert_eq!(cell.average_power, results[0].average_power);
         assert!(cell.average_power > 0.5 && cell.average_power <= 1.0);
         assert_eq!(cell.misses, 0);
     }
@@ -188,7 +178,7 @@ mod tests {
         let cells: Vec<PowerCell> =
             cells_for(&[PolicyKind::Fps, PolicyKind::Lpfps], &BCET_FRACTIONS, 1)
                 .iter()
-                .map(PowerCell::from_result)
+                .map(|r| PowerCell::mean_over_seeds(&[r]))
                 .collect();
         let table = render_power_table("table1", &["fps", "lpfps"], &cells);
         assert!(table.contains("== table1 =="));

@@ -58,7 +58,7 @@ const ROWS: &[Row] = &[
     row!(multicore_sweep, [], ["multicore_sweep.json", "multicore_sweep.txt"]),
     row!(related_work_dvs, [], ["related_work_dvs.json", "related_work_dvs.txt"]),
     row!(report_svg, [], ["fig8_avionics.svg", "fig8_cnc.svg", "fig8_flight_control.svg", "fig8_ins.svg"]),
-    row!(simulate, ["--seed", "42", "--horizon-scale", "0.5"], ["fig2_trace.perfetto.json"]),
+    row!(simulate, ["--seed", "42", "--horizon-scale", "0.5"], ["fig2_trace.perfetto.json", "simulate.txt"]),
     row!(sweep_utilization, [], ["sweep_utilization.json", "sweep_utilization.txt"]),
     row!(table2_summary, [], ["table2_summary.json", "table2_summary.txt"]),
     row!(tradeoff_scheduler, [], ["tradeoff_scheduler.json", "tradeoff_scheduler.txt"]),

@@ -1,20 +1,23 @@
 //! The shared sweep CLI's flag contract, checked on the built binaries:
-//! `--cores`, `--partitioner` and `--seeds` are accepted only by the
-//! binaries that act on them (elsewhere they exit 2 before any
-//! simulation runs), every sweep binary honors `--trace-out` and
-//! `--hist`, `--check` audits sampled cells, and `simulate --trace-out`
-//! writes the committed Perfetto golden.
+//! `--cores`, `--partitioner`, `--seeds` and the sweep flags are accepted
+//! only by the binaries that act on them (elsewhere they exit 2 before
+//! any simulation runs), every sweep binary honors `--trace-out` and
+//! `--hist`, `--check` audits sampled cells, `simulate --trace-out`
+//! writes the committed Perfetto golden, and out-of-range `simulate`
+//! values are usage errors.
 
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Output};
 
 fn exit_code(bin: &str, args: &[&str]) -> Option<i32> {
+    run(bin, args).status.code()
+}
+
+fn run(bin: &str, args: &[&str]) -> Output {
     Command::new(bin)
         .args(args)
         .output()
         .unwrap_or_else(|e| panic!("run {bin}: {e}"))
-        .status
-        .code()
 }
 
 /// A per-process temporary path for `bin`'s output with extension `ext`.
@@ -58,6 +61,63 @@ fn other_binaries_reject_the_multicore_flags() {
 fn binaries_without_a_seed_sweep_reject_seeds() {
     let bin = env!("CARGO_BIN_EXE_ablation_policies");
     assert_eq!(exit_code(bin, &["--seeds", "2"]), Some(2));
+}
+
+/// The five table binaries compute their tables without a sweep, so the
+/// sweep flags would change nothing there: each is an unknown flag (exit
+/// 2) and absent from the usage text. `fig2_schedule` writes only stdout,
+/// so it rejects `--json` too.
+#[test]
+fn table_binaries_reject_the_sweep_flags() {
+    let sweep_flags: [&[&str]; 6] = [
+        &["--threads", "3"],
+        &["--check", "2"],
+        &["--hist"],
+        &["--metrics", "m.json"],
+        &["--horizon-scale", "0.5"],
+        &["--trace-out", "t.json"],
+    ];
+    let fig2_json: &[&str] = &["--json", "out.json"];
+    for (bin, extra) in [
+        (env!("CARGO_BIN_EXE_fig1_bcet_ratio"), None),
+        (env!("CARGO_BIN_EXE_fig2_schedule"), Some(fig2_json)),
+        (env!("CARGO_BIN_EXE_fig7_ratio"), None),
+        (env!("CARGO_BIN_EXE_table2_summary"), None),
+        (env!("CARGO_BIN_EXE_related_work_dvs"), None),
+    ] {
+        let help = run(bin, &["--help"]);
+        assert_eq!(help.status.code(), Some(0), "{bin} --help");
+        let usage = String::from_utf8_lossy(&help.stdout);
+        for args in sweep_flags.into_iter().chain(extra) {
+            let out = run(bin, args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{bin} {args:?}");
+            let unknown = format!("unknown flag `{}`", args[0]);
+            assert!(stderr.contains(&unknown), "{bin} {args:?}: {stderr}");
+            assert!(!usage.contains(args[0]), "{bin} --help lists {}", args[0]);
+        }
+    }
+}
+
+/// `--gantt 0` used to reach the assertion in `Gantt::render` and
+/// `--bcet 0` the one in `Cell::with_bcet_fraction` (exit 101); both are
+/// usage errors.
+#[test]
+fn simulate_rejects_zero_gantt_and_bcet() {
+    let bin = env!("CARGO_BIN_EXE_simulate");
+    for (args, message) in [
+        (
+            ["--gantt", "0"],
+            "positive number of microseconds per column",
+        ),
+        (["--bcet", "0"], "fraction in (0, 1]"),
+        (["--bcet", "1.5"], "fraction in (0, 1]"),
+    ] {
+        let out = run(bin, &args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "simulate {args:?}: {stderr}");
+        assert!(stderr.contains(message), "simulate {args:?}: {stderr}");
+    }
 }
 
 /// `--trace-out` writes a Perfetto file that validates, and `--hist`

@@ -170,16 +170,6 @@ impl LpfpsPolicy {
         self
     }
 
-    /// The configured ratio method.
-    pub fn method(&self) -> RatioMethod {
-        self.method
-    }
-
-    /// True while a watchdog degraded window is in force at `now`.
-    pub fn is_degraded(&self, now: Time) -> bool {
-        self.degraded_until.is_some_and(|until| now < until)
-    }
-
     /// The slow-down stretch budget at this decision point: the active
     /// job's WCET-view remaining work (inflated by the overrun margin) and
     /// the window to the safe completion bound, or `None` when there is no
@@ -353,6 +343,11 @@ mod tests {
     use lpfps_tasks::task::{Priority, Task, TaskId};
     use lpfps_tasks::taskset::TaskSet;
     use lpfps_tasks::time::{Dur, Time};
+
+    /// True while a watchdog degraded window is in force at `now`.
+    fn is_degraded(policy: &LpfpsPolicy, now: Time) -> bool {
+        policy.degraded_until.is_some_and(|until| now < until)
+    }
 
     struct Fixture {
         ts: TaskSet,
@@ -594,7 +589,7 @@ mod tests {
             now: Time::from_us(165),
         });
         assert!(engaged);
-        assert!(wd.is_degraded(Time::from_us(170)));
+        assert!(is_degraded(&wd, Time::from_us(170)));
         let c = ctx(&f, Time::from_us(170), Some(active));
         assert_eq!(wd.decide(&c), PowerDirective::FullSpeed);
 
@@ -604,7 +599,7 @@ mod tests {
 
         // After the cooldown the policy resumes power management (with a
         // window that still has slack to exploit).
-        assert!(!wd.is_degraded(Time::from_us(195)));
+        assert!(!is_degraded(&wd, Time::from_us(195)));
         let mut late = fixture();
         late.delay
             .insert(TaskId(0), Priority::new(0), Time::from_us(300));
@@ -621,8 +616,8 @@ mod tests {
         wd.on_fault(&FaultEvent::TimingViolation {
             now: Time::from_us(120),
         });
-        assert!(wd.is_degraded(Time::from_us(140)));
-        assert!(!wd.is_degraded(Time::from_us(150)));
+        assert!(is_degraded(&wd, Time::from_us(140)));
+        assert!(!is_degraded(&wd, Time::from_us(150)));
     }
 
     #[test]
@@ -632,7 +627,7 @@ mod tests {
             now: Time::from_us(100),
         });
         assert!(!engaged);
-        assert!(!vanilla.is_degraded(Time::from_us(100)));
+        assert!(!is_degraded(&vanilla, Time::from_us(100)));
     }
 
     #[test]

@@ -23,7 +23,8 @@ use std::collections::BTreeMap;
 ///
 /// let cpu = CpuSpec::arm8();
 /// let mut meter = EnergyMeter::new();
-/// meter.accumulate(&cpu, CpuState::IdleNop, Dur::from_ms(1));
+/// let idle = CpuState::IdleNop;
+/// meter.accumulate_with_power(idle, cpu.state_power(idle), Dur::from_ms(1));
 /// // 20% power for 1 ms = 0.0002 normalized joule-equivalents.
 /// assert!((meter.total_energy() - 2e-4).abs() < 1e-12);
 /// ```
@@ -53,15 +54,10 @@ impl EnergyMeter {
         EnergyMeter::default()
     }
 
-    /// Charges `dur` spent in `state` on processor `cpu`.
-    pub fn accumulate(&mut self, cpu: &crate::spec::CpuSpec, state: CpuState, dur: Dur) {
-        self.accumulate_with_power(state, cpu.state_power(state), dur);
-    }
-
-    /// Charges `dur` spent in `state` drawing `power`, for callers that
-    /// already hold `state_power(state)`: the kernel, which serves ramp
-    /// states from its ramp-power table, and its fast-forward replay of
-    /// recorded segments.
+    /// Charges `dur` spent in `state` drawing `power`
+    /// ([`CpuSpec::state_power`](crate::spec::CpuSpec::state_power), which
+    /// the kernel serves for ramp states from its ramp-power table and
+    /// replays from recorded segments when it fast-forwards).
     pub fn accumulate_with_power(&mut self, state: CpuState, power: f64, dur: Dur) {
         if dur.is_zero() {
             return;
@@ -170,12 +166,23 @@ mod tests {
         assert_eq!(m.bucket(StateKind::Busy), StateBucket::default());
     }
 
+    /// Charges `dur` in `state` at the power `cpu` draws there.
+    fn charge(m: &mut EnergyMeter, cpu: &CpuSpec, state: CpuState, dur: Dur) {
+        m.accumulate_with_power(state, cpu.state_power(state), dur);
+    }
+
     #[test]
     fn accumulation_splits_by_state() {
         let cpu = CpuSpec::arm8();
         let mut m = EnergyMeter::new();
-        m.accumulate(&cpu, CpuState::Busy(Freq::from_mhz(100)), Dur::from_ms(2));
-        m.accumulate(
+        charge(
+            &mut m,
+            &cpu,
+            CpuState::Busy(Freq::from_mhz(100)),
+            Dur::from_ms(2),
+        );
+        charge(
+            &mut m,
             &cpu,
             CpuState::PowerDown { power_frac: 0.05 },
             Dur::from_ms(8),
@@ -193,7 +200,7 @@ mod tests {
     fn zero_duration_is_a_no_op() {
         let cpu = CpuSpec::arm8();
         let mut m = EnergyMeter::new();
-        m.accumulate(&cpu, CpuState::IdleNop, Dur::ZERO);
+        charge(&mut m, &cpu, CpuState::IdleNop, Dur::ZERO);
         assert_eq!(m.total_energy(), 0.0);
         assert_eq!(m.buckets().count(), 0);
     }
@@ -203,8 +210,18 @@ mod tests {
         let cpu = CpuSpec::arm8();
         let mut slow = EnergyMeter::new();
         let mut fast = EnergyMeter::new();
-        slow.accumulate(&cpu, CpuState::Busy(Freq::from_mhz(50)), Dur::from_ms(2));
-        fast.accumulate(&cpu, CpuState::Busy(Freq::from_mhz(100)), Dur::from_ms(1));
+        charge(
+            &mut slow,
+            &cpu,
+            CpuState::Busy(Freq::from_mhz(50)),
+            Dur::from_ms(2),
+        );
+        charge(
+            &mut fast,
+            &cpu,
+            CpuState::Busy(Freq::from_mhz(100)),
+            Dur::from_ms(1),
+        );
         // Same work (100 Mcycles), but the slow run burns much less energy.
         assert!(slow.total_energy() < 0.7 * fast.total_energy());
     }

@@ -111,7 +111,9 @@ impl CpuSpec {
         Ok(spec)
     }
 
-    /// Fallible counterpart of [`CpuSpec::with_sleep_modes`].
+    /// Replaces the sleep-mode family (the default is the single paper
+    /// mode built from the power model's power-down fraction and the
+    /// wake-up cycle count), checking the result.
     ///
     /// # Errors
     ///
@@ -127,14 +129,12 @@ impl CpuSpec {
         Ok(spec)
     }
 
-    /// Replaces the sleep-mode family (the default is the single paper
-    /// mode built from the power model's power-down fraction and the
-    /// wake-up cycle count).
+    /// Replaces the sleep-mode family of a known-good processor.
     ///
     /// # Panics
     ///
     /// Panics if `modes` is empty.
-    pub fn with_sleep_modes(mut self, modes: Vec<SleepMode>) -> Self {
+    fn with_sleep_modes(mut self, modes: Vec<SleepMode>) -> Self {
         assert!(
             !modes.is_empty(),
             "a processor needs at least one sleep mode"
@@ -173,13 +173,6 @@ impl CpuSpec {
             0.07,
             10,
         )
-    }
-
-    /// An idealized variant with instantaneous voltage transitions
-    /// (`rho` effectively infinite) — used in ablations to isolate the cost
-    /// of ramps. The rate is large enough that every ramp rounds to 1 ns.
-    pub fn arm8_instant_ramps() -> Self {
-        CpuSpec::new(FrequencyLadder::default(), PowerModel::default(), 1e9, 10)
     }
 
     /// The frequency ladder.
@@ -232,11 +225,6 @@ impl CpuSpec {
         }
     }
 
-    /// The minimum selectable frequency.
-    pub fn min_freq(&self) -> Freq {
-        self.ladder.min()
-    }
-
     /// The speed-ratio change rate `rho`, per microsecond.
     pub fn ramp_rate_per_us(&self) -> f64 {
         self.ramp_rate_per_us
@@ -273,7 +261,7 @@ impl CpuSpec {
     /// The longest possible transition (ladder minimum to maximum) — the
     /// delay bound LPFPS must budget when slowing down.
     pub fn worst_ramp_duration(&self) -> Dur {
-        self.ramp_duration(self.min_freq(), self.full_freq())
+        self.ramp_duration(self.ladder.min(), self.full_freq())
     }
 
     /// Normalized average power drawn in `state`.
@@ -305,7 +293,7 @@ mod tests {
     fn arm8_matches_paper_constants() {
         let cpu = CpuSpec::arm8();
         assert_eq!(cpu.full_freq(), Freq::from_mhz(100));
-        assert_eq!(cpu.min_freq(), Freq::from_mhz(8));
+        assert_eq!(cpu.ladder().min(), Freq::from_mhz(8));
         assert_eq!(cpu.ladder().step(), Freq::from_mhz(1));
         assert_eq!(cpu.wakeup_cycles(), 10);
         assert_eq!(cpu.wakeup_delay(), Dur::from_ns(100));
@@ -327,15 +315,8 @@ mod tests {
     #[test]
     fn fixed_frequency_variant_has_no_dvs_range() {
         let cpu = CpuSpec::arm8_fixed_frequency();
-        assert_eq!(cpu.min_freq(), cpu.full_freq());
+        assert_eq!(cpu.ladder().min(), cpu.full_freq());
         assert_eq!(cpu.ladder().level_count(), 1);
-    }
-
-    #[test]
-    fn instant_ramp_variant_rounds_to_nanoseconds() {
-        let cpu = CpuSpec::arm8_instant_ramps();
-        let d = cpu.ramp_duration(Freq::from_mhz(8), Freq::from_mhz(100));
-        assert!(d <= Dur::from_ns(1), "got {d}");
     }
 
     #[test]

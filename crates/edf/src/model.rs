@@ -51,7 +51,7 @@ impl Job {
     }
 
     /// Tags the job with its generating task.
-    pub fn with_task(mut self, task: TaskId) -> Self {
+    fn with_task(mut self, task: TaskId) -> Self {
         self.task = Some(task);
         self
     }

@@ -27,29 +27,6 @@ impl SpeedProfile {
         }
     }
 
-    /// Builds a profile from `(start, speed)` breakpoints.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `points` is empty, unsorted, does not start at zero, or
-    /// contains a non-finite/negative speed.
-    pub fn from_breakpoints(points: Vec<(Time, f64)>, end: Time) -> Self {
-        assert!(!points.is_empty(), "a profile needs at least one segment");
-        assert_eq!(points[0].0, Time::ZERO, "profiles start at time zero");
-        let mut prev = None;
-        for &(t, s) in &points {
-            assert!(s.is_finite() && s >= 0.0, "speeds must be finite and >= 0");
-            if let Some(p) = prev {
-                assert!(t > p, "breakpoints must be strictly increasing");
-            }
-            prev = Some(t);
-        }
-        SpeedProfile {
-            points: points.into_iter().map(|(t, s)| (t.as_ns(), s)).collect(),
-            end_ns: end.as_ns(),
-        }
-    }
-
     /// The AVR (Average Rate) profile of Yao et al., the paper's §2.2
     /// dynamic related work: at any time `t`, the speed is the sum of the
     /// densities `w_j / (d_j - r_j)` of all jobs whose window
@@ -115,11 +92,6 @@ impl SpeedProfile {
     pub fn peak(&self) -> f64 {
         self.points.iter().map(|&(_, s)| s).fold(0.0, f64::max)
     }
-
-    /// The breakpoints `(start, speed)`.
-    pub fn breakpoints(&self) -> impl Iterator<Item = (Time, f64)> + '_ {
-        self.points.iter().map(|&(t, s)| (Time::from_ns(t), s))
-    }
 }
 
 #[cfg(test)]
@@ -172,15 +144,8 @@ mod tests {
     fn breakpoints_land_on_releases_and_deadlines() {
         let js = JobSet::new(vec![Job::new(t(10), t(30), Dur::from_us(5))]);
         let p = SpeedProfile::avr(&js);
-        let bps: Vec<(Time, f64)> = p.breakpoints().collect();
-        assert_eq!(bps[0], (t(0), 0.0));
-        assert!((bps[1].1 - 0.25).abs() < 1e-12);
-        assert_eq!(bps[1].0, t(10));
-    }
-
-    #[test]
-    #[should_panic(expected = "start at time zero")]
-    fn profiles_must_start_at_zero() {
-        let _ = SpeedProfile::from_breakpoints(vec![(t(5), 1.0)], t(10));
+        assert_eq!(p.points[0], (0, 0.0));
+        assert_eq!(p.points[1].0, t(10).as_ns());
+        assert!((p.points[1].1 - 0.25).abs() < 1e-12);
     }
 }

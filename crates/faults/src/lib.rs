@@ -163,13 +163,6 @@ impl OverrunFault {
         // so budget-exhaustion detection is well-defined.
         Cycles::new((extra.max(0.0) as u64).max(1))
     }
-
-    /// The largest total demand this model can inject, as a multiple of
-    /// the WCET (`None` when unbounded) — what an offline analysis would
-    /// use to check schedulability of the inflated set.
-    pub fn inflation_factor(&self) -> Option<f64> {
-        self.clamp
-    }
 }
 
 /// Release jitter beyond the tick model: the kernel notices each release

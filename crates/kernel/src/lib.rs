@@ -60,7 +60,6 @@
 pub mod discipline;
 pub mod engine;
 pub mod error;
-pub mod gantt;
 pub mod policy;
 pub mod probe;
 pub mod queues;

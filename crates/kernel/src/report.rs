@@ -199,80 +199,6 @@ impl SimReport {
     pub fn residency_fraction(&self, kind: StateKind) -> f64 {
         self.energy.bucket(kind).residency.as_ns() as f64 / self.horizon.as_ns() as f64
     }
-
-    /// A multi-line human-readable report: average power, per-state energy
-    /// split, per-task responses and energy, and idle-gap statistics.
-    pub fn render_detailed(&self, ts: &lpfps_tasks::taskset::TaskSet) -> String {
-        use core::fmt::Write;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{} on {}: avg power {:.4} over {}",
-            self.policy,
-            self.taskset,
-            self.average_power(),
-            self.horizon
-        );
-        let _ = writeln!(out, "  states:");
-        for (kind, bucket) in self.energy.buckets() {
-            let _ = writeln!(
-                out,
-                "    {:<11} residency {:>6.2}% energy {:.6}",
-                kind.label(),
-                100.0 * bucket.residency.as_ns() as f64 / self.horizon.as_ns() as f64,
-                bucket.energy
-            );
-        }
-        let _ = writeln!(out, "  tasks:");
-        for (id, task, _) in ts.iter() {
-            let stats = &self.responses[id.0];
-            let _ = writeln!(
-                out,
-                "    {:<22} jobs={:<5} maxR={:<12} energy {:.6} [{}]",
-                task.name(),
-                stats.completed,
-                stats.max_response.to_string(),
-                self.task_energy.get(id.0).copied().unwrap_or(0.0),
-                self.histograms
-                    .get(id.0)
-                    .map(|h| h.render())
-                    .unwrap_or_default()
-            );
-        }
-        let _ = writeln!(out, "  idle gaps: {}", self.idle_gaps);
-        let _ = writeln!(
-            out,
-            "  counters: {} events, {} releases, {} completions, {} preemptions, {} ramps, {} power-downs",
-            self.counters.events,
-            self.counters.releases,
-            self.counters.completions,
-            self.counters.preemptions,
-            self.counters.ramps,
-            self.counters.power_downs
-        );
-        if self.counters.overruns + self.counters.watchdog_faults + self.counters.degradations > 0 {
-            let _ = writeln!(
-                out,
-                "  faults: {} overruns injected, {} watchdog detections, {} degradations engaged",
-                self.counters.overruns, self.counters.watchdog_faults, self.counters.degradations
-            );
-        }
-        out
-    }
-
-    /// A compact single-line summary for experiment harness output.
-    pub fn summary_line(&self) -> String {
-        format!(
-            "{:<10} {:<14} avg_power={:.4} misses={} jobs={} ramps={} pdowns={}",
-            self.policy,
-            self.taskset,
-            self.average_power(),
-            self.misses.len(),
-            self.counters.completions,
-            self.counters.ramps,
-            self.counters.power_downs,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -293,27 +219,6 @@ mod tests {
     #[test]
     fn empty_stats_have_zero_mean() {
         assert_eq!(ResponseStats::default().mean_response(), Dur::ZERO);
-    }
-
-    #[test]
-    fn report_summary_mentions_policy_and_power() {
-        let report = SimReport {
-            policy: "fps".into(),
-            discipline: "fp",
-            taskset: "table1".into(),
-            horizon: Dur::from_ms(1),
-            energy: EnergyMeter::new(),
-            misses: vec![],
-            responses: vec![],
-            counters: Counters::default(),
-            idle_gaps: IntervalStats::new(),
-            task_energy: vec![],
-            histograms: vec![],
-        };
-        let line = report.summary_line();
-        assert!(line.contains("fps"));
-        assert!(line.contains("avg_power=0.0000"));
-        assert!(report.all_deadlines_met());
     }
 
     #[test]

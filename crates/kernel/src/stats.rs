@@ -110,14 +110,14 @@ impl core::fmt::Display for IntervalStats {
     }
 }
 
+/// Number of in-deadline buckets in a [`ResponseHistogram`].
+const RESPONSE_BUCKETS: usize = 20;
+
 /// A fixed-bucket histogram of response times measured as a fraction of
 /// the deadline: bucket `k` of `BUCKETS` covers
 /// `[k/BUCKETS, (k+1)/BUCKETS)` of the deadline, with one overflow bucket
 /// for misses (`>= 1.0`). Profiles *how much* margin jobs finish with —
 /// the distributional view behind LPFPS's slack-reclaiming argument.
-/// Number of in-deadline buckets in a [`ResponseHistogram`].
-const RESPONSE_BUCKETS: usize = 20;
-
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ResponseHistogram {
     buckets: [u64; RESPONSE_BUCKETS],
@@ -171,26 +171,6 @@ impl ResponseHistogram {
         self.buckets.iter().sum::<u64>() + self.misses
     }
 
-    /// The smallest response-to-deadline fraction `p` such that at least
-    /// `quantile` (0..=1) of jobs finished within `p` of their deadline —
-    /// an upper bound at bucket granularity; `None` if empty or if misses
-    /// prevent reaching the quantile.
-    pub fn quantile_fraction(&self, quantile: f64) -> Option<f64> {
-        let total = self.total();
-        if total == 0 {
-            return None;
-        }
-        let needed = (quantile * total as f64).ceil() as u64;
-        let mut acc = 0;
-        for (k, &b) in self.buckets.iter().enumerate() {
-            acc += b;
-            if acc >= needed {
-                return Some((k + 1) as f64 / Self::BUCKETS as f64);
-            }
-        }
-        None
-    }
-
     /// Adds `k` copies of the per-cycle delta (`self - baseline`) to every
     /// bucket and the miss count — the steady-state fast-forward's
     /// extrapolation step (each skipped cycle records exactly the same
@@ -200,27 +180,6 @@ impl ResponseHistogram {
             *b += (*b - base) * k;
         }
         self.misses += (self.misses - baseline.misses) * k;
-    }
-
-    /// A compact sparkline-style rendering (`#` columns scaled to the
-    /// largest bucket; `!` marks misses).
-    pub fn render(&self) -> String {
-        let peak = self.buckets.iter().copied().max().unwrap_or(0).max(1);
-        let mut out = String::new();
-        for &b in &self.buckets {
-            let h = (b * 8).div_ceil(peak).min(8);
-            out.push(match h {
-                0 => '.',
-                1 => ':',
-                2..=3 => '+',
-                4..=6 => '#',
-                _ => '@',
-            });
-        }
-        if self.misses > 0 {
-            out.push('!');
-        }
-        out
     }
 }
 
@@ -281,33 +240,5 @@ mod tests {
         assert_eq!(h.bucket(19), 1);
         assert_eq!(h.misses(), 1);
         assert_eq!(h.total(), 4);
-    }
-
-    #[test]
-    fn histogram_quantiles_are_conservative() {
-        let mut h = ResponseHistogram::new();
-        let d = Dur::from_us(100);
-        for _ in 0..90 {
-            h.record(Dur::from_us(10), d); // bucket 2
-        }
-        for _ in 0..10 {
-            h.record(Dur::from_us(90), d); // bucket 18
-        }
-        // 90% of jobs finish within 15% of the deadline (bucket 2 -> 3/20).
-        assert_eq!(h.quantile_fraction(0.9), Some(0.15));
-        assert_eq!(h.quantile_fraction(1.0), Some(0.95));
-        assert_eq!(ResponseHistogram::new().quantile_fraction(0.5), None);
-    }
-
-    #[test]
-    fn histogram_renders_marks() {
-        let mut h = ResponseHistogram::new();
-        let d = Dur::from_us(100);
-        h.record(Dur::from_us(1), d); // bucket 0 (1/100 of the deadline)
-        h.record(Dur::from_us(100), d);
-        let r = h.render();
-        assert!(r.starts_with('@'), "render was {r}");
-        assert!(r.ends_with('!'));
-        assert_eq!(r.len(), ResponseHistogram::BUCKETS + 1);
     }
 }

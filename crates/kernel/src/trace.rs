@@ -118,16 +118,6 @@ impl Trace {
     pub fn count(&self, mut pred: impl FnMut(&TraceEvent) -> bool) -> usize {
         self.events.iter().filter(|(_, e)| pred(e)).count()
     }
-
-    /// Renders the trace as one line per event (`time  event`).
-    pub fn render(&self) -> String {
-        use core::fmt::Write;
-        let mut out = String::new();
-        for (t, e) in self.iter() {
-            let _ = writeln!(out, "{t:>12}  {e}");
-        }
-        out
-    }
 }
 
 /// Records the event stream verbatim. The trace is complete only for a
@@ -221,27 +211,6 @@ mod tests {
         }
         assert_eq!(tr.window(Time::from_us(0), Time::from_us(100)).count(), 2);
         assert_eq!(tr.window(Time::from_us(50), Time::from_us(101)).count(), 2);
-    }
-
-    #[test]
-    fn render_mentions_every_event() {
-        let mut tr = Trace::new();
-        tr.push(
-            Time::from_us(160),
-            TraceEvent::RampStart {
-                from: Freq::from_mhz(100),
-                to: Freq::from_mhz(50),
-            },
-        );
-        tr.push(
-            Time::from_us(180),
-            TraceEvent::EnterPowerDown {
-                wake_at: Time::from_us(200),
-            },
-        );
-        let text = tr.render();
-        assert!(text.contains("ramp start 100MHz -> 50MHz"));
-        assert!(text.contains("power-down (wake at 200us)"));
     }
 
     #[test]

@@ -68,7 +68,7 @@ impl MultiCell {
     /// The horizon every derived core cell runs to (before sweep scaling):
     /// the base cell's explicit horizon, or `default_horizon` of the
     /// scaled fleet set — shared across cores so per-core reports align.
-    pub fn shared_horizon(&self) -> Dur {
+    fn shared_horizon(&self) -> Dur {
         self.base.horizon.unwrap_or_else(|| {
             default_horizon(&self.base.ts.with_bcet_fraction(self.base.bcet_fraction))
         })
@@ -82,7 +82,8 @@ impl MultiCell {
     ///   declaration order, RM priorities re-derived);
     /// * `seed` and `faults.seed` re-key through [`core_seed`] — identity
     ///   on core 0, so a one-core run is byte-equal to the base cell;
-    /// * the horizon is pinned to [`Self::shared_horizon`] on every core;
+    /// * the horizon is pinned on every core to the base cell's explicit
+    ///   horizon, or else the default horizon of the scaled fleet set;
     /// * `app` becomes `"{base}.c{k}"` (unchanged when `cores == 1`);
     /// * everything else (cpu, policy, exec, BCET fraction, overheads,
     ///   tick) copies verbatim.

@@ -115,11 +115,6 @@ pub struct Partition {
 }
 
 impl Partition {
-    /// The number of cores (including idle ones).
-    pub fn core_count(&self) -> usize {
-        self.cores.len()
-    }
-
     /// How many tasks landed on core `k`.
     pub fn tasks_on(&self, k: usize) -> usize {
         self.assignment.iter().filter(|&&c| c == k).count()

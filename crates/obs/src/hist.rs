@@ -135,7 +135,7 @@ impl LogHistogram {
     /// cumulative count reaches `ceil(count * num / den)`, clamped into
     /// the observed `[min, max]`. Integer arithmetic throughout — a pure
     /// function of the bucket counts. Returns 0 on an empty histogram.
-    pub fn quantile(&self, num: u64, den: u64) -> u64 {
+    fn quantile(&self, num: u64, den: u64) -> u64 {
         if self.is_empty() || den == 0 {
             return 0;
         }

@@ -8,9 +8,10 @@
 //! # lpfps-obs
 //!
 //! The observability layer of the LPFPS reproduction: everything that
-//! *watches* a simulation without being allowed to *change* it.
+//! *watches* a simulation without being allowed to *change* it. The
+//! kernel only simulates; every view of a run lives here.
 //!
-//! Three pieces, layered on the kernel's [`lpfps_kernel::probe::Probe`]
+//! Five pieces, layered on the kernel's [`lpfps_kernel::probe::Probe`]
 //! seam:
 //!
 //! * [`probe`] — recording probes. [`JobRecorder`] streams per-job
@@ -25,6 +26,11 @@
 //!   ([`export_chrome_trace`]) rendering any `Trace` as a document
 //!   `chrome://tracing` / ui.perfetto.dev loads directly, plus an
 //!   independent schema validator ([`validate_chrome_trace`]).
+//! * [`gantt`] — the schedule reconstructed from a `Trace` as execution
+//!   segments ([`gantt::Gantt`]), rendered as a text chart; the Perfetto
+//!   task lanes are built from it.
+//! * [`text`] — the other terminal views: the event list, the detailed
+//!   report and a one-line summary.
 //!
 //! "Observability is free" is enforced, not assumed: the bench crate
 //! re-runs the 24-cell golden fingerprint matrix and the oracle
@@ -32,9 +38,11 @@
 //! property suite does the same over arbitrary workloads and fault
 //! streams.
 
+pub mod gantt;
 pub mod hist;
 pub mod perfetto;
 pub mod probe;
+pub mod text;
 
 pub use hist::{HistSummary, LogHistogram};
 pub use perfetto::{export_chrome_trace, validate_chrome_trace, ChromeTraceStats};

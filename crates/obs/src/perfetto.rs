@@ -21,8 +21,8 @@
 //! schema check: it re-parses the JSON through `serde_json` and verifies
 //! the `ph` codes, timestamp monotonicity, and per-lane `B`/`E` nesting.
 
+use crate::gantt::Gantt;
 use lpfps_cpu::state::CpuState;
-use lpfps_kernel::gantt::Gantt;
 use lpfps_kernel::trace::{Trace, TraceEvent};
 use lpfps_tasks::taskset::TaskSet;
 use lpfps_tasks::time::Time;

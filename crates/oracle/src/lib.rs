@@ -13,13 +13,13 @@
 //!
 //! Three independent lines of defense:
 //!
-//! * [`sim::oracle_simulate`] — a deliberately *naive* reference
+//! * [`sim::oracle_simulate_for`] — a deliberately *naive* reference
 //!   simulator: a direct transcription of the paper's Figure 4 with no
 //!   ramp-power table, no workspace reuse, and dumb queue structures. The
 //!   differential tests assert the optimized engine matches it **field
 //!   for field, bit for bit** on the full workload × policy × fault
 //!   matrix. Like the engine, it is generic over the dispatch discipline
-//!   and streams its events to a probe ([`sim::oracle_simulate_for`]).
+//!   and streams its events to a probe.
 //! * [`invariants::check_report`] — a trace checker enforcing the paper's
 //!   guarantees as machine-checked invariants (dispatch order under the
 //!   report's discipline — fixed-priority or EDF — full-speed releases,
@@ -41,4 +41,4 @@ pub mod sim;
 pub use diff::{first_divergence, first_trace_divergence, Divergence};
 pub use invariants::{check_report, check_theorem1, Violation};
 pub use run::oracle_run;
-pub use sim::{oracle_simulate, oracle_simulate_for};
+pub use sim::oracle_simulate_for;

@@ -21,7 +21,7 @@ use lpfps_tasks::taskset::TaskSet;
 ///
 /// # Errors
 ///
-/// As [`crate::sim::oracle_simulate`].
+/// As [`crate::sim::oracle_simulate_for`].
 pub fn oracle_run<P: Probe>(
     ts: &TaskSet,
     cpu: &CpuSpec,

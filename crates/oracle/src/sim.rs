@@ -31,11 +31,11 @@ use lpfps_cpu::ramp::Ramp;
 use lpfps_cpu::spec::CpuSpec;
 use lpfps_cpu::state::CpuState;
 use lpfps_cpu::EnergyMeter;
-use lpfps_kernel::discipline::{Discipline, FixedPriority};
+use lpfps_kernel::discipline::Discipline;
 use lpfps_kernel::engine::{validate_sim_config, SimConfig};
 use lpfps_kernel::error::{BudgetKind, PartialDiagnostic, SimError};
 use lpfps_kernel::policy::{ActiveView, FaultEvent, PowerDirective, PowerPolicy, SchedulerContext};
-use lpfps_kernel::probe::{NoProbe, Probe};
+use lpfps_kernel::probe::Probe;
 use lpfps_kernel::report::{Counters, DeadlineMiss, ResponseStats, SimReport};
 use lpfps_kernel::stats::{IntervalStats, ResponseHistogram};
 use lpfps_kernel::trace::TraceEvent;
@@ -141,37 +141,23 @@ fn noticed_release(cfg: &SimConfig, tid: TaskId, job_index: u64, arrival: Time) 
     quantize_to_tick(jittered, cfg.tick)
 }
 
-/// Runs one reference simulation of `ts` on `cpu` under `policy`.
-///
-/// Same contract as [`lpfps_kernel::engine::simulate`]: malformed inputs,
-/// exhausted budgets, and illegal policy directives surface as the *same*
-/// typed [`SimError`] the engine returns (the validators are shared, so
-/// error paths stay diffable field for field); deadline misses are
-/// recorded, not fatal. On success the report must equal the engine's
-/// field for field (see the differential tests).
-///
-/// # Errors
-///
-/// As [`lpfps_kernel::engine::simulate`].
-pub fn oracle_simulate(
-    ts: &TaskSet,
-    cpu: &CpuSpec,
-    policy: &mut dyn PowerPolicy,
-    exec: &dyn ExecModel,
-    cfg: &SimConfig,
-) -> Result<SimReport, SimError> {
-    oracle_simulate_for::<FixedPriority, NoProbe>(ts, cpu, policy, exec, cfg, &mut NoProbe)
-}
-
-/// [`oracle_simulate`] under an explicit dispatch discipline `D`, with a
-/// [`Probe`] receiving every event — the reference counterpart of
-/// [`lpfps_kernel::engine::simulate_in`]. The oracle never fast-forwards,
-/// so a [`Trace`](lpfps_kernel::trace::Trace) probe always records the
+/// Runs one reference simulation of `ts` on `cpu` under `policy` and
+/// dispatch discipline `D`, with a [`Probe`] receiving every event — the
+/// reference counterpart of [`lpfps_kernel::engine::simulate_in`]. The
+/// oracle never fast-forwards, so a
+/// [`Trace`](lpfps_kernel::trace::Trace) probe always records the
 /// complete run.
 ///
+/// Same contract as the engine: malformed inputs, exhausted budgets, and
+/// illegal policy directives surface as the *same* typed [`SimError`] the
+/// engine returns (the validators are shared, so error paths stay
+/// diffable field for field); deadline misses are recorded, not fatal. On
+/// success the report must equal the engine's field for field (see the
+/// differential tests).
+///
 /// # Errors
 ///
-/// As [`oracle_simulate`].
+/// As [`lpfps_kernel::engine::simulate_in`].
 pub fn oracle_simulate_for<D: Discipline, P: Probe>(
     ts: &TaskSet,
     cpu: &CpuSpec,

@@ -86,7 +86,7 @@ fn clean_runs_satisfy_every_invariant() {
 /// zero violations, non-overlapping segments, exact busy attribution.
 #[test]
 fn gantt_agrees_with_the_checker_on_preempt_at_completion_ties() {
-    use lpfps_kernel::gantt::Gantt;
+    use lpfps_obs::gantt::Gantt;
     use lpfps_tasks::task::Task;
     // hi releases at t = 50 us exactly as lo retires its 40 us of work
     // (hi 0..10, lo 10..50): a tie at every hi period boundary.

@@ -5,12 +5,16 @@
 //! nothing) and only discovered a missing `--json` path when the iterator
 //! happened to reach it. This module gives all binaries one strict parser:
 //!
-//! * uniform flags: `--json PATH`, `--metrics PATH`, `--threads N`,
-//!   `--horizon-scale F`, `--check N`, `--hist`, `--trace-out PATH`,
-//!   `--quiet`, `--help`;
+//! * uniform flags: `--quiet`, `--help`;
+//! * `--json PATH` only where the binary writes results (`json`), and the
+//!   sweep flags `--json PATH`, `--metrics PATH`, `--threads N`,
+//!   `--horizon-scale F`, `--check N`, `--hist`, `--trace-out PATH` only
+//!   where it runs a sweep (`sweep`);
 //! * binary-specific flags declared up front (`opt` / `switch`), and
 //!   `--seeds N` only where the binary reads it (`default_seeds`);
 //! * *errors* on unknown flags, missing values, and unparsable numbers.
+//!
+//! A flag a binary would ignore is therefore an unknown flag there.
 
 use crate::runner::{RunOptions, SweepOutcome};
 use crate::spec::SweepSpec;
@@ -75,21 +79,42 @@ struct SwitchSpec {
 pub struct Cli {
     name: &'static str,
     about: &'static str,
+    json: bool,
+    sweep: bool,
     default_seeds: Option<u64>,
     opts: Vec<OptSpec>,
     switches: Vec<SwitchSpec>,
 }
 
 impl Cli {
-    /// A CLI with the uniform sweep flags and no binary-specific ones.
+    /// A CLI that accepts only `--quiet` and `--help`.
     pub fn new(name: &'static str, about: &'static str) -> Self {
         Cli {
             name,
             about,
+            json: false,
+            sweep: false,
             default_seeds: None,
             opts: Vec::new(),
             switches: Vec::new(),
         }
+    }
+
+    /// Declares `--json PATH`, for a binary whose tables are computed
+    /// rather than swept ([`Parsed::write_json`]).
+    pub fn json(mut self) -> Self {
+        self.json = true;
+        self
+    }
+
+    /// Declares `--json` and the sweep flags (`--metrics`, `--threads`,
+    /// `--horizon-scale`, `--check`, `--hist`, `--trace-out`): only a
+    /// binary that runs a sweep through [`Parsed::run_options`] and
+    /// [`Parsed::emit`] accepts them.
+    pub fn sweep(mut self) -> Self {
+        self.json = true;
+        self.sweep = true;
+        self
     }
 
     /// Declares `--seeds N` with its default: only a binary that sweeps
@@ -153,43 +178,46 @@ impl Cli {
         for s in &self.switches {
             row(s.flag, s.help);
         }
-        row(
-            "--json <PATH>",
-            "write deterministic results as pretty JSON",
-        );
-        row(
-            "--metrics <PATH>",
-            "write SweepMetrics (wall times, throughput) as JSON",
-        );
-        row("--threads <N>", "worker threads [default: all cores]");
+        if self.json {
+            row(
+                "--json <PATH>",
+                "write deterministic results as pretty JSON",
+            );
+        }
+        if self.sweep {
+            row(
+                "--metrics <PATH>",
+                "write SweepMetrics (wall times, throughput) as JSON",
+            );
+            row("--threads <N>", "worker threads [default: all cores]");
+            row(
+                "--horizon-scale <F>",
+                "stretch every cell's horizon by F [default: 1.0]",
+            );
+            row(
+                "--check <N>",
+                "invariant-check N sampled cells after the sweep [default: 0 = off]",
+            );
+            row(
+                "--hist",
+                "collect per-job response/energy histograms (deterministic percentiles)",
+            );
+            row(
+                "--trace-out <PATH>",
+                "export the first completed cell's schedule as Perfetto/Chrome-trace JSON",
+            );
+        }
         if let Some(n) = self.default_seeds {
             let help = format!("execution-time seeds per cell (0..N) [default: {n}]");
             row("--seeds <N>", &help);
         }
-        row(
-            "--horizon-scale <F>",
-            "stretch every cell's horizon by F [default: 1.0]",
-        );
-        row(
-            "--check <N>",
-            "invariant-check N sampled cells after the sweep [default: 0 = off]",
-        );
-        row(
-            "--hist",
-            "collect per-job response/energy histograms (deterministic percentiles)",
-        );
-        row(
-            "--trace-out <PATH>",
-            "export the first completed cell's schedule as Perfetto/Chrome-trace JSON",
-        );
         row("--quiet", "suppress per-cell progress on stderr");
         row("--help", "print this help");
         out
     }
 
-    /// Parses explicit arguments (no program name). Used directly by tests;
-    /// binaries go through [`Cli::parse`].
-    pub fn try_parse(&self, args: &[String]) -> Result<Parsed, CliError> {
+    /// Parses explicit arguments (no program name).
+    fn try_parse(&self, args: &[String]) -> Result<Parsed, CliError> {
         let mut parsed = Parsed {
             json: None,
             metrics: None,
@@ -219,23 +247,23 @@ impl Cli {
             match arg.as_str() {
                 "--help" | "-h" => parsed.help = true,
                 "--quiet" => parsed.quiet = true,
-                "--hist" => parsed.hist = true,
-                "--trace-out" => parsed.trace_out = Some(value_for("--trace-out")?),
-                "--json" => parsed.json = Some(value_for("--json")?),
-                "--metrics" => parsed.metrics = Some(value_for("--metrics")?),
-                "--threads" => {
+                "--json" if self.json => parsed.json = Some(value_for("--json")?),
+                "--hist" if self.sweep => parsed.hist = true,
+                "--trace-out" if self.sweep => parsed.trace_out = Some(value_for(arg)?),
+                "--metrics" if self.sweep => parsed.metrics = Some(value_for(arg)?),
+                "--threads" if self.sweep => {
                     let n = number(arg, value_for(arg)?, "positive integer", |&n| n > 0)?;
                     parsed.threads = Some(n);
                 }
                 "--seeds" if self.default_seeds.is_some() => {
                     parsed.seeds = number(arg, value_for(arg)?, "positive integer", |&n| n > 0)?;
                 }
-                "--horizon-scale" => {
+                "--horizon-scale" if self.sweep => {
                     let positive = |&f: &f64| f.is_finite() && f > 0.0;
                     parsed.horizon_scale =
                         number(arg, value_for(arg)?, "positive number", positive)?;
                 }
-                "--check" => {
+                "--check" if self.sweep => {
                     parsed.check = number(arg, value_for(arg)?, "non-negative integer", |_| true)?;
                 }
                 flag if self.switches.iter().any(|s| s.flag == flag) => {
@@ -452,6 +480,7 @@ mod tests {
 
     fn cli() -> Cli {
         Cli::new("test_sweep", "a test CLI")
+            .sweep()
             .default_seeds(3)
             .opt("--app", "NAME", "application to run")
             .switch("--gantt", "render a Gantt chart")
@@ -623,8 +652,8 @@ mod tests {
 
     #[test]
     fn non_finite_and_non_positive_horizon_scales_are_errors() {
-        // Regression: these used to reach `RunOptions::with_horizon_scale`
-        // (an assert) or, worse, silently produce zero-length horizons.
+        // Regression: these used to reach an assert in the runner or,
+        // worse, silently produce zero-length horizons.
         for bad in ["NaN", "nan", "0", "0.0", "-1", "inf", "-inf", "infinity"] {
             assert!(
                 matches!(
@@ -658,6 +687,43 @@ mod tests {
         );
         assert!(!plain.usage().contains("--seeds"));
         assert_eq!(plain.try_parse(&[]).unwrap().seed_list(), vec![0]);
+    }
+
+    /// `--json` and the sweep flags exist only where declared: a binary
+    /// that would ignore them rejects them as unknown, and its usage text
+    /// does not list them.
+    #[test]
+    fn sweep_flags_are_accepted_only_where_declared() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let sweep_flags: [&[&str]; 6] = [
+            &["--threads", "3"],
+            &["--check", "2"],
+            &["--hist"],
+            &["--metrics", "m.json"],
+            &["--horizon-scale", "0.5"],
+            &["--trace-out", "t.json"],
+        ];
+        let (bare, json) = (Cli::new("t", "t"), Cli::new("t", "t").json());
+        for flag in sweep_flags {
+            for cli in [&bare, &json] {
+                assert_eq!(
+                    cli.try_parse(&args(flag)),
+                    Err(CliError::UnknownFlag(flag[0].into()))
+                );
+                assert!(!cli.usage().contains(flag[0]), "{}", flag[0]);
+            }
+            assert!(cli().try_parse(&args(flag)).is_ok());
+        }
+        assert_eq!(
+            bare.try_parse(&args(&["--json", "out.json"])),
+            Err(CliError::UnknownFlag("--json".into()))
+        );
+        assert!(!bare.usage().contains("--json"));
+        let p = json
+            .try_parse(&args(&["--json", "out.json", "--quiet"]))
+            .unwrap();
+        assert_eq!(p.json.as_deref(), Some("out.json"));
+        assert!(p.quiet && json.usage().contains("--json"));
     }
 
     #[test]

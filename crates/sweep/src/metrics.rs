@@ -34,7 +34,7 @@ pub struct CellMetrics {
 
 impl CellMetrics {
     /// Events per second for this cell alone.
-    pub fn events_per_sec(&self) -> f64 {
+    fn events_per_sec(&self) -> f64 {
         if self.wall_ns == 0 {
             0.0
         } else {
@@ -85,7 +85,7 @@ pub struct SweepMetrics {
 
 impl SweepMetrics {
     /// Cells completed per wall-clock second.
-    pub fn cells_per_sec(&self) -> f64 {
+    fn cells_per_sec(&self) -> f64 {
         if self.wall_ns == 0 {
             0.0
         } else {
@@ -95,7 +95,7 @@ impl SweepMetrics {
 
     /// Kernel decision points processed per wall-clock second, across all
     /// workers — the sweep engine's headline throughput number.
-    pub fn events_per_sec(&self) -> f64 {
+    fn events_per_sec(&self) -> f64 {
         if self.wall_ns == 0 {
             0.0
         } else {

@@ -85,25 +85,6 @@ impl RunOptions {
         self.threads = threads.max(1);
         self
     }
-
-    pub fn with_horizon_scale(mut self, scale: f64) -> Self {
-        assert!(scale > 0.0, "horizon scale must be positive");
-        self.horizon_scale = scale;
-        self
-    }
-
-    /// Enables the post-sweep invariant sampling pass over `n` cells.
-    pub fn with_check_sample(mut self, n: usize) -> Self {
-        self.check_sample = n;
-        self
-    }
-
-    /// Enables per-job histogram collection (see
-    /// [`RunOptions::collect_histograms`]).
-    pub fn with_histograms(mut self) -> Self {
-        self.collect_histograms = true;
-        self
-    }
 }
 
 /// Everything a sweep produces: full reports and deterministic summaries
@@ -447,7 +428,11 @@ mod tests {
         let mut spec = SweepSpec::new("ff");
         spec.push(Cell::new(ts, CpuSpec::arm8(), PolicyKind::Lpfps));
         let scale = 8.0;
-        let fast = run_sweep(&spec, &RunOptions::serial().with_horizon_scale(scale));
+        let opts = RunOptions {
+            horizon_scale: scale,
+            ..RunOptions::serial()
+        };
+        let fast = run_sweep(&spec, &opts);
         assert!(fast.metrics.cycles_detected > 0, "detector must engage");
         assert!(fast.metrics.events_skipped > 0);
         let mut ws = SimWorkspace::new();
@@ -470,16 +455,17 @@ mod tests {
     #[test]
     fn histograms_are_byte_identical_across_thread_counts() {
         let spec = spec();
-        let base = run_sweep(&spec, &RunOptions::serial().with_histograms());
+        let hist = RunOptions {
+            collect_histograms: true,
+            ..RunOptions::serial()
+        };
+        let base = run_sweep(&spec, &hist);
         let ref_results = serde_json::to_string(&base.results).unwrap();
         let ref_resp = base.metrics.response_ns.expect("histograms collected");
         let ref_energy = base.metrics.job_energy_fj.expect("histograms collected");
         assert!(ref_resp.count > 0 && ref_energy.count > 0);
         for threads in 2..=8 {
-            let out = run_sweep(
-                &spec,
-                &RunOptions::serial().with_histograms().with_threads(threads),
-            );
+            let out = run_sweep(&spec, &hist.clone().with_threads(threads));
             let json = serde_json::to_string(&out.results).unwrap();
             assert_eq!(json, ref_results, "results diverged at {threads} threads");
             assert_eq!(out.metrics.response_ns.unwrap(), ref_resp);
@@ -494,7 +480,11 @@ mod tests {
     fn histogram_collection_leaves_reports_untouched() {
         let spec = spec();
         let plain = run_sweep(&spec, &RunOptions::serial());
-        let probed = run_sweep(&spec, &RunOptions::serial().with_histograms());
+        let hist = RunOptions {
+            collect_histograms: true,
+            ..RunOptions::serial()
+        };
+        let probed = run_sweep(&spec, &hist);
         for (a, b) in plain.reports.iter().zip(probed.reports.iter()) {
             let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
             assert_eq!(
@@ -518,7 +508,11 @@ mod tests {
     #[test]
     fn horizon_scale_stretches_the_run() {
         let spec = spec();
-        let short = run_sweep(&spec, &RunOptions::serial().with_horizon_scale(0.5));
+        let half = RunOptions {
+            horizon_scale: 0.5,
+            ..RunOptions::serial()
+        };
+        let short = run_sweep(&spec, &half);
         let long = run_sweep(&spec, &RunOptions::serial());
         assert!(short.metrics.total_events < long.metrics.total_events);
         assert!(short.report(0).unwrap().horizon < long.report(0).unwrap().horizon);

@@ -159,13 +159,6 @@ pub fn busy_period_responses(ts: &TaskSet) -> Option<Vec<BusyPeriodOutcome>> {
     )
 }
 
-/// Exact schedulability via the busy-period oracle.
-pub fn busy_period_schedulable(ts: &TaskSet) -> bool {
-    busy_period_responses(ts)
-        .map(|out| out.iter().all(|o| o.is_schedulable()))
-        .unwrap_or(false)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,7 +182,7 @@ mod tests {
         for (s, r) in sim.iter().zip(rta) {
             assert_eq!(s.response(), r.response().unwrap());
         }
-        assert!(busy_period_schedulable(&ts));
+        assert!(sim.iter().all(|o| o.is_schedulable()));
     }
 
     #[test]
@@ -199,14 +192,12 @@ mod tests {
         assert!(sim[0].is_schedulable());
         assert!(sim[1].is_schedulable());
         assert!(!sim[2].is_schedulable());
-        assert!(!busy_period_schedulable(&ts));
     }
 
     #[test]
     fn overutilized_sets_are_rejected_upfront() {
         let ts = set(&[(10, 6), (20, 12)]);
         assert_eq!(busy_period_responses(&ts), None);
-        assert!(!busy_period_schedulable(&ts));
     }
 
     #[test]

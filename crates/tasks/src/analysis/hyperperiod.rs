@@ -1,4 +1,4 @@
-//! Hyperperiod computation and job counting.
+//! Hyperperiod computation.
 //!
 //! The hyperperiod (LCM of all periods) is the natural simulation horizon:
 //! after one hyperperiod a synchronous periodic schedule repeats exactly.
@@ -46,14 +46,6 @@ pub fn hyperperiod(ts: &TaskSet) -> Option<Dur> {
     Some(Dur::from_ns(lcm as u64))
 }
 
-/// The number of jobs the whole set releases in `[0, horizon)` for a
-/// synchronous (zero-phase) release pattern: `sum(ceil(horizon / T_i))`.
-pub fn job_count_in(ts: &TaskSet, horizon: Dur) -> u64 {
-    ts.iter()
-        .map(|(_, t, _)| horizon.as_ns().div_ceil(t.period().as_ns()))
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,15 +81,5 @@ mod tests {
         // LCM in nanoseconds exceeds u64.
         let ts = set(&[999_999_937, 999_999_893, 999_999_883]);
         assert_eq!(hyperperiod(&ts), None);
-    }
-
-    #[test]
-    fn job_count_counts_partial_periods() {
-        let ts = set(&[50, 80, 100]);
-        // In [0, 400us): 8 + 5 + 4 jobs.
-        assert_eq!(job_count_in(&ts, Dur::from_us(400)), 17);
-        // In [0, 401us): the 401st microsecond starts nothing new but ceil
-        // counts the partially covered periods: 9 + 6 + 5.
-        assert_eq!(job_count_in(&ts, Dur::from_us(401)), 20);
     }
 }

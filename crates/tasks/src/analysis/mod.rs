@@ -7,30 +7,26 @@
 //! analysis declares schedulable must never miss a deadline in simulation
 //! at any speed-scaling policy.
 //!
-//! * [`utilization`] — Liu–Layland bound and the hyperbolic bound
-//!   (sufficient tests).
+//! * [`utilization`] — the Liu–Layland bound (a sufficient test).
 //! * [`response_time`](mod@response_time) — exact response-time analysis
-//!   (Joseph & Pandya; Audsley et al.), with optional release jitter,
-//!   blocking, and per-preemption overhead terms.
-//! * [`hyperperiod`](mod@hyperperiod) — LCM of periods and job counting.
+//!   (Joseph & Pandya; Audsley et al.), with optional release jitter and
+//!   per-preemption overhead terms.
+//! * [`hyperperiod`](mod@hyperperiod) — LCM of periods.
 //! * [`breakdown`] — breakdown utilization by binary-search scaling.
 //! * [`busy_period`] — exact schedulability by synchronous busy-period
 //!   simulation (an oracle independent of the RTA fixed point).
 //! * [`sensitivity`] — per-task slack and critical scaling factors.
-//! * [`opa`] — Audsley's optimal priority assignment.
 
 pub mod breakdown;
 pub mod busy_period;
 pub mod hyperperiod;
-pub mod opa;
 pub mod response_time;
 pub mod sensitivity;
 pub mod utilization;
 
 pub use breakdown::breakdown_utilization;
-pub use busy_period::{busy_period_responses, busy_period_schedulable, BusyPeriodOutcome};
-pub use hyperperiod::{hyperperiod, job_count_in};
-pub use opa::audsley;
+pub use busy_period::{busy_period_responses, BusyPeriodOutcome};
+pub use hyperperiod::hyperperiod;
 pub use response_time::{response_time, response_times, rta_schedulable, RtaConfig, RtaOutcome};
 pub use sensitivity::{critical_scaling_factor, slack};
-pub use utilization::{hyperbolic_bound, liu_layland_bound, utilization_schedulable};
+pub use utilization::{liu_layland_bound, utilization_schedulable};

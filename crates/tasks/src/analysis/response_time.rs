@@ -4,14 +4,13 @@
 //! The worst-case response time of task `i` is the smallest fixed point of
 //!
 //! ```text
-//! R_i = C_i + B_i + sum_{j in hp(i)} ceil((R_i + J_j) / T_j) * C_j
+//! R_i = C_i + sum_{j in hp(i)} ceil((R_i + J_j) / T_j) * C_j
 //! ```
 //!
 //! (Joseph & Pandya 1986; Audsley et al. 1993), where `hp(i)` are the tasks
-//! with higher priority, `B_i` is a blocking term, and `J_j` is release
-//! jitter. Task `i` is schedulable iff `R_i + J_i <= D_i`. The iteration is
-//! exact for `D <= T` task sets, which is the model of the paper (one live
-//! job per task).
+//! with higher priority and `J_j` is release jitter. Task `i` is
+//! schedulable iff `R_i + J_i <= D_i`. The iteration is exact for `D <= T`
+//! task sets, which is the model of the paper (one live job per task).
 
 use crate::task::TaskId;
 use crate::taskset::TaskSet;
@@ -34,9 +33,6 @@ pub struct RtaConfig {
     /// Cost of one context switch; every job is charged two (in and out), the
     /// standard inflation of Katcher et al.'s kernel analysis.
     pub context_switch: Dur,
-    /// Uniform blocking term `B` added to every task's demand (e.g. from
-    /// non-preemptible kernel sections).
-    pub blocking: Dur,
     /// Uniform release jitter `J` applied to every task.
     pub release_jitter: Dur,
 }
@@ -45,12 +41,6 @@ impl RtaConfig {
     /// Sets the per-context-switch cost.
     pub fn with_context_switch(mut self, cs: Dur) -> Self {
         self.context_switch = cs;
-        self
-    }
-
-    /// Sets the uniform blocking term.
-    pub fn with_blocking(mut self, b: Dur) -> Self {
-        self.blocking = b;
         self
     }
 
@@ -110,7 +100,7 @@ pub fn response_time(ts: &TaskSet, id: TaskId, cfg: &RtaConfig) -> RtaOutcome {
         })
         .collect();
 
-    let base = (my_c + cfg.blocking).as_ns() as u128;
+    let base = my_c.as_ns() as u128;
     let jitter = cfg.release_jitter.as_ns() as u128;
     let limit = deadline_budget.as_ns() as u128;
 
@@ -213,13 +203,6 @@ mod tests {
         assert_eq!(r[0], RtaOutcome::Schedulable(Dur::from_us(12)));
         // tau3 was exactly at its deadline, so any overhead breaks it.
         assert_eq!(r[2], RtaOutcome::Unschedulable);
-    }
-
-    #[test]
-    fn blocking_term_adds_to_every_task() {
-        let cfg = RtaConfig::default().with_blocking(Dur::from_us(5));
-        let r = response_times(&table1(), &cfg);
-        assert_eq!(r[0], RtaOutcome::Schedulable(Dur::from_us(15)));
     }
 
     #[test]

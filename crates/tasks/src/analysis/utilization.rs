@@ -29,15 +29,6 @@ pub fn liu_layland_bound(n: usize) -> f64 {
     n * (2f64.powf(1.0 / n) - 1.0)
 }
 
-/// The hyperbolic bound of Bini, Buttazzo & Buttazzo: a set of
-/// implicit-deadline tasks is RM-schedulable if `prod(U_i + 1) <= 2`.
-///
-/// Strictly less pessimistic than the Liu–Layland bound.
-pub fn hyperbolic_bound(ts: &TaskSet) -> bool {
-    let product: f64 = ts.iter().map(|(_, t, _)| t.utilization() + 1.0).product();
-    product <= 2.0 + 1e-12
-}
-
 /// Sufficient utilization test: true if the total utilization is within the
 /// Liu–Layland bound for the set's size.
 ///
@@ -77,26 +68,15 @@ mod tests {
     fn low_utilization_set_passes() {
         let ts = set(&[(100, 10), (200, 20)]); // U = 0.2
         assert!(utilization_schedulable(&ts));
-        assert!(hyperbolic_bound(&ts));
     }
 
     #[test]
     fn table1_fails_sufficient_tests_but_exists() {
-        // The paper's Table 1 set has U = 0.85 > LL(3) = 0.7797 and
-        // prod(U_i+1) = 1.2*1.25*1.4 = 2.1 > 2, yet it is schedulable by the
-        // exact test — these sufficient tests are allowed to say "unknown".
+        // The paper's Table 1 set has U = 0.85 > LL(3) = 0.7797, yet it is
+        // schedulable by the exact test — a sufficient test is allowed to
+        // say "unknown".
         let ts = set(&[(50, 10), (80, 20), (100, 40)]);
         assert!(!utilization_schedulable(&ts));
-        assert!(!hyperbolic_bound(&ts));
-    }
-
-    #[test]
-    fn hyperbolic_dominates_liu_layland() {
-        // A 3-task set with U = 0.78 just above LL(3)=0.7798 can still pass
-        // the hyperbolic test when utilizations are uneven.
-        let ts = set(&[(100, 60), (1000, 100), (1250, 100)]); // 0.6+0.1+0.08=0.78
-        assert!(!utilization_schedulable(&ts));
-        assert!(hyperbolic_bound(&ts)); // 1.6*1.1*1.08 = 1.9008 <= 2
     }
 
     #[test]

@@ -148,9 +148,8 @@ impl fmt::Display for TaskSetError {
 impl std::error::Error for TaskSetError {}
 
 /// Checks one task against the structural rules, without constructing
-/// anything. Used by [`Task::validated`](crate::task::Task::validated) and
-/// by boundary re-validation of deserialized tasks.
-pub fn validate_task(task: &Task) -> Result<(), TaskSetError> {
+/// anything: the per-task half of [`validate_task_set`].
+fn validate_task(task: &Task) -> Result<(), TaskSetError> {
     let name = || task.name().to_string();
     if task.period().is_zero() {
         return Err(TaskSetError::ZeroPeriod { task: name() });

@@ -30,11 +30,6 @@ impl Bimodal {
         );
         Bimodal { p_wcet }
     }
-
-    /// The probability of a worst-case job.
-    pub fn p_wcet(&self) -> f64 {
-        self.p_wcet
-    }
 }
 
 impl ExecModel for Bimodal {

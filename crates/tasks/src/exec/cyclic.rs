@@ -45,11 +45,6 @@ impl Cyclic {
             jitter_frac,
         }
     }
-
-    /// The cycle length in jobs.
-    pub fn cycle_jobs(&self) -> u64 {
-        self.cycle_jobs
-    }
 }
 
 impl ExecModel for Cyclic {

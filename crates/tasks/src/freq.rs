@@ -44,11 +44,6 @@ impl Freq {
         self.0
     }
 
-    /// The frequency in megahertz, truncated.
-    pub const fn as_mhz(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// The frequency in hertz.
     pub const fn as_hz(self) -> u64 {
         self.0 * 1_000
@@ -116,7 +111,6 @@ mod tests {
     #[test]
     fn constructors_and_accessors() {
         assert_eq!(Freq::from_mhz(8).as_khz(), 8_000);
-        assert_eq!(Freq::from_khz(2_500).as_mhz(), 2);
         assert_eq!(Freq::from_mhz(100).as_hz(), 100_000_000);
     }
 

@@ -19,9 +19,9 @@
 //!   instants, kilohertz clocks, cycle counts) shared by all crates.
 //! * [`task`], [`taskset`], [`priority`] — the periodic task model with
 //!   rate-/deadline-monotonic priority assignment.
-//! * [`analysis`] — Liu–Layland and hyperbolic utilization bounds, exact
-//!   response-time analysis, hyperperiods, breakdown utilization, and
-//!   Audsley's optimal priority assignment.
+//! * [`analysis`] — the Liu–Layland utilization bound, exact response-time
+//!   analysis, busy-period simulation, hyperperiods, breakdown
+//!   utilization, and sensitivity analysis.
 //! * [`exec`] — realized per-job execution-time models, including the
 //!   paper's clamped Gaussian (Eqs. 4–5).
 //! * [`gen`] — UUniFast synthetic task-set generation for sweeps.

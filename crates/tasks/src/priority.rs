@@ -5,9 +5,7 @@
 //! Burns et al.) generalizes to constrained deadlines and is provably
 //! optimal among fixed-priority assignments for them. Both are provided
 //! here as pure functions from a task slice to a priority vector, plus a
-//! generic "order by key" worker they share. Audsley's optimal priority
-//! assignment, which needs a schedulability test, lives in
-//! [`crate::analysis::opa`].
+//! generic "order by key" worker they share.
 
 use crate::task::{Priority, Task};
 use crate::time::Dur;

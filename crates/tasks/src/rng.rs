@@ -41,23 +41,12 @@ impl SplitMix64 {
         ((self.next_u64() >> 11) + 1) as f64 * (1.0 / ((1u64 << 53) as f64 + 2.0))
     }
 
-    /// Two independent standard-normal draws via the Box–Muller transform.
+    /// One standard-normal draw via the cosine half of the Box–Muller
+    /// transform (two uniforms consumed per draw).
     ///
     /// Hand-rolled because `rand_distr` is outside the approved dependency
     /// set; Box–Muller is exact (no rejection loop), keeping the stream's
     /// draw count fixed per job.
-    pub fn next_gaussian_pair(&mut self) -> (f64, f64) {
-        let u1 = self.next_f64_open();
-        let u2 = self.next_f64();
-        let r = (-2.0 * u1.ln()).sqrt();
-        let theta = 2.0 * core::f64::consts::PI * u2;
-        (r * theta.cos(), r * theta.sin())
-    }
-
-    /// One standard-normal draw: bit-identical to the *first* element of
-    /// [`SplitMix64::next_gaussian_pair`] (same two uniforms consumed, same
-    /// float ops), without evaluating the discarded `sin` branch — the
-    /// per-release fast path for samplers that use one draw per job.
     pub fn next_gaussian(&mut self) -> f64 {
         let u1 = self.next_f64_open();
         let u2 = self.next_f64();
@@ -131,11 +120,16 @@ mod tests {
 
     #[test]
     fn single_gaussian_matches_first_of_pair() {
-        // The fast path must stay bit-identical to the pair's first draw
-        // (the golden fingerprints depend on it).
+        // One draw is bit-identical to the cosine half of the Box–Muller
+        // pair built from the same two uniforms (the golden fingerprints
+        // depend on it).
         for seed in 0..100 {
             let a = SplitMix64::new(seed).next_gaussian();
-            let (b, _) = SplitMix64::new(seed).next_gaussian_pair();
+            let mut s = SplitMix64::new(seed);
+            let (u1, u2) = (s.next_f64_open(), s.next_f64());
+            let r = (-2.0 * u1.ln()).sqrt();
+            let theta = 2.0 * core::f64::consts::PI * u2;
+            let b = r * theta.cos();
             assert_eq!(a.to_bits(), b.to_bits(), "diverged at state {seed}");
         }
     }
@@ -143,15 +137,15 @@ mod tests {
     #[test]
     fn gaussian_moments_are_standard() {
         let mut s = SplitMix64::new(123);
-        let n = 50_000;
+        let n = 100_000;
         let mut sum = 0.0;
         let mut sum_sq = 0.0;
         for _ in 0..n {
-            let (a, b) = s.next_gaussian_pair();
-            sum += a + b;
-            sum_sq += a * a + b * b;
+            let a = s.next_gaussian();
+            sum += a;
+            sum_sq += a * a;
         }
-        let count = (2 * n) as f64;
+        let count = n as f64;
         let mean = sum / count;
         let var = sum_sq / count - mean * mean;
         assert!(mean.abs() < 0.02, "mean {mean} too far from 0");

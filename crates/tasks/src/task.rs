@@ -144,35 +144,6 @@ impl Task {
         })
     }
 
-    /// Fallible counterpart of [`Task::with_deadline`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TaskSetError::BadDeadline`] unless
-    /// `WCET <= deadline <= period`.
-    pub fn try_with_deadline(self, deadline: Dur) -> Result<Task, TaskSetError> {
-        if deadline.is_zero() || deadline < self.wcet || deadline > self.period {
-            return Err(TaskSetError::BadDeadline { task: self.name });
-        }
-        let mut t = self;
-        t.deadline = deadline;
-        Ok(t)
-    }
-
-    /// Fallible counterpart of [`Task::with_bcet`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TaskSetError::BadBcet`] unless `0 < bcet <= WCET`.
-    pub fn try_with_bcet(self, bcet: Dur) -> Result<Task, TaskSetError> {
-        if bcet.is_zero() || bcet > self.wcet {
-            return Err(TaskSetError::BadBcet { task: self.name });
-        }
-        let mut t = self;
-        t.bcet = bcet;
-        Ok(t)
-    }
-
     /// Fallible counterpart of [`Task::with_bcet_fraction`].
     ///
     /// # Errors
@@ -377,23 +348,10 @@ mod tests {
     #[test]
     fn try_builders_return_typed_errors() {
         assert!(matches!(
-            tau().try_with_deadline(Dur::from_us(60)),
-            Err(TaskSetError::BadDeadline { .. })
-        ));
-        assert!(matches!(
-            tau().try_with_bcet(Dur::from_us(11)),
-            Err(TaskSetError::BadBcet { .. })
-        ));
-        assert!(matches!(
             tau().try_with_bcet_fraction(f64::NAN),
             Err(TaskSetError::BadBcetFraction { .. })
         ));
-        let t = tau()
-            .try_with_deadline(Dur::from_us(40))
-            .unwrap()
-            .try_with_bcet(Dur::from_us(2))
-            .unwrap();
-        assert_eq!(t.deadline(), Dur::from_us(40));
+        let t = tau().try_with_bcet_fraction(0.2).unwrap();
         assert_eq!(t.bcet(), Dur::from_us(2));
     }
 

@@ -5,16 +5,13 @@
 //! than inventing new workloads, [`WorkloadBuilder`] derives them from the
 //! reconstructed ones:
 //!
-//! * [`WorkloadBuilder::replicate`] — n copies of the base set with
-//!   deterministic task renaming and seeded phase staggering, so replicas
-//!   are distinguishable, don't release in lockstep, and keep every
-//!   per-task parameter (period, WCET, BCET, deadline) bit-identical to
-//!   the original — total utilization scales exactly n×;
-//! * [`WorkloadBuilder::scale_utilization`] — the same task structure with
-//!   WCETs (and BCETs, proportionally) rescaled to hit a target total
-//!   utilization.
+//! [`WorkloadBuilder::replicate`] makes n copies of the base set with
+//! deterministic task renaming and seeded phase staggering, so replicas
+//! are distinguishable, don't release in lockstep, and keep every
+//! per-task parameter (period, WCET, BCET, deadline) bit-identical to the
+//! original — total utilization scales exactly n×.
 //!
-//! Both derivations are pure functions of `(base set, seed, parameters)`:
+//! The derivation is a pure function of `(base set, seed, n)`:
 //! the builder draws from the same counter-based SplitMix64 streams as the
 //! execution-time models, so a derived workload is byte-identical across
 //! runs, hosts, and thread counts.
@@ -96,50 +93,6 @@ impl WorkloadBuilder {
             }
         }
         TaskSet::rate_monotonic(format!("{}x{n}", self.base.name()), tasks)
-    }
-
-    /// The base structure with WCETs rescaled so total utilization hits
-    /// `target` (BCETs scale by the same factor, so each task's BCET/WCET
-    /// ratio is preserved up to integer rounding). Periods, deadlines and
-    /// phases are untouched.
-    ///
-    /// WCETs are whole nanoseconds, so the achieved utilization matches
-    /// `target` up to one rounding unit per task.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target` is not finite and positive, or if scaling would
-    /// push any task's WCET above its period or deadline (the derived set
-    /// would be trivially infeasible).
-    pub fn scale_utilization(&self, target: f64) -> TaskSet {
-        assert!(
-            target.is_finite() && target > 0.0,
-            "target utilization must be finite and positive"
-        );
-        let factor = target / self.base.utilization();
-        let scale = |d: Dur| Dur::from_ns(((d.as_ns() as f64 * factor).round() as u64).max(1));
-        let tasks = self
-            .base
-            .tasks()
-            .iter()
-            .map(|task| {
-                let wcet = scale(task.wcet());
-                assert!(
-                    wcet <= task.period() && wcet <= task.deadline(),
-                    "scaling {} to u={target} pushes WCET past its period/deadline",
-                    task.name()
-                );
-                let bcet = scale(task.bcet()).min(wcet);
-                let mut scaled = Task::new(task.name(), task.period(), wcet)
-                    .with_deadline(task.deadline())
-                    .with_phase(task.phase());
-                if bcet != wcet {
-                    scaled = scaled.with_bcet(bcet);
-                }
-                scaled
-            })
-            .collect();
-        TaskSet::rate_monotonic(format!("{}-u{target:.2}", self.base.name()), tasks)
     }
 }
 
@@ -226,40 +179,5 @@ mod tests {
                 .any(|(x, y)| x.phase() != y.phase()),
             "stagger must depend on the seed"
         );
-    }
-
-    #[test]
-    fn scale_utilization_hits_the_target() {
-        let b = WorkloadBuilder::new(base());
-        for target in [0.3, 0.6, 0.85] {
-            let ts = b.scale_utilization(target);
-            assert!(
-                (ts.utilization() - target).abs() < 1e-3,
-                "u={} for target {target}",
-                ts.utilization()
-            );
-            for (orig, scaled) in base().tasks().iter().zip(ts.tasks()) {
-                assert_eq!(scaled.period(), orig.period());
-                assert_eq!(scaled.deadline(), orig.deadline());
-            }
-        }
-    }
-
-    #[test]
-    fn scale_utilization_preserves_bcet_ratio() {
-        let half = base().with_bcet_fraction(0.5);
-        let ts = WorkloadBuilder::new(half).scale_utilization(0.5);
-        for t in ts.tasks() {
-            let ratio = t.bcet().as_ns() as f64 / t.wcet().as_ns() as f64;
-            assert!((ratio - 0.5).abs() < 1e-3, "ratio {ratio}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "past its period")]
-    fn overloading_a_task_is_rejected() {
-        // tau3 at u=0.4 of U=0.85: scaling to 2.2 total pushes it past
-        // its period.
-        let _ = WorkloadBuilder::new(base()).scale_utilization(2.2);
     }
 }

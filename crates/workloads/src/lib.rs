@@ -17,8 +17,8 @@
 //!   8 tasks, WCETs 35–720 µs — short enough that the 10 µs voltage
 //!   transition matters;
 //! * [`bcet_ratios`] — the BCET/WCET spread of Figure 1 (Ernst & Ye);
-//! * [`WorkloadBuilder`] — seeded `replicate(n)` / `scale_utilization(u)`
-//!   derivation of multicore-scale workloads from any of the above.
+//! * [`WorkloadBuilder`] — seeded `replicate(n)` derivation of
+//!   multicore-scale workloads from any of the above.
 //!
 //! Exact task tables are not printed in the paper; each module documents
 //! which constraints are published (task counts, WCET ranges, utilization

@@ -14,6 +14,7 @@ use lpfps::SimConfig;
 use lpfps_cpu::spec::CpuSpec;
 use lpfps_kernel::engine::simulate;
 use lpfps_kernel::policy::{PolicyCore, PowerDirective, PowerPolicy, SchedulerContext};
+use lpfps_obs::text::summary_line;
 use lpfps_tasks::exec::PaperGaussian;
 use lpfps_tasks::freq::Freq;
 use lpfps_workloads::ins;
@@ -95,7 +96,7 @@ fn main() {
 
     for r in [&fps, &mine, &lpfps] {
         assert!(r.all_deadlines_met(), "{} missed deadlines", r.policy);
-        println!("{}", r.summary_line());
+        println!("{}", summary_line(r));
     }
 
     println!();

@@ -8,8 +8,9 @@ use lpfps::driver::run_in;
 use lpfps::{PolicyKind, SimConfig};
 use lpfps_cpu::spec::CpuSpec;
 use lpfps_kernel::engine::SimWorkspace;
-use lpfps_kernel::gantt::Gantt;
 use lpfps_kernel::trace::{Trace, TraceEvent};
+use lpfps_obs::gantt::Gantt;
+use lpfps_obs::text::render_detailed;
 use lpfps_tasks::exec::PaperGaussian;
 use lpfps_tasks::time::{Dur, Time};
 use lpfps_workloads::cnc;
@@ -67,5 +68,5 @@ fn main() {
         );
     }
     println!();
-    print!("{}", report.render_detailed(&ts));
+    print!("{}", render_detailed(&report, &ts));
 }
