@@ -2,9 +2,9 @@
 //! `--cores`, `--partitioner`, `--seeds` and the sweep flags are accepted
 //! only by the binaries that act on them (elsewhere they exit 2 before
 //! any simulation runs), every sweep binary honors `--trace-out` and
-//! `--hist`, `--check` audits sampled cells, `simulate --trace-out`
-//! writes the committed Perfetto golden, and out-of-range `simulate`
-//! values are usage errors.
+//! `--hist`, `--check` audits sampled cells, `fig8_power` runs at short
+//! horizons, `simulate --trace-out` writes the committed Perfetto golden,
+//! and out-of-range `simulate` values are usage errors.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -163,6 +163,19 @@ fn check_audits_sampled_cells() {
         "4",
     ];
     assert_eq!(exit_code(bin, &args), Some(0), "fig8_power {args:?}");
+}
+
+/// A short smoke run of the headline binary finishes: Figure 8's claims
+/// need the full horizon, so below `--horizon-scale 1` they are skipped,
+/// as in `fault_sweep` and `multicore_sweep`. At 0.05 and 0.01 LPFPS does
+/// not beat FPS at every BCET fraction of every set.
+#[test]
+fn fig8_power_runs_at_short_horizons() {
+    let bin = env!("CARGO_BIN_EXE_fig8_power");
+    for scale in ["0.05", "0.01"] {
+        let args = ["--quiet", "--horizon-scale", scale];
+        assert_eq!(exit_code(bin, &args), Some(0), "fig8_power {args:?}");
+    }
 }
 
 /// The committed Perfetto golden regenerates from one `simulate` command:

@@ -45,7 +45,7 @@ use lpfps_cpu::EnergyMeter;
 use lpfps_faults::FaultConfig;
 use lpfps_tasks::cycles::Cycles;
 use lpfps_tasks::error::{validate_task_set, MAX_TIME_PARAM};
-use lpfps_tasks::exec::ExecModel;
+use lpfps_tasks::exec::{DrawTape, ExecModel};
 use lpfps_tasks::freq::Freq;
 use lpfps_tasks::task::TaskId;
 use lpfps_tasks::taskset::TaskSet;
@@ -294,6 +294,9 @@ struct Engine<'a, D: Discipline, P: Probe = NoProbe> {
     /// Ramp-state powers already computed under this spec's power model,
     /// adopted from the workspace (see [`crate::ramp_power`]).
     ramp_power: RampPowerTable,
+    /// Standard-normal job draws already computed, lent by the workspace
+    /// (see [`DrawTape`]).
+    draws: DrawTape,
     /// Energy segments integrated so far. Engine-local on purpose: it
     /// backs the `max_segments` budget and the partial diagnostics, and
     /// must *not* live in [`Counters`] (which is serialized into every
@@ -316,17 +319,20 @@ struct Engine<'a, D: Discipline, P: Probe = NoProbe> {
 ///
 /// Only buffers that never escape into the [`SimReport`] live here — the
 /// run/delay queues, per-task runtime slots, WCET cycle counts, the
-/// release scratch buffer, and a table of ramp-state powers. Report
-/// fields (responses, histograms, energy, misses, traces) are freshly
-/// allocated by every run *by design*: sweeps keep all reports alive side
-/// by side, so recycling them is impossible. The buffers are inert
-/// between runs (cleared on entry, contents unspecified after a run). The
-/// ramp-power table is the one thing kept across runs: it holds values
-/// of the pure function `CpuSpec::state_power`, recorded with the
+/// release scratch buffer — and two caches of pure functions: a table of
+/// ramp-state powers and a [`DrawTape`] of standard-normal job draws.
+/// Report fields (responses, histograms, energy, misses, traces) are
+/// freshly allocated by every run *by design*: sweeps keep all reports
+/// alive side by side, so recycling them is impossible. The buffers are
+/// inert between runs (cleared on entry, contents unspecified after a
+/// run). The two caches are what is kept across runs. The ramp-power
+/// table holds values of `CpuSpec::state_power`, recorded with the
 /// `PowerModel` they were computed under, and a run whose processor has
-/// another model (compared bit for bit) empties it on entry. So the
-/// workspace carries no result state, and reusing one across different
-/// cells cannot couple their reports.
+/// another model (compared bit for bit) empties it on entry. The tape
+/// holds values of `job_stream(seed, task, job).next_gaussian()`, which
+/// reads nothing else, so no run invalidates it. So the workspace carries
+/// no result state, and reusing one across different cells cannot couple
+/// their reports.
 ///
 /// # Examples
 ///
@@ -363,6 +369,7 @@ pub struct SimWorkspace {
     wcet_cycles: Vec<Cycles>,
     due_scratch: Vec<(TaskId, Time)>,
     ramp_power: RampPowerTable,
+    draws: DrawTape,
     /// Steady-state detector statistics of the most recent run on this
     /// workspace (success *or* failure; overwritten every run, so stale
     /// values never leak across cells).
@@ -518,6 +525,7 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
         due_scratch.clear();
         let mut ramp_power = std::mem::take(&mut ws.ramp_power);
         ramp_power.adopt(cpu.power());
+        let draws = std::mem::take(&mut ws.draws);
         tasks.reserve(ts.len());
         wcet_cycles.reserve(ts.len());
         for (id, task, prio) in ts.iter() {
@@ -559,6 +567,7 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
             histograms: vec![ResponseHistogram::new(); ts.len()],
             due_scratch,
             ramp_power,
+            draws,
             segments_done: 0,
             steady: SteadyDetector::for_run(cfg, exec, ts),
             ff_stats: FastForwardStats::default(),
@@ -978,9 +987,15 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
     fn spawn_job(&mut self, tid: TaskId) {
         let task = self.ts.task(tid);
         let prio = self.ts.priority(tid);
+        let (index, seed) = (self.tasks[tid.0].next_index, self.cfg.seed);
         let sample = self
             .exec
-            .sample(task, tid, self.tasks[tid.0].next_index, self.cfg.seed);
+            .sample_taped(task, tid, index, seed, &mut self.draws);
+        debug_assert_eq!(
+            sample,
+            self.exec.sample(task, tid, index, seed),
+            "the draw tape served another demand than a fresh sample"
+        );
         debug_assert!(
             sample <= task.wcet() && !sample.is_zero(),
             "execution model must return demands in (0, WCET]"
@@ -988,7 +1003,6 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
         let realized = Cycles::from_time_at(sample, self.cpu.reference_freq()).max(Cycles::new(1));
         let rt = &mut self.tasks[tid.0];
         debug_assert!(rt.job.is_none(), "a task has at most one live job");
-        let index = rt.next_index;
         // Response times and deadlines are measured from the *true*
         // arrival, even when a tick-driven kernel noticed it late.
         let arrival = rt.pending_arrival;
@@ -1636,6 +1650,7 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
         ws.wcet_cycles = std::mem::take(&mut self.wcet_cycles);
         ws.due_scratch = std::mem::take(&mut self.due_scratch);
         ws.ramp_power = std::mem::take(&mut self.ramp_power);
+        ws.draws = std::mem::take(&mut self.draws);
         ws.ff_stats = self.ff_stats;
     }
 

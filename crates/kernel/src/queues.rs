@@ -11,7 +11,10 @@
 //!
 //! Both are tiny ordered vectors: task counts in this domain are tens, not
 //! thousands, and a sorted `Vec` beats heap structures at that size while
-//! giving deterministic iteration for traces and tests.
+//! giving deterministic iteration for traces and tests. Both are sorted
+//! *descending*, so each head sits at the back: the run queue pops with
+//! `Vec::pop`, and the delay queue drains its due releases by truncating
+//! the tail, so the waiting entries never move.
 
 use lpfps_tasks::task::{Priority, TaskId};
 use lpfps_tasks::time::{Dur, Time};
@@ -132,7 +135,11 @@ impl RunQueue<Priority> {
 /// traces are fully deterministic.
 #[derive(Debug, Clone, Default)]
 pub struct DelayQueue {
-    // Sorted ascending by (release, priority, id).
+    // Sorted *descending* by (release, priority, id), so the head (the
+    // earliest release) sits at the back, like the run queue's, and
+    // `pop_due_into` truncates the due tail: the waiting entries never
+    // move. Keys are distinct (a task is queued at most once), so the
+    // order is total.
     entries: Vec<(Time, Priority, TaskId)>,
 }
 
@@ -153,18 +160,18 @@ impl DelayQueue {
             "task {task} is already in the delay queue"
         );
         let key = (release, prio, task);
-        let pos = self.entries.partition_point(|&e| e < key);
+        let pos = self.entries.partition_point(|&e| e > key);
         self.entries.insert(pos, key);
     }
 
     /// The earliest queued release time (the paper's `t_a` source).
     pub fn head_release(&self) -> Option<Time> {
-        self.entries.first().map(|&(r, _, _)| r)
+        self.entries.last().map(|&(r, _, _)| r)
     }
 
     /// The task at the head, if any.
     pub fn head(&self) -> Option<TaskId> {
-        self.entries.first().map(|&(_, _, t)| t)
+        self.entries.last().map(|&(_, _, t)| t)
     }
 
     /// Removes and returns every task whose release time is `<= now`, in
@@ -185,17 +192,28 @@ impl DelayQueue {
     /// to zero allocations across scheduler passes.
     pub fn pop_due_into(&mut self, now: Time, due: &mut Vec<(TaskId, Time)>) {
         due.clear();
-        let split = self.entries.partition_point(|&(r, _, _)| r <= now);
-        due.extend(self.entries.drain(..split).map(|(r, _, t)| (t, r)));
+        let split = self.entries.partition_point(|&(r, _, _)| r > now);
+        due.extend(self.entries[split..].iter().rev().map(|&(r, _, t)| (t, r)));
+        self.entries.truncate(split);
     }
 
     /// Shifts every queued release forward by `by` (the steady-state
     /// fast-forward's state jump). A uniform shift preserves the
     /// `(release, priority, id)` ordering, so the sorted invariant holds
-    /// without re-sorting.
-    pub(crate) fn shift(&mut self, by: Dur) {
+    /// without re-sorting — unless releases saturate at [`Time::MAX`],
+    /// where ties can reorder them by `(priority, id)`; then the queue
+    /// re-sorts.
+    pub fn shift(&mut self, by: Dur) {
         for entry in &mut self.entries {
             entry.0 = entry.0.saturating_add(by);
+        }
+        // Descending: the first entry holds the latest release.
+        if self
+            .entries
+            .first()
+            .is_some_and(|&(r, _, _)| r == Time::MAX)
+        {
+            self.entries.sort_unstable_by(|a, b| b.cmp(a));
         }
     }
 
@@ -221,7 +239,7 @@ impl DelayQueue {
 
     /// Iterates `(task, release)` pairs in release order.
     pub fn iter(&self) -> impl Iterator<Item = (TaskId, Time)> + '_ {
-        self.entries.iter().map(|&(r, _, t)| (t, r))
+        self.entries.iter().rev().map(|&(r, _, t)| (t, r))
     }
 }
 

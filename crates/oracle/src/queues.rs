@@ -1,11 +1,14 @@
 //! Deliberately naive scheduler queues.
 //!
-//! The kernel keeps both queues as sorted vectors tuned for its hot path
-//! (descending run queue with an O(1) back-pop, an allocation-free due
-//! drain). The oracle uses the *dumbest* structures that implement the
-//! same abstract semantics — an insertion-ordered `Vec` scanned linearly
-//! for the run queue, a `BTreeSet` for the delay queue — so a bug in the
-//! kernel's clever ordering cannot be reproduced here by construction.
+//! The kernel keeps both queues as vectors sorted descending, tuned for
+//! its hot path: each head sits at the back, so the run queue pops in
+//! O(1) and the delay queue drains its due releases by truncating the
+//! tail into a reused buffer. The oracle uses the *dumbest* structures
+//! that implement the same abstract semantics — an insertion-ordered
+//! `Vec` scanned linearly for the run queue, a `BTreeSet` for the delay
+//! queue — so a bug in the kernel's clever ordering cannot be reproduced
+//! here by construction. The tests below drive each kernel queue and its
+//! naive twin through the same operations, random ones included.
 //!
 //! Semantics mirrored exactly:
 //!
@@ -144,6 +147,8 @@ impl NaiveDelayQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lpfps_tasks::rng::SplitMix64;
+    use lpfps_tasks::time::Dur;
 
     #[test]
     fn run_queue_matches_kernel_tie_semantics() {
@@ -180,6 +185,65 @@ mod tests {
             kernel.pop_due(Time::from_us(500))
         );
         assert_eq!(naive.head_release(), kernel.head_release());
+    }
+
+    /// The kernel's queue and this one under the same random operations:
+    /// inserts whose releases and priorities collide, drains at random
+    /// instants (often several entries at once), and uniform shifts, a
+    /// few of which saturate releases at `Time::MAX`. After every
+    /// operation the head, the iteration order and the drained lists
+    /// must agree. Case `c` replays from `SplitMix64::new(c)`.
+    #[test]
+    fn delay_queue_matches_the_kernel_under_random_operations() {
+        for case in 0..300 {
+            let mut rng = SplitMix64::new(case);
+            let mut below = |n: u64| rng.next_u64() % n;
+            let (mut naive, mut kernel) = (NaiveDelayQueue::new(), DelayQueue::new());
+            let mut due = vec![(TaskId(99), Time::ZERO)];
+            let mut now = Time::ZERO;
+            for step in 0..80 {
+                match below(8) {
+                    0..=3 => {
+                        let task = TaskId(below(8) as usize);
+                        if !kernel.contains(task) {
+                            let prio = Priority::new(below(3) as u32);
+                            let release = now.saturating_add(Dur::from_us(10 * below(6)));
+                            naive.insert(task, prio, release);
+                            kernel.insert(task, prio, release);
+                        }
+                    }
+                    4..=6 => {
+                        now = now.saturating_add(Dur::from_us(below(40)));
+                        kernel.pop_due_into(now, &mut due);
+                        assert_eq!(due, naive.pop_due(now), "case {case} step {step}: due");
+                    }
+                    _ => {
+                        let by = match below(10) {
+                            0 => Dur::MAX,
+                            _ => Dur::from_us(below(100)),
+                        };
+                        kernel.shift(by);
+                        naive.entries = naive
+                            .entries
+                            .iter()
+                            .map(|&(r, p, t)| (r.saturating_add(by), p, t))
+                            .collect();
+                    }
+                }
+                assert_eq!(
+                    kernel.head_release(),
+                    naive.head_release(),
+                    "case {case} step {step}: head"
+                );
+                let order: Vec<(TaskId, Time)> =
+                    naive.entries.iter().map(|&(r, _, t)| (t, r)).collect();
+                assert_eq!(
+                    kernel.iter().collect::<Vec<_>>(),
+                    order,
+                    "case {case} step {step}: order"
+                );
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@ use lpfps_kernel::trace::Trace;
 use lpfps_kernel::NoProbe;
 use lpfps_oracle::{first_divergence, first_trace_divergence, oracle_run, Divergence};
 use lpfps_tasks::analysis::hyperperiod;
-use lpfps_tasks::exec::{AlwaysWcet, ExecModel, PaperGaussian};
+use lpfps_tasks::exec::{AlwaysWcet, DrawTape, ExecModel, PaperGaussian};
 use lpfps_tasks::task::{Task, TaskId};
 use lpfps_tasks::taskset::TaskSet;
 use lpfps_tasks::time::Dur;
@@ -57,12 +57,14 @@ fn overrun_faults() -> FaultConfig {
 /// per-segment energy stream, not just the integrated report.
 /// `engine_exec` is `exec` except in the sabotage test, which plants a
 /// bug there; full simulation is forced so the engine trace is complete.
+/// The engine runs in `ws`, fresh except where a test recycles one.
 fn check_against_oracle<P: Probe>(
     ts: &TaskSet,
     kind: PolicyKind,
     engine_exec: &dyn ExecModel,
     exec: &dyn ExecModel,
     cfg: &SimConfig,
+    ws: &mut SimWorkspace,
     probe: &mut P,
 ) -> Result<SimReport, Divergence> {
     let cpu = CpuSpec::arm8();
@@ -72,8 +74,7 @@ fn check_against_oracle<P: Probe>(
         engine_trace.on_event(at, ev);
         probe.on_event(at, ev);
     };
-    let mut ws = SimWorkspace::new();
-    let engine = run_in(ts, &cpu, kind, engine_exec, &engine_cfg, &mut ws, &mut both).unwrap();
+    let engine = run_in(ts, &cpu, kind, engine_exec, &engine_cfg, ws, &mut both).unwrap();
     let mut oracle_trace = Trace::new();
     let oracle = oracle_run(ts, &cpu, kind, exec, cfg, &mut oracle_trace).unwrap();
     match first_divergence(&engine, &oracle)
@@ -87,13 +88,29 @@ fn check_against_oracle<P: Probe>(
 /// One Gaussian cell of the matrix (BCET 50 %, seed 42) over `scale`
 /// default horizons.
 fn assert_matches_oracle(ts: &TaskSet, kind: PolicyKind, faults: FaultConfig, scale: u64) {
+    assert_matches_oracle_in(ts, kind, faults, scale, 42, &mut SimWorkspace::new());
+}
+
+/// [`assert_matches_oracle`] under `seed`, with the engine running in
+/// `ws`.
+fn assert_matches_oracle_in(
+    ts: &TaskSet,
+    kind: PolicyKind,
+    faults: FaultConfig,
+    scale: u64,
+    seed: u64,
+    ws: &mut SimWorkspace,
+) {
     let scaled = ts.with_bcet_fraction(0.5);
     let cfg = SimConfig::new(default_horizon(&scaled) * scale)
-        .with_seed(42)
+        .with_seed(seed)
         .with_faults(faults);
     let exec = &PaperGaussian;
-    if let Err(d) = check_against_oracle(&scaled, kind, exec, exec, &cfg, &mut NoProbe) {
-        panic!("{}/{} diverged from the oracle\n{d}", ts.name(), kind);
+    if let Err(d) = check_against_oracle(&scaled, kind, exec, exec, &cfg, ws, &mut NoProbe) {
+        panic!(
+            "{}/{kind} at seed {seed} diverged from the oracle\n{d}",
+            ts.name()
+        );
     }
 }
 
@@ -113,6 +130,33 @@ fn engine_matches_oracle_under_overruns() {
             assert_matches_oracle(&ts, kind, overrun_faults(), 1);
         }
     }
+}
+
+/// The 48 Gaussian cells again, through one recycled workspace whose
+/// draw tape (`lpfps_tasks::exec::DrawTape`) carries over from cell to
+/// cell, against the oracle, which draws every demand afresh. Each seed
+/// serves two cells in a row, so the second reads its draws from the
+/// tape, and the 24 seeds outnumber the tape's slots, so the later ones
+/// take evicted slots. A tape that dropped any part of its key, or kept
+/// an evicted seed's draws, would run some cell on another realization
+/// than the oracle's.
+#[test]
+fn recycled_workspace_matches_oracle_across_seeds() {
+    let mut ws = SimWorkspace::new();
+    let mut cells = 0;
+    for faults in [FaultConfig::none(), overrun_faults()] {
+        for ts in workloads() {
+            for kind in POLICIES {
+                let seed = 1_000 + cells / 2;
+                assert_matches_oracle_in(&ts, kind, faults, 1, seed, &mut ws);
+                cells += 1;
+            }
+        }
+    }
+    assert!(
+        cells / 2 > DrawTape::SEED_SLOTS as u64,
+        "too few seeds to evict"
+    );
 }
 
 /// The Gaussian matrix, both fault halves, at the fast-forward matrix's
@@ -196,7 +240,8 @@ fn engine_matches_oracle_with_kernel_overheads() {
         .with_tick(Dur::from_us(1));
     for kind in POLICIES {
         let exec = &PaperGaussian;
-        if let Err(d) = check_against_oracle(&scaled, kind, exec, exec, &cfg, &mut NoProbe) {
+        let ws = &mut SimWorkspace::new();
+        if let Err(d) = check_against_oracle(&scaled, kind, exec, exec, &cfg, ws, &mut NoProbe) {
             panic!("table1/{kind} with overheads diverged from the oracle\n{d}");
         }
     }
@@ -221,7 +266,8 @@ fn probed_engine_matches_oracle_across_the_matrix() {
                     .with_faults(faults);
                 let mut rec = JobRecorder::new();
                 let exec = &PaperGaussian;
-                let engine = check_against_oracle(&scaled, kind, exec, exec, &cfg, &mut rec)
+                let ws = &mut SimWorkspace::new();
+                let engine = check_against_oracle(&scaled, kind, exec, exec, &cfg, ws, &mut rec)
                     .unwrap_or_else(|d| {
                         panic!(
                             "{}/{kind} diverged from the oracle with a probe attached\n{d}",
@@ -306,6 +352,7 @@ fn engine_with_a_one_job_short_demand_is_caught() {
         &OneJobShort,
         &AlwaysWcet,
         &cfg,
+        &mut SimWorkspace::new(),
         &mut NoProbe,
     )
     .expect_err("a job retiring 1 us early must produce an observable divergence");

@@ -2,9 +2,9 @@
 //! Whatever ran in a workspace before — other workloads, other policies,
 //! faulted runs, even a simulation that *aborted mid-run* (a tripped
 //! event budget) and left the buffers in whatever state the dead engine
-//! took them to — the next report out of that workspace must serialize
-//! byte-identically to the same cell run in a fresh workspace, traces
-//! included.
+//! took them to, or whatever its draw tape holds — the next report out
+//! of that workspace must serialize byte-identically to the same cell run
+//! in a fresh workspace, traces included.
 
 use lpfps::baselines::Fps;
 use lpfps::driver::{default_horizon, PolicyKind};
@@ -17,7 +17,7 @@ use lpfps_kernel::engine::{simulate_in, SimConfig, SimWorkspace};
 use lpfps_kernel::trace::Trace;
 use lpfps_kernel::{FixedPriority, NoProbe};
 use lpfps_sweep::{Cell, ExecKind};
-use lpfps_tasks::exec::AlwaysWcet;
+use lpfps_tasks::exec::{AlwaysWcet, DrawTape};
 use lpfps_tasks::freq::Freq;
 use lpfps_tasks::time::Dur;
 use lpfps_workloads::{avionics, cnc, ins, table1};
@@ -49,9 +49,11 @@ fn low_vt_arm8() -> CpuSpec {
 /// workload (including the widest, INS, so every per-task buffer grows
 /// past the target cell's needs), a faulted traced run, LPFPS runs on a
 /// processor with another power model (whose ramp powers must not reach
-/// the next cell), a zero-horizon cell (rejected up front with a typed
-/// error), and a budget-aborted simulation that abandons the buffers
-/// mid-run.
+/// the next cell), Gaussian runs under more seeds than the draw tape has
+/// slots and one with more draws than it stores (so the target cell's
+/// seed, drawn above, meets an evicted slot and a spent capacity), a
+/// zero-horizon cell (rejected up front with a typed error), and a
+/// budget-aborted simulation that abandons the buffers mid-run.
 fn dirty(ws: &mut SimWorkspace, seed: u64) {
     let faults = FaultConfig::none()
         .with_seed(seed)
@@ -72,6 +74,22 @@ fn dirty(ws: &mut SimWorkspace, seed: u64) {
             .with_seed(seed ^ i as u64);
         traced_json(&cell, 0.2, ws);
     }
+    // The draw-tape poison: other seeds past the slot count, then one run
+    // whose draws pass the capacity (Table 1 draws 17 per 400 us).
+    let gaussian = |seed: u64| {
+        Cell::new(table1(), CpuSpec::arm8(), PolicyKind::Fps)
+            .with_exec(ExecKind::PaperGaussian)
+            .with_bcet_fraction(0.5)
+            .with_seed(seed)
+    };
+    for i in 1..=DrawTape::SEED_SLOTS as u64 + 4 {
+        gaussian(seed.wrapping_add(i << 32))
+            .run_in(1.0, ws)
+            .unwrap();
+    }
+    let draws = DrawTape::CAPACITY as u64 + 1_000;
+    let long = gaussian(seed.wrapping_add(1 << 20)).with_horizon(Dur::from_us(draws * 400 / 17));
+    long.run_in(1.0, ws).unwrap();
     // The validation poison: a zero horizon is rejected with a typed
     // error before the engine ever touches the workspace.
     let poisoned = Cell::new(table1(), CpuSpec::arm8(), PolicyKind::Lpfps).with_horizon(Dur::ZERO);

@@ -1,6 +1,6 @@
 //! The paper's clamped-Gaussian execution-time model (§4, Eqs. 4–5).
 
-use crate::exec::{clamp_demand, ExecModel};
+use crate::exec::{clamp_demand, DrawTape, ExecModel};
 use crate::rng::job_stream;
 use crate::task::{Task, TaskId};
 use crate::time::Dur;
@@ -35,18 +35,35 @@ use crate::time::Dur;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PaperGaussian;
 
+/// Eqs. 4–5 for the standard-normal draw `z`, which is drawn only when
+/// BCET < WCET.
+fn demand(task: &Task, z: impl FnOnce() -> f64) -> Dur {
+    let b = task.bcet().as_ns() as f64;
+    let w = task.wcet().as_ns() as f64;
+    if task.bcet() == task.wcet() {
+        return task.wcet();
+    }
+    let mean = 0.5 * (b + w);
+    let sigma = (w - b) / 6.0;
+    clamp_demand(mean + sigma * z(), task.bcet(), task.wcet())
+}
+
 impl ExecModel for PaperGaussian {
     fn sample(&self, task: &Task, task_id: TaskId, job_index: u64, seed: u64) -> Dur {
-        let b = task.bcet().as_ns() as f64;
-        let w = task.wcet().as_ns() as f64;
-        if task.bcet() == task.wcet() {
-            return task.wcet();
-        }
-        let mean = 0.5 * (b + w);
-        let sigma = (w - b) / 6.0;
-        let mut rng = job_stream(seed, task_id.0, job_index);
-        let z = rng.next_gaussian();
-        clamp_demand(mean + sigma * z, task.bcet(), task.wcet())
+        demand(task, || {
+            job_stream(seed, task_id.0, job_index).next_gaussian()
+        })
+    }
+
+    fn sample_taped(
+        &self,
+        task: &Task,
+        task_id: TaskId,
+        job_index: u64,
+        seed: u64,
+        tape: &mut DrawTape,
+    ) -> Dur {
+        demand(task, || tape.gaussian(seed, task_id.0, job_index))
     }
 
     fn name(&self) -> &'static str {

@@ -11,17 +11,22 @@
 //! All models are **stateless per job**: the draw for `(task, job_index)`
 //! depends only on the seed, never on simulation order, so every scheduling
 //! policy sees the identical workload realization (see [`crate::rng`]).
+//! That still holds where the kernel serves [`PaperGaussian`]'s draws from
+//! a [`DrawTape`] ([`ExecModel::sample_taped`]): the tape stores values of
+//! that pure function, so a served draw is the one a fresh stream gives.
 
 mod bimodal;
 mod constant;
 mod cyclic;
 mod gaussian;
+mod tape;
 mod uniform;
 
 pub use bimodal::Bimodal;
 pub use constant::AlwaysWcet;
 pub use cyclic::Cyclic;
 pub use gaussian::PaperGaussian;
+pub use tape::DrawTape;
 pub use uniform::UniformBetween;
 
 use crate::task::{Task, TaskId};
@@ -36,6 +41,22 @@ use core::fmt::Debug;
 pub trait ExecModel: Debug + Send + Sync {
     /// The realized execution demand of job `job_index` of `task`.
     fn sample(&self, task: &Task, task_id: TaskId, job_index: u64, seed: u64) -> Dur;
+
+    /// [`sample`](Self::sample), bit for bit, reading the model's random
+    /// draws from `tape` where it has a taped form. The kernel calls this
+    /// with its workspace's tape. The default ignores the tape; only
+    /// [`PaperGaussian`] reads it.
+    fn sample_taped(
+        &self,
+        task: &Task,
+        task_id: TaskId,
+        job_index: u64,
+        seed: u64,
+        tape: &mut DrawTape,
+    ) -> Dur {
+        let _ = tape;
+        self.sample(task, task_id, job_index, seed)
+    }
 
     /// A short human-readable name for reports.
     fn name(&self) -> &'static str;
