@@ -72,26 +72,30 @@ fn main() {
             .unwrap()
             .average_power
     };
-    println!();
-    for ts in applications() {
-        let app = ts.name();
-        assert!(
-            power(app, PolicyKind::FpsPd) < power(app, PolicyKind::Fps),
-            "{app}: power-down alone must beat FPS"
-        );
-        assert!(
-            power(app, PolicyKind::Lpfps) < power(app, PolicyKind::FpsPd),
-            "{app}: full LPFPS must beat power-down alone"
-        );
-        assert!(
-            power(app, PolicyKind::Lpfps) < power(app, PolicyKind::LpfpsDvsOnly),
-            "{app}: full LPFPS must beat DVS alone"
+    // The orderings need the full horizon; a run at `--horizon-scale`
+    // below 1 still exercises every cell but skips them.
+    if parsed.horizon_scale >= 1.0 {
+        println!();
+        for ts in applications() {
+            let app = ts.name();
+            assert!(
+                power(app, PolicyKind::FpsPd) < power(app, PolicyKind::Fps),
+                "{app}: power-down alone must beat FPS"
+            );
+            assert!(
+                power(app, PolicyKind::Lpfps) < power(app, PolicyKind::FpsPd),
+                "{app}: full LPFPS must beat power-down alone"
+            );
+            assert!(
+                power(app, PolicyKind::Lpfps) < power(app, PolicyKind::LpfpsDvsOnly),
+                "{app}: full LPFPS must beat DVS alone"
+            );
+        }
+        println!("invariants verified: fps > fps-pd > lpfps and fps > lpfps-dvs > lpfps.");
+        println!(
+            "static slowdown wins only what offline analysis can prove; LPFPS\n\
+             reclaims the dynamic slack it cannot see."
         );
     }
-    println!("invariants verified: fps > fps-pd > lpfps and fps > lpfps-dvs > lpfps.");
-    println!(
-        "static slowdown wins only what offline analysis can prove; LPFPS\n\
-         reclaims the dynamic slack it cannot see."
-    );
     parsed.emit(cells, &spec, &outcome);
 }

@@ -22,6 +22,10 @@ use lpfps_tasks::task::{Task, TaskId};
 use lpfps_tasks::taskset::TaskSet;
 use lpfps_tasks::time::{Dur, Time};
 use lpfps_workloads::table1;
+use std::num::NonZeroU64;
+
+/// Gantt resolution: 80 columns across the 400 µs horizon.
+const US_PER_COL: NonZeroU64 = NonZeroU64::new(5).unwrap();
 
 /// Scripted execution times reproducing the early completions of
 /// Figure 2(b); jobs beyond the script run at their WCET.
@@ -136,7 +140,7 @@ fn main() {
     println!("=== Figure 2(a): Table 1 at WCET under FPS ===\n");
     let (fps, trace_a) = traced(&ts, &cpu, &mut AlwaysFullSpeed, &AlwaysWcet, &cfg);
     let gantt = Gantt::from_trace(&trace_a, Time::from_us(400));
-    print!("{}", gantt.render(&ts, 5));
+    print!("{}", gantt.render(&ts, US_PER_COL));
     println!("\nevents:");
     print!("{}", render_trace(&trace_a));
     assert!(fps.all_deadlines_met());
@@ -148,7 +152,7 @@ fn main() {
     println!("\n=== Figure 2(b): early completions under LPFPS ===\n");
     let (lp, trace_b) = traced(&ts, &cpu, &mut LpfpsPolicy::new(), &Figure2b, &cfg);
     let gantt = Gantt::from_trace(&trace_b, Time::from_us(400));
-    print!("{}", gantt.render(&ts, 5));
+    print!("{}", gantt.render(&ts, US_PER_COL));
     println!("\nevents:");
     print!("{}", render_trace(&trace_b));
     assert!(lp.all_deadlines_met(), "misses: {:?}", lp.misses);

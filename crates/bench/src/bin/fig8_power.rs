@@ -5,11 +5,14 @@
 //! (execution times drawn from the paper's clamped Gaussian, Eqs. 4–5) and
 //! the average normalized power of FPS and LPFPS is measured; the final
 //! column gives LPFPS's power reduction relative to FPS at the same BCET.
+//! `--svg DIR` also draws the four panels as `DIR/fig8_<app>.svg`, from
+//! the same seed-averaged cells the table prints.
 //!
 //! Usage: `cargo run --release --bin fig8_power -- [--json out.json]
-//! [--seeds N] [--threads N] [--help]` (see `lpfps_sweep::Cli`).
+//! [--svg DIR] [--seeds N] [--threads N] [--help]` (see `lpfps_sweep::Cli`).
 
 use lpfps::driver::PolicyKind;
+use lpfps_bench::chart::{render_line_chart, ChartSpec, Series};
 use lpfps_bench::{render_power_table, PowerCell, BCET_FRACTIONS};
 use lpfps_cpu::spec::CpuSpec;
 use lpfps_sweep::{run_sweep, CellResult, Cli, ExecKind, SweepSpec};
@@ -22,6 +25,7 @@ fn main() {
     )
     .sweep()
     .default_seeds(3)
+    .opt("--svg", "DIR", "draw the panels as DIR/fig8_<app>.svg")
     .parse();
 
     let spec = SweepSpec::grid(
@@ -115,6 +119,43 @@ fn main() {
         );
         println!("(paper: up to 62% for INS; see EXPERIMENTS.md for the metric discussion)");
         println!("\nall Figure 8 qualitative claims verified.");
+    }
+
+    if let Some(dir) = parsed.value("--svg") {
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("create {dir}: {e}"));
+        for ts in &apps {
+            let points = |policy: &str| -> Vec<(f64, f64)> {
+                cells
+                    .iter()
+                    .filter(|c| c.app == ts.name() && c.policy == policy)
+                    .map(|c| (c.bcet_fraction, c.average_power))
+                    .collect()
+            };
+            let chart = ChartSpec {
+                title: format!("Figure 8: {} — average power vs BCET/WCET", ts.name()),
+                x_label: "BCET as a fraction of WCET".into(),
+                y_label: "normalized average power".into(),
+                ..ChartSpec::default()
+            };
+            let svg = render_line_chart(
+                &chart,
+                &[
+                    Series {
+                        label: "FPS".into(),
+                        points: points("fps"),
+                        color: "#d62728".into(),
+                    },
+                    Series {
+                        label: "LPFPS".into(),
+                        points: points("lpfps"),
+                        color: "#1f77b4".into(),
+                    },
+                ],
+            );
+            let path = format!("{dir}/fig8_{}.svg", ts.name());
+            std::fs::write(&path, svg).unwrap_or_else(|e| panic!("write {path}: {e}"));
+            eprintln!("wrote {path}");
+        }
     }
 
     parsed.emit(&cells, &spec, &outcome);

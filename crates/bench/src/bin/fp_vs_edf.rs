@@ -91,7 +91,6 @@ fn main() {
             .unwrap()
             .average_power
     };
-    println!();
     for ts in apps() {
         let app = ts.name();
         assert!(
@@ -99,19 +98,27 @@ fn main() {
             "{app}: full-speed EDF and FPS are both work-conserving full-speed \
              schedules; their power must coincide"
         );
-        assert!(
-            power(app, PolicyKind::CcEdf) < power(app, PolicyKind::Edf),
-            "{app}: cycle-conserving EDF must beat full-speed EDF"
-        );
-        assert!(
-            power(app, PolicyKind::Lpfps) < power(app, PolicyKind::Fps),
-            "{app}: LPFPS must beat FPS"
+    }
+    // The power manager's wins need the full horizon; a run at
+    // `--horizon-scale` below 1 still exercises every cell but skips them.
+    if parsed.horizon_scale >= 1.0 {
+        println!();
+        for ts in apps() {
+            let app = ts.name();
+            assert!(
+                power(app, PolicyKind::CcEdf) < power(app, PolicyKind::Edf),
+                "{app}: cycle-conserving EDF must beat full-speed EDF"
+            );
+            assert!(
+                power(app, PolicyKind::Lpfps) < power(app, PolicyKind::Fps),
+                "{app}: LPFPS must beat FPS"
+            );
+        }
+        println!(
+            "invariants verified: edf == fps at full speed, cc-edf < edf, lpfps < fps.\n\
+             One engine serves both dispatch families; the power manager's wins\n\
+             carry over from fixed priorities to deadline order."
         );
     }
-    println!(
-        "invariants verified: edf == fps at full speed, cc-edf < edf, lpfps < fps.\n\
-         One engine serves both dispatch families; the power manager's wins\n\
-         carry over from fixed priorities to deadline order."
-    );
     parsed.emit(cells, &spec, &outcome);
 }

@@ -24,6 +24,7 @@ use lpfps_obs::text::render_detailed;
 use lpfps_sweep::{run_sweep, Cell, CellStatus, Cli, ExecKind, SweepSpec};
 use lpfps_tasks::taskset::TaskSet;
 use lpfps_tasks::time::{Dur, Time};
+use std::num::NonZeroU64;
 
 fn die(msg: impl std::fmt::Display) -> ! {
     eprintln!("simulate: {msg}");
@@ -102,8 +103,8 @@ fn main() {
         .unwrap()
         .parse()
         .unwrap_or_else(|_| die("flag `--seed` takes a non-negative integer"));
-    let gantt: Option<u64> = parsed.value("--gantt").map(|v| {
-        v.parse().ok().filter(|&cols| cols > 0).unwrap_or_else(|| {
+    let gantt: Option<NonZeroU64> = parsed.value("--gantt").map(|v| {
+        v.parse().unwrap_or_else(|_| {
             die("flag `--gantt` takes a positive number of microseconds per column")
         })
     });
@@ -120,7 +121,13 @@ fn main() {
         let ms = ms
             .parse()
             .unwrap_or_else(|_| die("flag `--horizon-ms` takes an integer"));
-        cell = cell.with_horizon(Dur::from_ms(ms));
+        let horizon = Dur::from_ms(1).checked_mul(ms).unwrap_or_else(|| {
+            let max = Dur::MAX.as_ns() / Dur::from_ms(1).as_ns();
+            die(format_args!(
+                "flag `--horizon-ms` takes at most {max} milliseconds"
+            ))
+        });
+        cell = cell.with_horizon(horizon);
     }
     let horizon = cell.effective_horizon(parsed.horizon_scale);
 

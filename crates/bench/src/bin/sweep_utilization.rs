@@ -85,17 +85,21 @@ fn main() {
         });
     }
 
-    // FPS power must track utilization (the paper's observation)...
-    for pair in points.windows(2) {
-        assert!(
-            pair[1].fps_power > pair[0].fps_power,
-            "FPS power should grow with utilization"
-        );
+    // The orderings need the full horizon; a run at `--horizon-scale`
+    // below 1 still exercises every cell but skips them.
+    if parsed.horizon_scale >= 1.0 {
+        // FPS power must track utilization (the paper's observation)...
+        for pair in points.windows(2) {
+            assert!(
+                pair[1].fps_power > pair[0].fps_power,
+                "FPS power should grow with utilization"
+            );
+        }
+        // ...and LPFPS must win everywhere.
+        for p in &points {
+            assert!(p.reduction > 0.0, "LPFPS should win at U={}", p.utilization);
+        }
+        println!("\nFPS power tracks utilization; LPFPS wins at every load level.");
     }
-    // ...and LPFPS must win everywhere.
-    for p in &points {
-        assert!(p.reduction > 0.0, "LPFPS should win at U={}", p.utilization);
-    }
-    println!("\nFPS power tracks utilization; LPFPS wins at every load level.");
     parsed.emit(&points, &spec, &outcome);
 }

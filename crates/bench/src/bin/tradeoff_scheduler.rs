@@ -106,30 +106,34 @@ fn main() {
         println!();
     }
 
-    // What the measurement establishes, asserted:
-    for ts in applications() {
-        let app_cells: Vec<&TradeoffCell> = cells.iter().filter(|c| c.app == ts.name()).collect();
-        // (1) The stakes are tiny: heuristic and optimal stay within 1%.
-        for c in &app_cells {
-            let rel = (c.optimal_power - c.heuristic_power).abs() / c.heuristic_power;
-            assert!(rel < 0.01, "{}: gap {rel} too large", ts.name());
+    // Nothing ever misses a deadline: the overhead is charged on the
+    // dispatch path but both ratios keep their safety margins.
+    assert!(cells.iter().all(|c| c.misses == 0));
+    // What the measurement establishes needs the full horizon; a run at
+    // `--horizon-scale` below 1 still exercises every cell but skips it.
+    if parsed.horizon_scale >= 1.0 {
+        for ts in applications() {
+            let app_cells: Vec<&TradeoffCell> =
+                cells.iter().filter(|c| c.app == ts.name()).collect();
+            // (1) The stakes are tiny: heuristic and optimal stay within 1%.
+            for c in &app_cells {
+                let rel = (c.optimal_power - c.heuristic_power).abs() / c.heuristic_power;
+                assert!(rel < 0.01, "{}: gap {rel} too large", ts.name());
+            }
+            // (2) Optimal-ratio power is monotone in its own scheduler cost.
+            for pair in app_cells.windows(2) {
+                assert!(
+                    pair[1].optimal_power + 1e-12 >= pair[0].optimal_power,
+                    "{}: costlier scheduler cannot burn less",
+                    ts.name()
+                );
+            }
         }
-        // (2) Optimal-ratio power is monotone in its own scheduler cost.
-        for pair in app_cells.windows(2) {
-            assert!(
-                pair[1].optimal_power + 1e-12 >= pair[0].optimal_power,
-                "{}: costlier scheduler cannot burn less",
-                ts.name()
-            );
-        }
-        // (3) Nothing ever misses a deadline: the overhead is charged on
-        // the dispatch path but both ratios keep their safety margins.
-        assert!(app_cells.iter().all(|c| c.misses == 0));
+        println!("the stakes are within 1% of total power everywhere; microsecond-");
+        println!("scale computation costs erase the optimal ratio's edge on the");
+        println!("millisecond-scale workloads (ins, avionics, flight), while CNC —");
+        println!("whose windows rival the 10us ramp, exactly SS5's scenario — keeps");
+        println!("a sliver of benefit. The paper's choice of the heuristic stands.");
     }
-    println!("the stakes are within 1% of total power everywhere; microsecond-");
-    println!("scale computation costs erase the optimal ratio's edge on the");
-    println!("millisecond-scale workloads (ins, avionics, flight), while CNC —");
-    println!("whose windows rival the 10us ramp, exactly SS5's scenario — keeps");
-    println!("a sliver of benefit. The paper's choice of the heuristic stands.");
     parsed.emit(&cells, &spec, &outcome);
 }

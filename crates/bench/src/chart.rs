@@ -1,10 +1,11 @@
 //! Minimal self-contained SVG line charts for the experiment reports.
 //!
 //! The paper's Figure 8 is a set of line charts (average power vs BCET
-//! fraction, one panel per application). `report_svg` regenerates them as
-//! standalone SVG files from the measured data — no plotting dependency,
-//! just coordinate math and SVG text, which keeps the workspace inside
-//! the approved crate set and makes the charts bit-reproducible.
+//! fraction, one panel per application). `fig8_power --svg` draws them as
+//! standalone SVG files from the cells its table prints — no plotting
+//! dependency, just coordinate math and SVG text, which keeps the
+//! workspace inside the approved crate set and makes the charts
+//! bit-reproducible.
 
 use std::fmt::Write;
 

@@ -10,8 +10,7 @@
 //! | `fig2_schedule`       | Figures 2, 3, 5 — Table 1 schedules and queue snapshots |
 //! | `table2_summary`      | Table 2 — workload summary |
 //! | `fig7_ratio`          | Figure 7 — optimal vs heuristic ratio |
-//! | `fig8_power`          | Figure 8 — average power, FPS vs LPFPS, four apps |
-//! | `report_svg`          | Figure 8 panels as standalone SVG charts |
+//! | `fig8_power`          | Figure 8 — average power, FPS vs LPFPS, four apps (`--svg`: the panels as SVG charts) |
 //! | `ablation_policies`   | power-down-only / DVS-only / static slowdown split |
 //! | `ablation_ratio`      | heuristic vs optimal ratio energy |
 //! | `ablation_shutdown`   | exact vs timeout power-down (+ idle-gap stats) |

@@ -6,7 +6,7 @@
 //! * `.txt` is stdout;
 //! * `.perfetto.json` is `--trace-out`;
 //! * any other `.json` is `--json`;
-//! * `.svg` comes from `report_svg --out <dir>`.
+//! * `.svg` is a panel `fig8_power --svg <dir>` writes into `<dir>`.
 //!
 //! The test runs every row with `--quiet` and temporary output paths and
 //! requires exit 0, so each binary's own claim `assert!`s run here too.
@@ -53,11 +53,10 @@ const ROWS: &[Row] = &[
     row!(fig1_bcet_ratio, [], ["fig1_bcet_ratio.json", "fig1_bcet_ratio.txt"]),
     row!(fig2_schedule, [], ["fig2.txt"]),
     row!(fig7_ratio, [], ["fig7_ratio.json", "fig7_ratio.txt"]),
-    row!(fig8_power, [], ["fig8_power.json", "fig8_power.txt"]),
+    row!(fig8_power, [], ["fig8_avionics.svg", "fig8_cnc.svg", "fig8_flight_control.svg", "fig8_ins.svg", "fig8_power.json", "fig8_power.txt"]),
     row!(fp_vs_edf, [], ["fp_vs_edf.json", "fp_vs_edf.txt"]),
     row!(multicore_sweep, [], ["multicore_sweep.json", "multicore_sweep.txt"]),
     row!(related_work_dvs, [], ["related_work_dvs.json", "related_work_dvs.txt"]),
-    row!(report_svg, [], ["fig8_avionics.svg", "fig8_cnc.svg", "fig8_flight_control.svg", "fig8_ins.svg"]),
     row!(simulate, ["--seed", "42", "--horizon-scale", "0.5"], ["fig2_trace.perfetto.json", "simulate.txt"]),
     row!(sweep_utilization, [], ["sweep_utilization.json", "sweep_utilization.txt"]),
     row!(table2_summary, [], ["table2_summary.json", "table2_summary.txt"]),
@@ -87,7 +86,7 @@ impl Row {
             }
         }
         if svg {
-            args.extend(["--out".into(), dir.into()]);
+            args.extend(["--svg".into(), dir.into()]);
         }
         (args, stdout)
     }

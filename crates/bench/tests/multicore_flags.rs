@@ -2,9 +2,9 @@
 //! `--cores`, `--partitioner`, `--seeds` and the sweep flags are accepted
 //! only by the binaries that act on them (elsewhere they exit 2 before
 //! any simulation runs), every sweep binary honors `--trace-out` and
-//! `--hist`, `--check` audits sampled cells, `fig8_power` runs at short
-//! horizons, `simulate --trace-out` writes the committed Perfetto golden,
-//! and out-of-range `simulate` values are usage errors.
+//! `--hist` and runs at short horizons, `--check` audits sampled cells,
+//! `simulate --trace-out` writes the committed Perfetto golden, and
+//! out-of-range `simulate` values are usage errors.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -100,8 +100,9 @@ fn table_binaries_reject_the_sweep_flags() {
 }
 
 /// `--gantt 0` used to reach the assertion in `Gantt::render` and
-/// `--bcet 0` the one in `Cell::with_bcet_fraction` (exit 101); both are
-/// usage errors.
+/// `--bcet 0` the one in `Cell::with_bcet_fraction` (exit 101), and a
+/// `--horizon-ms` past `u64` nanoseconds wrapped to a short horizon; all
+/// are usage errors.
 #[test]
 fn simulate_rejects_zero_gantt_and_bcet() {
     let bin = env!("CARGO_BIN_EXE_simulate");
@@ -112,6 +113,10 @@ fn simulate_rejects_zero_gantt_and_bcet() {
         ),
         (["--bcet", "0"], "fraction in (0, 1]"),
         (["--bcet", "1.5"], "fraction in (0, 1]"),
+        (
+            ["--horizon-ms", "18446744073710"],
+            "takes at most 18446744073709 milliseconds",
+        ),
     ] {
         let out = run(bin, &args);
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -165,17 +170,41 @@ fn check_audits_sampled_cells() {
     assert_eq!(exit_code(bin, &args), Some(0), "fig8_power {args:?}");
 }
 
-/// A short smoke run of the headline binary finishes: Figure 8's claims
-/// need the full horizon, so below `--horizon-scale 1` they are skipped,
-/// as in `fault_sweep` and `multicore_sweep`. At 0.05 and 0.01 LPFPS does
-/// not beat FPS at every BCET fraction of every set.
+/// Every sweep binary (`Cli::sweep`) finishes a short smoke run: the
+/// policy orderings the binaries assert need the full horizon, so below
+/// `--horizon-scale 1` they are skipped and only the deadline-miss and
+/// soundness checks run. At 0.05 and 0.01 LPFPS does not beat FPS at
+/// every BCET fraction of every set, FPS power need not grow with
+/// utilization, and a costlier scheduler can burn less.
 #[test]
-fn fig8_power_runs_at_short_horizons() {
-    let bin = env!("CARGO_BIN_EXE_fig8_power");
-    for scale in ["0.05", "0.01"] {
-        let args = ["--quiet", "--horizon-scale", scale];
-        assert_eq!(exit_code(bin, &args), Some(0), "fig8_power {args:?}");
+fn every_sweep_binary_runs_at_short_horizons() {
+    let sweep_binaries = [
+        env!("CARGO_BIN_EXE_ablation_ladder"),
+        env!("CARGO_BIN_EXE_ablation_overhead"),
+        env!("CARGO_BIN_EXE_ablation_policies"),
+        env!("CARGO_BIN_EXE_ablation_ratio"),
+        env!("CARGO_BIN_EXE_ablation_shutdown"),
+        env!("CARGO_BIN_EXE_ablation_sleep_modes"),
+        env!("CARGO_BIN_EXE_ablation_tick"),
+        env!("CARGO_BIN_EXE_fault_sweep"),
+        env!("CARGO_BIN_EXE_fig8_power"),
+        env!("CARGO_BIN_EXE_fp_vs_edf"),
+        env!("CARGO_BIN_EXE_multicore_sweep"),
+        env!("CARGO_BIN_EXE_simulate"),
+        env!("CARGO_BIN_EXE_sweep_utilization"),
+        env!("CARGO_BIN_EXE_tradeoff_scheduler"),
+    ];
+    let mut failed = Vec::new();
+    for bin in sweep_binaries {
+        for scale in ["0.05", "0.01"] {
+            let args = ["--quiet", "--horizon-scale", scale];
+            let code = exit_code(bin, &args);
+            if code != Some(0) {
+                failed.push(format!("{bin} {args:?}: exit {code:?}"));
+            }
+        }
     }
+    assert!(failed.is_empty(), "{}", failed.join("\n"));
 }
 
 /// The committed Perfetto golden regenerates from one `simulate` command:

@@ -14,7 +14,6 @@
 //!   the processor.
 
 use lpfps_cpu::spec::CpuSpec;
-use lpfps_kernel::discipline::Discipline;
 use lpfps_kernel::policy::{PolicyCore, PowerDirective, PowerPolicy, SchedulerContext};
 use lpfps_tasks::analysis::response_time::rta_schedulable;
 use lpfps_tasks::freq::Freq;
@@ -83,33 +82,6 @@ impl PowerPolicy for TimeoutShutdown {
             return PowerDirective::FullSpeed;
         }
         PowerDirective::PowerDownAt { enter_at, wake_at }
-    }
-}
-
-/// The plain earliest-deadline-first baseline: full speed, NOP busy-wait
-/// when idle, dispatched by the kernel's [`Edf`](lpfps_kernel::Edf)
-/// discipline instead of fixed priorities.
-///
-/// Behaviorally this is [`Fps`] with a different run-queue order — the
-/// point of keeping it as a distinct policy is the report label: runs
-/// tagged `"edf"` are the deadline-driven comparison column in the
-/// FP-vs-EDF experiments, not a variant of the paper's scheduler.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EdfFps;
-
-impl PolicyCore for EdfFps {
-    fn name(&self) -> &'static str {
-        "edf"
-    }
-
-    fn steady_digest(&self, _now: lpfps_tasks::time::Time) -> Option<u64> {
-        Some(0)
-    }
-}
-
-impl<D: Discipline> PowerPolicy<D> for EdfFps {
-    fn decide(&mut self, _ctx: &SchedulerContext<'_, D>) -> PowerDirective {
-        PowerDirective::FullSpeed
     }
 }
 

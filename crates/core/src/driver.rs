@@ -2,7 +2,7 @@
 //! and report its average power — the machinery behind every figure and
 //! table reproduction in `lpfps-bench`.
 
-use crate::baselines::{static_slowdown_spec, EdfFps, Fps};
+use crate::baselines::{static_slowdown_spec, Fps};
 use crate::lpfps_policy::LpfpsPolicy;
 use lpfps_cpu::spec::CpuSpec;
 use lpfps_kernel::discipline::{Discipline, Edf as EdfDispatch};
@@ -103,7 +103,7 @@ impl core::fmt::Display for PolicyKind {
 /// # Errors
 ///
 /// As [`lpfps_kernel::engine::simulate`]: malformed inputs (which can
-/// arrive unvalidated via `Deserialize`) and exhausted resource budgets
+/// arrive unvalidated via `Deserialize`) and an exhausted event budget
 /// surface as a typed [`SimError`] instead of a panic.
 pub fn run(
     ts: &TaskSet,
@@ -198,7 +198,7 @@ pub fn run_with<S: Simulator>(
     kind: PolicyKind,
 ) -> Result<SimReport, SimError> {
     let mut fp = |cpu: &CpuSpec, policy: &mut dyn PowerPolicy| sim.simulate(ts, cpu, policy);
-    match kind {
+    let mut report = match kind {
         PolicyKind::Fps => fp(cpu, &mut Fps),
         PolicyKind::FpsPd => fp(cpu, &mut LpfpsPolicy::power_down_only()),
         PolicyKind::LpfpsDvsOnly => fp(cpu, &mut LpfpsPolicy::dvs_only()),
@@ -208,14 +208,12 @@ pub fn run_with<S: Simulator>(
             cpu,
             &mut LpfpsPolicy::with_watchdog(PolicyKind::DEFAULT_WATCHDOG_COOLDOWN),
         ),
-        PolicyKind::StaticSlowdown => {
-            let mut report = fp(&effective_cpu(ts, cpu, kind), &mut Fps)?;
-            report.policy = kind.name().to_string();
-            Ok(report)
-        }
-        PolicyKind::Edf => sim.simulate::<EdfDispatch>(ts, cpu, &mut EdfFps),
+        PolicyKind::StaticSlowdown => fp(&effective_cpu(ts, cpu, kind), &mut Fps),
+        PolicyKind::Edf => sim.simulate::<EdfDispatch>(ts, cpu, &mut Fps),
         PolicyKind::CcEdf => sim.simulate::<EdfDispatch>(ts, cpu, &mut LpfpsPolicy::cc_edf()),
-    }
+    }?;
+    report.policy = kind.name().to_string();
+    Ok(report)
 }
 
 /// The processor `kind` actually runs on: the derated static operating

@@ -25,7 +25,7 @@
 //! bit-reproducible.
 
 use crate::discipline::{Discipline, EdfKey};
-use crate::error::{BudgetKind, PartialDiagnostic, SimError};
+use crate::error::{PartialDiagnostic, SimError};
 use crate::policy::{ActiveView, FaultEvent, PowerDirective, PowerPolicy, SchedulerContext};
 use crate::probe::{NoProbe, Probe};
 use crate::queues::{DelayQueue, RunQueue};
@@ -87,9 +87,6 @@ pub struct SimConfig {
     /// partial progress, instead of grinding on. `None` (the default) is
     /// unbounded and reproduces all committed results exactly.
     pub max_events: Option<u64>,
-    /// Cooperative budget on energy segments (non-empty advances between
-    /// decision points); `None` (the default) is unbounded.
-    pub max_segments: Option<u64>,
     /// Disable the steady-state cycle detector and simulate every event of
     /// the horizon, even when the run is eligible for fast-forwarding.
     /// Reports are bit-identical either way (the equivalence gates assert
@@ -109,7 +106,6 @@ impl SimConfig {
             tick: None,
             faults: FaultConfig::none(),
             max_events: None,
-            max_segments: None,
             force_full_simulation: false,
         }
     }
@@ -172,13 +168,6 @@ impl SimConfig {
     /// Caps the number of decision points (see [`SimConfig::max_events`]).
     pub fn with_max_events(mut self, limit: u64) -> Self {
         self.max_events = Some(limit);
-        self
-    }
-
-    /// Caps the number of energy segments (see
-    /// [`SimConfig::max_segments`]).
-    pub fn with_max_segments(mut self, limit: u64) -> Self {
-        self.max_segments = Some(limit);
         self
     }
 
@@ -298,9 +287,9 @@ struct Engine<'a, D: Discipline, P: Probe = NoProbe> {
     /// (see [`DrawTape`]).
     draws: DrawTape,
     /// Energy segments integrated so far. Engine-local on purpose: it
-    /// backs the `max_segments` budget and the partial diagnostics, and
-    /// must *not* live in [`Counters`] (which is serialized into every
-    /// report and would perturb the committed result fingerprints).
+    /// backs the partial diagnostics, and must *not* live in [`Counters`]
+    /// (which is serialized into every report and would perturb the
+    /// committed result fingerprints).
     segments_done: u64,
     /// The steady-state cycle detector; `None` when the run is ineligible
     /// (see [`SteadyDetector::for_run`]) or after it fired once.
@@ -384,7 +373,7 @@ impl SimWorkspace {
 
     /// What the steady-state detector did during the most recent run on
     /// this workspace: zero cycles when the run was ineligible (faults,
-    /// budgets, an index-dependent execution model, ...) or when
+    /// an event budget, an index-dependent execution model, ...) or when
     /// no recurrence was observed. Side-channel on purpose — the numbers
     /// must not live in [`SimReport`], whose serialized form is asserted
     /// bit-identical with the detector on and off.
@@ -432,11 +421,11 @@ fn noticed_release(cfg: &SimConfig, tid: TaskId, job_index: u64, arrival: Time) 
 ///
 /// [`SimError`] if the inputs fail boundary validation (zero horizon,
 /// malformed task set or processor spec — both can arrive unvalidated via
-/// `Deserialize`), if a configured resource budget runs out, or if the
+/// `Deserialize`), if a configured event budget runs out, or if the
 /// policy issues an illegal directive (power-down with runnable work, a
 /// slow-down frequency outside the ladder, ...). On valid inputs with no
-/// budgets the run is infallible in practice and byte-identical to the
-/// pre-taxonomy engine.
+/// event budget the run is infallible in practice and byte-identical to
+/// the pre-taxonomy engine.
 pub fn simulate(
     ts: &TaskSet,
     cpu: &CpuSpec,
@@ -594,7 +583,7 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
                 break;
             }
             self.counters.events += 1;
-            self.check_budgets()?;
+            self.check_budget()?;
             self.handle_events(policy)?;
         }
         if let Some(start) = self.gap_start.take() {
@@ -610,34 +599,22 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
         Ok(())
     }
 
-    /// Cooperative resource budgets, checked once per decision point: a
+    /// The cooperative event budget, checked once per decision point: a
     /// pathological (but valid) configuration surfaces as a typed error
     /// with partial progress attached instead of an unbounded loop.
-    fn check_budgets(&self) -> Result<(), SimError> {
-        if let Some(limit) = self.cfg.max_events {
-            if self.counters.events > limit {
-                return Err(self.budget_exhausted(BudgetKind::Events, limit));
-            }
-        }
-        if let Some(limit) = self.cfg.max_segments {
-            if self.segments_done > limit {
-                return Err(self.budget_exhausted(BudgetKind::Segments, limit));
-            }
-        }
-        Ok(())
-    }
-
-    fn budget_exhausted(&self, budget: BudgetKind, limit: u64) -> SimError {
-        SimError::BudgetExhausted {
-            budget,
-            limit,
-            diagnostic: PartialDiagnostic {
-                sim_time: self.now,
-                events: self.counters.events,
-                segments: self.segments_done,
-                completions: self.counters.completions,
-                deadline_misses: self.misses.len(),
-            },
+    fn check_budget(&self) -> Result<(), SimError> {
+        match self.cfg.max_events {
+            Some(limit) if self.counters.events > limit => Err(SimError::BudgetExhausted {
+                limit,
+                diagnostic: PartialDiagnostic {
+                    sim_time: self.now,
+                    events: self.counters.events,
+                    segments: self.segments_done,
+                    completions: self.counters.completions,
+                    deadline_misses: self.misses.len(),
+                },
+            }),
+            _ => Ok(()),
         }
     }
 
@@ -1055,7 +1032,7 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
         };
         let response = self.now.saturating_since(job.release);
         let met = self.now <= job.deadline;
-        self.responses[tid.0].record(response);
+        self.responses[tid.0].record(response)?;
         self.histograms[tid.0].record(response, self.ts.task(tid).deadline());
         self.counters.completions += 1;
         if !met {
@@ -2467,20 +2444,14 @@ mod tests {
 
     #[test]
     fn event_budget_cuts_off_with_partial_progress() {
-        use crate::error::{BudgetKind, SimError};
+        use crate::error::SimError;
         let cfg = SimConfig::new(Dur::from_ms(10)).with_max_events(50);
         let cpu = CpuSpec::arm8();
         let err =
             super::simulate(&table1(), &cpu, &mut AlwaysFullSpeed, &AlwaysWcet, &cfg).unwrap_err();
-        let SimError::BudgetExhausted {
-            budget,
-            limit,
-            diagnostic,
-        } = err
-        else {
+        let SimError::BudgetExhausted { limit, diagnostic } = err else {
             panic!("expected BudgetExhausted, got {err:?}");
         };
-        assert_eq!(budget, BudgetKind::Events);
         assert_eq!(limit, 50);
         assert_eq!(diagnostic.events, 51);
         assert!(diagnostic.sim_time > Time::ZERO);
@@ -2493,16 +2464,21 @@ mod tests {
     }
 
     #[test]
-    fn segment_budget_cuts_off_with_partial_progress() {
-        use crate::error::{BudgetKind, SimError};
-        let cfg = SimConfig::new(Dur::from_ms(10)).with_max_segments(20);
+    fn summed_response_overflow_is_a_typed_error() {
+        // Under a tick of MAX_TIME_PARAM / 16 every release after the
+        // first waits for the next tick, so each response is about a
+        // tick long and a few dozen of them pass `u64` nanoseconds.
+        let mut cfg = SimConfig::new(MAX_TIME_PARAM);
+        cfg.tick = Some(MAX_TIME_PARAM / 16);
         let cpu = CpuSpec::arm8();
         let err =
             super::simulate(&table1(), &cpu, &mut AlwaysFullSpeed, &AlwaysWcet, &cfg).unwrap_err();
-        let SimError::BudgetExhausted { budget, .. } = err else {
-            panic!("expected BudgetExhausted, got {err:?}");
-        };
-        assert_eq!(budget, BudgetKind::Segments);
+        assert_eq!(
+            err,
+            SimError::TimeOverflow {
+                what: "summed response time"
+            }
+        );
     }
 
     #[test]
@@ -2511,9 +2487,7 @@ mod tests {
         // its budget must produce exactly the report of an unbounded run.
         let cpu = CpuSpec::arm8();
         let plain = SimConfig::new(Dur::from_us(400));
-        let budgeted = SimConfig::new(Dur::from_us(400))
-            .with_max_events(1_000_000)
-            .with_max_segments(1_000_000);
+        let budgeted = SimConfig::new(Dur::from_us(400)).with_max_events(1_000_000);
         let a = simulate(&table1(), &cpu, &mut AlwaysFullSpeed, &AlwaysWcet, &plain);
         let b = simulate(
             &table1(),

@@ -3,8 +3,8 @@
 //! Everything that can go wrong at the `simulate*` boundary is a variant
 //! of [`SimError`]: malformed task sets and processor specs (delegated to
 //! the owning crates' validators), impossible configurations, time
-//! arithmetic that would leave the representable range, exhausted
-//! cooperative resource budgets, policies issuing illegal directives, and
+//! arithmetic that would leave the representable range, an exhausted
+//! cooperative event budget, policies issuing illegal directives, and
 //! — as a last resort — internal invariant breaches that would previously
 //! have aborted the process.
 //!
@@ -17,27 +17,6 @@ use core::fmt;
 use lpfps_cpu::error::CpuSpecError;
 use lpfps_tasks::error::TaskSetError;
 use lpfps_tasks::time::Time;
-
-/// Which cooperative resource budget ran out (see
-/// [`SimConfig`](crate::engine::SimConfig) `max_events` / `max_segments`).
-/// Both count simulated work, never host time, so a budgeted run trips at
-/// the same decision point on every machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BudgetKind {
-    /// Decision-point (event) count.
-    Events,
-    /// Energy-segment count (non-empty inter-event advances).
-    Segments,
-}
-
-impl fmt::Display for BudgetKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BudgetKind::Events => write!(f, "event"),
-            BudgetKind::Segments => write!(f, "segment"),
-        }
-    }
-}
 
 /// How far a budget-limited run got before it was cut off: the partial
 /// progress the caller can report instead of a silent hang.
@@ -88,11 +67,11 @@ pub enum SimError {
         /// Which quantity overflowed.
         what: &'static str,
     },
-    /// A cooperative resource budget ran out before the horizon; the run
-    /// is cut off with partial progress attached.
+    /// The cooperative event budget
+    /// ([`SimConfig::max_events`](crate::engine::SimConfig::max_events))
+    /// ran out before the horizon; the run is cut off with partial
+    /// progress attached.
     BudgetExhausted {
-        /// Which budget ran out.
-        budget: BudgetKind,
         /// The configured limit.
         limit: u64,
         /// Progress at the moment the budget tripped.
@@ -149,13 +128,9 @@ impl fmt::Display for SimError {
             SimError::TimeOverflow { what } => {
                 write!(f, "time overflow: {what} exceeds the representable range")
             }
-            SimError::BudgetExhausted {
-                budget,
-                limit,
-                diagnostic,
-            } => write!(
+            SimError::BudgetExhausted { limit, diagnostic } => write!(
                 f,
-                "{budget} budget of {limit} exhausted before the horizon ({diagnostic})"
+                "event budget of {limit} exhausted before the horizon ({diagnostic})"
             ),
             SimError::InvalidDirective { reason } => {
                 write!(f, "illegal power directive: {reason}")
@@ -204,7 +179,6 @@ mod tests {
             SimError::InvalidConfig { reason: "x".into() },
             SimError::TimeOverflow { what: "x" },
             SimError::BudgetExhausted {
-                budget: BudgetKind::Events,
                 limit: 1,
                 diagnostic: PartialDiagnostic::default(),
             },
@@ -233,7 +207,6 @@ mod tests {
         let e = SimError::TaskSet(TaskSetError::Empty);
         assert_eq!(e.to_string(), "invalid task set: task set is empty");
         let e = SimError::BudgetExhausted {
-            budget: BudgetKind::Events,
             limit: 10,
             diagnostic: PartialDiagnostic {
                 sim_time: Time::from_us(5),

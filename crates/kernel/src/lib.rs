@@ -71,7 +71,7 @@ pub mod trace;
 
 pub use discipline::{Discipline, Edf, EdfKey, FixedPriority};
 pub use engine::{simulate, simulate_in, SimConfig};
-pub use error::{BudgetKind, PartialDiagnostic, SimError};
+pub use error::{PartialDiagnostic, SimError};
 pub use policy::{ActiveView, PolicyCore, PowerDirective, PowerPolicy, SchedulerContext};
 pub use probe::{NoProbe, Probe};
 pub use report::{Counters, DeadlineMiss, ResponseStats, SimReport};

@@ -1,5 +1,6 @@
 //! Simulation results: energy, timing statistics, and counters.
 
+use crate::error::SimError;
 use crate::stats::{IntervalStats, ResponseHistogram};
 use lpfps_cpu::energy::EnergyMeter;
 use lpfps_cpu::state::StateKind;
@@ -20,10 +21,23 @@ pub struct ResponseStats {
 
 impl ResponseStats {
     /// Records one completion.
-    pub fn record(&mut self, response: Dur) {
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::TimeOverflow`] if the summed response time leaves
+    /// `u64` nanoseconds (tick-delayed releases on a horizon near
+    /// [`MAX_TIME_PARAM`](lpfps_tasks::error::MAX_TIME_PARAM) get there);
+    /// the stats are then unchanged.
+    pub fn record(&mut self, response: Dur) -> Result<(), SimError> {
+        let Some(total) = self.total_response.checked_add(response) else {
+            return Err(SimError::TimeOverflow {
+                what: "summed response time",
+            });
+        };
+        self.total_response = total;
         self.completed += 1;
         self.max_response = self.max_response.max(response);
-        self.total_response += response;
+        Ok(())
     }
 
     /// The mean response time, or zero if nothing completed.
@@ -208,9 +222,9 @@ mod tests {
     #[test]
     fn response_stats_track_extremes_and_mean() {
         let mut s = ResponseStats::default();
-        s.record(Dur::from_us(10));
-        s.record(Dur::from_us(30));
-        s.record(Dur::from_us(20));
+        s.record(Dur::from_us(10)).unwrap();
+        s.record(Dur::from_us(30)).unwrap();
+        s.record(Dur::from_us(20)).unwrap();
         assert_eq!(s.completed, 3);
         assert_eq!(s.max_response, Dur::from_us(30));
         assert_eq!(s.mean_response(), Dur::from_us(20));

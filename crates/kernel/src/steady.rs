@@ -182,9 +182,8 @@ impl SteadyDetector {
     /// * `force_full_simulation` — the explicit A/B escape hatch;
     /// * any injected fault stream — fault draws are keyed by job index
     ///   and engine ordinals, which are not hyperperiod-periodic;
-    /// * `max_events` / `max_segments` budgets — they count *simulated*
-    ///   work, and a fast-forwarded run would finish where a full run
-    ///   exhausts;
+    /// * a `max_events` budget — it counts *simulated* work, and a
+    ///   fast-forwarded run would finish where a full run exhausts;
     /// * an execution model whose draws depend on the job index;
     /// * a hyperperiod that overflows `u64` nanoseconds ([`hyperperiod`]
     ///   returns `None` for co-prime hostile sets) or exceeds the horizon;
@@ -194,7 +193,6 @@ impl SteadyDetector {
         if cfg.force_full_simulation
             || !cfg.faults.is_none()
             || cfg.max_events.is_some()
-            || cfg.max_segments.is_some()
             || !exec.index_invariant()
         {
             return None;
@@ -292,10 +290,10 @@ mod tests {
     #[test]
     fn response_stats_extrapolate_preserving_max() {
         let mut base = ResponseStats::default();
-        base.record(Dur::from_us(40));
+        base.record(Dur::from_us(40)).unwrap();
         let mut cur = base;
-        cur.record(Dur::from_us(10));
-        cur.record(Dur::from_us(20));
+        cur.record(Dur::from_us(10)).unwrap();
+        cur.record(Dur::from_us(20)).unwrap();
         cur.extrapolate_from(&base, 3);
         assert_eq!(cur.completed, 1 + 2 + 3 * 2);
         assert_eq!(cur.max_response, Dur::from_us(40));

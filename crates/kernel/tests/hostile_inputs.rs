@@ -244,7 +244,7 @@ proptest! {
     /// Extreme configurations on valid workloads: horizons at zero /
     /// `MAX_TIME_PARAM` / `u64::MAX`, zero and enormous ticks (written
     /// directly to the public field, bypassing the builder's assert the
-    /// way a deserialized config would), and budget caps from 0 upward.
+    /// way a deserialized config would), and event-budget caps from 0 upward.
     /// Horizon-scale extremes are the sweep-layer face of the same axis.
     #[test]
     fn extreme_configs_yield_typed_errors_not_panics(
@@ -252,14 +252,10 @@ proptest! {
         horizon_sel in 0u8..8,
         tick_raw in 0u64..=u64::MAX,
         tick_sel in 0u8..9,
-        (events_cap, segments_cap, use_segment_cap)
-            in (0u64..200_000, 0u64..200_000, proptest::bool::ANY),
+        events_cap in 0u64..200_000,
     ) {
         let horizon = warp(horizon_raw, horizon_sel);
         let mut cfg = SimConfig::new(Dur::from_ns(horizon)).with_max_events(events_cap);
-        if use_segment_cap {
-            cfg = cfg.with_max_segments(segments_cap);
-        }
         if tick_sel < 8 {
             cfg.tick = Some(Dur::from_ns(warp(tick_raw, tick_sel)));
         }

@@ -34,8 +34,7 @@
 //!   counts; [`MultiEngine`] runs one fleet serially.
 //! * [`report`] — [`MultiReport`]: the per-core `SimReport`s plus
 //!   fleet-level energy / average-power / miss aggregation and a per-core
-//!   utilization/energy breakdown, with hand-written serde following the
-//!   repo's stable-JSON conventions.
+//!   utilization/energy breakdown, serialized in field order.
 //!
 //! # Bit-identity contract
 //!

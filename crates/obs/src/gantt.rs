@@ -9,6 +9,7 @@ use lpfps_kernel::trace::{Trace, TraceEvent};
 use lpfps_tasks::task::TaskId;
 use lpfps_tasks::taskset::TaskSet;
 use lpfps_tasks::time::{Dur, Time};
+use std::num::NonZeroU64;
 
 /// A closed-open execution interval of one task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,12 +117,8 @@ impl Gantt {
     /// Renders an ASCII chart: one row per task (`#` = executing) plus a
     /// processor row (`#` run, `~` ramp, `z` power-down, `.` idle), at
     /// `us_per_col` microseconds per column.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `us_per_col` is zero.
-    pub fn render(&self, ts: &TaskSet, us_per_col: u64) -> String {
-        assert!(us_per_col > 0, "resolution must be positive");
+    pub fn render(&self, ts: &TaskSet, us_per_col: NonZeroU64) -> String {
+        let us_per_col = us_per_col.get();
         let cols = (self.end.as_us()).div_ceil(us_per_col) as usize;
         let name_w = ts
             .iter()
@@ -297,19 +294,12 @@ mod tests {
     #[test]
     fn render_contains_all_rows() {
         let (ts, g) = gantt_of(200);
-        let chart = g.render(&ts, 5);
+        let chart = g.render(&ts, NonZeroU64::new(5).unwrap());
         assert!(chart.contains("tau1 |"));
         assert!(chart.contains("tau2 |"));
         assert!(chart.contains("tau3 |"));
         assert!(chart.contains("cpu |") || chart.contains(" cpu |"));
         assert!(chart.contains('#'));
-    }
-
-    #[test]
-    #[should_panic(expected = "resolution")]
-    fn zero_resolution_rejected() {
-        let (ts, g) = gantt_of(100);
-        let _ = g.render(&ts, 0);
     }
 
     use lpfps_faults::{FaultConfig, OverrunFault};
@@ -453,7 +443,7 @@ mod tests {
         assert!(segs.iter().all(|s| s.to <= done));
         // After the in-idle ramp, the condition row must read idle ('.')
         // all the way to the next release.
-        let chart = g.render(&ts, 1);
+        let chart = g.render(&ts, NonZeroU64::MIN);
         let cpu_row = chart
             .lines()
             .find(|l| l.trim_start().starts_with("cpu |"))

@@ -33,7 +33,7 @@ use lpfps_cpu::state::CpuState;
 use lpfps_cpu::EnergyMeter;
 use lpfps_kernel::discipline::Discipline;
 use lpfps_kernel::engine::{validate_sim_config, SimConfig};
-use lpfps_kernel::error::{BudgetKind, PartialDiagnostic, SimError};
+use lpfps_kernel::error::{PartialDiagnostic, SimError};
 use lpfps_kernel::policy::{ActiveView, FaultEvent, PowerDirective, PowerPolicy, SchedulerContext};
 use lpfps_kernel::probe::Probe;
 use lpfps_kernel::report::{Counters, DeadlineMiss, ResponseStats, SimReport};
@@ -112,9 +112,9 @@ struct Oracle<'a, D: Discipline, P: Probe> {
     gap_start: Option<Time>,
     task_energy: Vec<f64>,
     histograms: Vec<ResponseHistogram>,
-    /// Energy segments integrated so far — the `max_segments` budget's
-    /// progress counter, mirroring the engine's (and, like it, kept out of
-    /// the serialized [`Counters`]).
+    /// Energy segments integrated so far, for the partial diagnostic —
+    /// mirroring the engine's (and, like it, kept out of the serialized
+    /// [`Counters`]).
     segments_done: u64,
 }
 
@@ -148,10 +148,11 @@ fn noticed_release(cfg: &SimConfig, tid: TaskId, job_index: u64, arrival: Time) 
 /// [`Trace`](lpfps_kernel::trace::Trace) probe always records the
 /// complete run.
 ///
-/// Same contract as the engine: malformed inputs, exhausted budgets, and
-/// illegal policy directives surface as the *same* typed [`SimError`] the
-/// engine returns (the validators are shared, so error paths stay
-/// diffable field for field); deadline misses are recorded, not fatal. On
+/// Same contract as the engine: malformed inputs, an exhausted event
+/// budget, and illegal policy directives surface as the *same* typed
+/// [`SimError`] the engine returns (the validators are shared, so error
+/// paths stay diffable field for field); deadline misses are recorded,
+/// not fatal. On
 /// success the report must equal the engine's field for field (see the
 /// differential tests).
 ///
@@ -237,7 +238,7 @@ impl<'a, D: Discipline, P: Probe> Oracle<'a, D, P> {
                 break;
             }
             self.counters.events += 1;
-            self.check_budgets()?;
+            self.check_budget()?;
             self.handle_events(policy)?;
         }
         if let Some(start) = self.gap_start.take() {
@@ -248,34 +249,22 @@ impl<'a, D: Discipline, P: Probe> Oracle<'a, D, P> {
         Ok(())
     }
 
-    /// Cooperative budget checks, once per decision point — the same
-    /// placement and thresholds as the engine's, so a budget trips at the
-    /// identical event with the identical diagnostic.
-    fn check_budgets(&self) -> Result<(), SimError> {
-        if let Some(limit) = self.cfg.max_events {
-            if self.counters.events > limit {
-                return Err(self.budget_exhausted(BudgetKind::Events, limit));
-            }
-        }
-        if let Some(limit) = self.cfg.max_segments {
-            if self.segments_done > limit {
-                return Err(self.budget_exhausted(BudgetKind::Segments, limit));
-            }
-        }
-        Ok(())
-    }
-
-    fn budget_exhausted(&self, budget: BudgetKind, limit: u64) -> SimError {
-        SimError::BudgetExhausted {
-            budget,
-            limit,
-            diagnostic: PartialDiagnostic {
-                sim_time: self.now,
-                events: self.counters.events,
-                segments: self.segments_done,
-                completions: self.counters.completions,
-                deadline_misses: self.misses.len(),
-            },
+    /// The cooperative event budget, checked once per decision point —
+    /// the same placement and threshold as the engine's, so it trips at
+    /// the identical event with the identical diagnostic.
+    fn check_budget(&self) -> Result<(), SimError> {
+        match self.cfg.max_events {
+            Some(limit) if self.counters.events > limit => Err(SimError::BudgetExhausted {
+                limit,
+                diagnostic: PartialDiagnostic {
+                    sim_time: self.now,
+                    events: self.counters.events,
+                    segments: self.segments_done,
+                    completions: self.counters.completions,
+                    deadline_misses: self.misses.len(),
+                },
+            }),
+            _ => Ok(()),
         }
     }
 
@@ -631,7 +620,7 @@ impl<'a, D: Discipline, P: Probe> Oracle<'a, D, P> {
         };
         let response = self.now.saturating_since(job.release);
         let met = self.now <= job.deadline;
-        self.responses[tid.0].record(response);
+        self.responses[tid.0].record(response)?;
         self.histograms[tid.0].record(response, self.ts.task(tid).deadline());
         self.counters.completions += 1;
         if !met {

@@ -11,7 +11,6 @@
 //! WCETs span exactly 1–9 ms as Table 2 states; total utilization is
 //! about 0.85.
 
-use lpfps_tasks::error::TaskSetError;
 use lpfps_tasks::task::Task;
 use lpfps_tasks::taskset::TaskSet;
 use lpfps_tasks::time::Dur;
@@ -28,22 +27,6 @@ use lpfps_tasks::time::Dur;
 /// assert_eq!(hi, lpfps_tasks::time::Dur::from_ms(9));
 /// ```
 pub fn avionics() -> TaskSet {
-    match try_avionics() {
-        Ok(ts) => ts,
-        // Unreachable: the constants below are validated by this module's
-        // tests and the doctest above.
-        Err(e) => unreachable!("the GAP avionics constants are valid: {e}"),
-    }
-}
-
-/// Fallible counterpart of [`avionics`]: builds the set through the validating
-/// constructors, so the catalog is provably panic-free end to end.
-///
-/// # Errors
-///
-/// Returns the [`TaskSetError`] naming the violated rule (never fires for
-/// the constants encoded here).
-pub fn try_avionics() -> Result<TaskSet, TaskSetError> {
     // (name, period ms, wcet ms)
     let params: [(&str, u64, u64); 17] = [
         ("radar_tracking_filter", 25, 2),
@@ -66,9 +49,9 @@ pub fn try_avionics() -> Result<TaskSet, TaskSetError> {
     ];
     let tasks = params
         .iter()
-        .map(|&(name, t, c)| Task::validated(name, Dur::from_ms(t), Dur::from_ms(c)))
-        .collect::<Result<Vec<_>, _>>()?;
-    TaskSet::try_rate_monotonic("avionics", tasks)
+        .map(|&(name, t, c)| Task::new(name, Dur::from_ms(t), Dur::from_ms(c)))
+        .collect();
+    TaskSet::rate_monotonic("avionics", tasks)
 }
 
 #[cfg(test)]

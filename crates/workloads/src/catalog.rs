@@ -1,10 +1,7 @@
 //! The workload catalog: every application of the paper's Table 2 in one
 //! place, with its summary row.
 
-use crate::{
-    avionics, cnc, flight_control, ins, try_avionics, try_cnc, try_flight_control, try_ins,
-};
-use lpfps_tasks::error::TaskSetError;
+use crate::{avionics, cnc, flight_control, ins};
 use lpfps_tasks::taskset::TaskSet;
 use lpfps_tasks::time::Dur;
 use serde::{Deserialize, Serialize};
@@ -33,23 +30,6 @@ pub struct Table2Row {
 /// ```
 pub fn applications() -> Vec<TaskSet> {
     vec![avionics(), ins(), flight_control(), cnc()]
-}
-
-/// Fallible counterpart of [`applications`]: every set is built through
-/// the validating constructors, so a defect in the encoded constants
-/// surfaces as a typed [`TaskSetError`] instead of a panic.
-///
-/// # Errors
-///
-/// Returns the first [`TaskSetError`] any catalog set fails with (never
-/// fires for the constants shipped here).
-pub fn try_applications() -> Result<Vec<TaskSet>, TaskSetError> {
-    Ok(vec![
-        try_avionics()?,
-        try_ins()?,
-        try_flight_control()?,
-        try_cnc()?,
-    ])
 }
 
 /// The Table 2 summary computed from the encoded task sets.
@@ -91,11 +71,14 @@ mod tests {
     }
 
     #[test]
-    fn fallible_catalog_matches_the_infallible_one() {
-        let validated = try_applications().expect("the catalog constants are valid");
-        for (a, b) in applications().iter().zip(&validated) {
-            assert_eq!(a.name(), b.name());
-            assert_eq!(a.tasks(), b.tasks());
+    fn every_catalog_set_passes_the_kernel_boundary_check() {
+        for ts in applications().iter().chain([&crate::table1()]) {
+            assert_eq!(
+                lpfps_tasks::error::validate_task_set(ts),
+                Ok(()),
+                "{}",
+                ts.name()
+            );
         }
     }
 

@@ -13,7 +13,6 @@
 //! negligible, so LPFPS has the least headroom here (Figure 8(d) shows
 //! its smallest gain).
 
-use lpfps_tasks::error::TaskSetError;
 use lpfps_tasks::task::Task;
 use lpfps_tasks::taskset::TaskSet;
 use lpfps_tasks::time::Dur;
@@ -30,22 +29,6 @@ use lpfps_tasks::time::Dur;
 /// assert_eq!(hi, lpfps_tasks::time::Dur::from_us(720));
 /// ```
 pub fn cnc() -> TaskSet {
-    match try_cnc() {
-        Ok(ts) => ts,
-        // Unreachable: the constants below are validated by this module's
-        // tests and the doctest above.
-        Err(e) => unreachable!("the CNC constants are valid: {e}"),
-    }
-}
-
-/// Fallible counterpart of [`cnc`]: builds the set through the validating
-/// constructors, so the catalog is provably panic-free end to end.
-///
-/// # Errors
-///
-/// Returns the [`TaskSetError`] naming the violated rule (never fires for
-/// the constants encoded here).
-pub fn try_cnc() -> Result<TaskSet, TaskSetError> {
     let params: [(&str, u64, u64); 8] = [
         ("position_x", 2_400, 35),
         ("position_y", 2_400, 40),
@@ -58,9 +41,9 @@ pub fn try_cnc() -> Result<TaskSet, TaskSetError> {
     ];
     let tasks = params
         .iter()
-        .map(|&(name, t, c)| Task::validated(name, Dur::from_us(t), Dur::from_us(c)))
-        .collect::<Result<Vec<_>, _>>()?;
-    TaskSet::try_rate_monotonic("cnc", tasks)
+        .map(|&(name, t, c)| Task::new(name, Dur::from_us(t), Dur::from_us(c)))
+        .collect();
+    TaskSet::rate_monotonic("cnc", tasks)
 }
 
 #[cfg(test)]

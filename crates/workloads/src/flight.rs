@@ -12,7 +12,6 @@
 //! as in the paper's Figure 8(c) — FPS burns most of the horizon busy and
 //! LPFPS's gain comes chiefly from execution-time variation.
 
-use lpfps_tasks::error::TaskSetError;
 use lpfps_tasks::task::Task;
 use lpfps_tasks::taskset::TaskSet;
 use lpfps_tasks::time::Dur;
@@ -29,22 +28,6 @@ use lpfps_tasks::time::Dur;
 /// assert_eq!(hi, lpfps_tasks::time::Dur::from_ms(60));
 /// ```
 pub fn flight_control() -> TaskSet {
-    match try_flight_control() {
-        Ok(ts) => ts,
-        // Unreachable: the constants below are validated by this module's
-        // tests and the doctest above.
-        Err(e) => unreachable!("the flight-control constants are valid: {e}"),
-    }
-}
-
-/// Fallible counterpart of [`flight_control`]: builds the set through the validating
-/// constructors, so the catalog is provably panic-free end to end.
-///
-/// # Errors
-///
-/// Returns the [`TaskSetError`] naming the violated rule (never fires for
-/// the constants encoded here).
-pub fn try_flight_control() -> Result<TaskSet, TaskSetError> {
     let params: [(&str, u64, u64); 6] = [
         ("guidance", 40, 10),
         ("control_law", 50, 12),
@@ -55,9 +38,9 @@ pub fn try_flight_control() -> Result<TaskSet, TaskSetError> {
     ];
     let tasks = params
         .iter()
-        .map(|&(name, t, c)| Task::validated(name, Dur::from_ms(t), Dur::from_ms(c)))
-        .collect::<Result<Vec<_>, _>>()?;
-    TaskSet::try_rate_monotonic("flight_control", tasks)
+        .map(|&(name, t, c)| Task::new(name, Dur::from_ms(t), Dur::from_ms(c)))
+        .collect();
+    TaskSet::rate_monotonic("flight_control", tasks)
 }
 
 #[cfg(test)]

@@ -27,7 +27,6 @@
 //! 62 % power reduction): the run queue is empty most of the time while
 //! the heavily loaded attitude updater runs, giving DVS constant traction.
 
-use lpfps_tasks::error::TaskSetError;
 use lpfps_tasks::task::Task;
 use lpfps_tasks::taskset::TaskSet;
 use lpfps_tasks::time::Dur;
@@ -42,22 +41,6 @@ use lpfps_tasks::time::Dur;
 /// assert!((ts.utilization() - 0.736).abs() < 0.001);
 /// ```
 pub fn ins() -> TaskSet {
-    match try_ins() {
-        Ok(ts) => ts,
-        // Unreachable: the constants below are validated by this module's
-        // tests and the doctest above.
-        Err(e) => unreachable!("the INS constants are valid: {e}"),
-    }
-}
-
-/// Fallible counterpart of [`ins`]: builds the set through the validating
-/// constructors, so the catalog is provably panic-free end to end.
-///
-/// # Errors
-///
-/// Returns the [`TaskSetError`] naming the violated rule (never fires for
-/// the constants encoded here).
-pub fn try_ins() -> Result<TaskSet, TaskSetError> {
     let params: [(&str, u64, u64); 6] = [
         ("attitude_updater", 2_500, 1_180),
         ("velocity_updater", 40_000, 4_000),
@@ -68,9 +51,9 @@ pub fn try_ins() -> Result<TaskSet, TaskSetError> {
     ];
     let tasks = params
         .iter()
-        .map(|&(name, t, c)| Task::validated(name, Dur::from_us(t), Dur::from_us(c)))
-        .collect::<Result<Vec<_>, _>>()?;
-    TaskSet::try_rate_monotonic("ins", tasks)
+        .map(|&(name, t, c)| Task::new(name, Dur::from_us(t), Dur::from_us(c)))
+        .collect();
+    TaskSet::rate_monotonic("ins", tasks)
 }
 
 #[cfg(test)]

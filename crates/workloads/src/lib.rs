@@ -44,11 +44,11 @@ mod flight;
 mod ins;
 mod table1;
 
-pub use avionics::{avionics, try_avionics};
+pub use avionics::avionics;
 pub use bcet_figure1::{bcet_ratios, BcetRatio, BenchmarkClass};
 pub use builder::WorkloadBuilder;
-pub use catalog::{applications, table2, try_applications, Table2Row};
-pub use cnc::{cnc, try_cnc};
-pub use flight::{flight_control, try_flight_control};
-pub use ins::{ins, try_ins};
-pub use table1::{table1, try_table1};
+pub use catalog::{applications, table2, Table2Row};
+pub use cnc::cnc;
+pub use flight::flight_control;
+pub use ins::ins;
+pub use table1::table1;

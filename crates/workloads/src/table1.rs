@@ -1,6 +1,5 @@
 //! The paper's Table 1: the three-task motivating example.
 
-use lpfps_tasks::error::TaskSetError;
 use lpfps_tasks::task::Task;
 use lpfps_tasks::taskset::TaskSet;
 use lpfps_tasks::time::Dur;
@@ -25,29 +24,12 @@ use lpfps_tasks::time::Dur;
 /// assert!((ts.utilization() - 0.85).abs() < 1e-12);
 /// ```
 pub fn table1() -> TaskSet {
-    match try_table1() {
-        Ok(ts) => ts,
-        // Unreachable: the constants below are validated by this module's
-        // tests and the doctest above.
-        Err(e) => unreachable!("the Table 1 constants are valid: {e}"),
-    }
-}
-
-/// Fallible counterpart of [`table1`]: builds the set through the
-/// validating constructors, so the catalog is provably panic-free end to
-/// end.
-///
-/// # Errors
-///
-/// Returns the [`TaskSetError`] naming the violated rule (never fires for
-/// the constants encoded here).
-pub fn try_table1() -> Result<TaskSet, TaskSetError> {
-    TaskSet::try_rate_monotonic(
+    TaskSet::rate_monotonic(
         "table1",
         vec![
-            Task::validated("tau1", Dur::from_us(50), Dur::from_us(10))?,
-            Task::validated("tau2", Dur::from_us(80), Dur::from_us(20))?,
-            Task::validated("tau3", Dur::from_us(100), Dur::from_us(40))?,
+            Task::new("tau1", Dur::from_us(50), Dur::from_us(10)),
+            Task::new("tau2", Dur::from_us(80), Dur::from_us(20)),
+            Task::new("tau3", Dur::from_us(100), Dur::from_us(40)),
         ],
     )
 }

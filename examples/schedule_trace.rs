@@ -14,6 +14,7 @@ use lpfps_obs::text::render_detailed;
 use lpfps_tasks::exec::PaperGaussian;
 use lpfps_tasks::time::{Dur, Time};
 use lpfps_workloads::cnc;
+use std::num::NonZeroU64;
 
 fn main() {
     let ts = cnc().with_bcet_fraction(0.4);
@@ -40,7 +41,7 @@ fn main() {
 
     println!("CNC controller, one hyperperiod ({horizon}) under LPFPS\n");
     let gantt = Gantt::from_trace(&trace, Time::ZERO + horizon);
-    print!("{}", gantt.render(&ts, 100));
+    print!("{}", gantt.render(&ts, NonZeroU64::new(100).unwrap()));
     println!("  (one column = 100us; '#' run, '~' ramp, 'z' power-down, '.' idle)\n");
 
     println!("power management actions:");
