@@ -273,18 +273,14 @@ impl<D: Discipline> PowerPolicy<D> for LpfpsPolicy {
                 // paper's processor has exactly one; Fig. 4's L14 is the
                 // single-mode special case of this selection).
                 let modes = ctx.cpu.sleep_modes();
-                let Some(mode) = lpfps_cpu::modes::best_mode_for(modes, window, reference) else {
+                let Some((mode, sleep_energy)) =
+                    lpfps_cpu::modes::best_mode_for(modes, window, reference)
+                else {
                     // The next arrival is within every wake-up latency:
                     // sleeping would oversleep it.
                     return PowerDirective::FullSpeed;
                 };
                 // Sleeping must actually beat spinning the NOP loop.
-                // `best_mode_for` only returns modes that fit the window,
-                // so `window_energy` is `Some` here; staying awake is the
-                // safe answer if that ever stops holding.
-                let Some(sleep_energy) = modes[mode].window_energy(window, reference) else {
-                    return PowerDirective::FullSpeed;
-                };
                 if sleep_energy >= ctx.cpu.power().idle_nop() * window.as_secs_f64() {
                     return PowerDirective::FullSpeed;
                 }

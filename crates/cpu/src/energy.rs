@@ -56,13 +56,26 @@ impl EnergyMeter {
 
     /// Charges `dur` spent in `state` drawing `power`
     /// ([`CpuSpec::state_power`](crate::spec::CpuSpec::state_power), which
-    /// the kernel serves for ramp states from its ramp-power table and
-    /// replays from recorded segments when it fast-forwards).
-    pub fn accumulate_with_power(&mut self, state: CpuState, power: f64, dur: Dur) {
+    /// the kernel serves for busy and ramp states from its power table),
+    /// and returns the energy charged, `power * dur.as_secs_f64()` (0 for
+    /// a zero `dur`, which charges nothing).
+    pub fn accumulate_with_power(&mut self, state: CpuState, power: f64, dur: Dur) -> f64 {
+        if dur.is_zero() {
+            return 0.0;
+        }
+        let energy = power * dur.as_secs_f64();
+        self.accumulate_energy(state, energy, dur);
+        energy
+    }
+
+    /// Charges `dur` spent in `state` that burned `energy`: the second
+    /// half of [`accumulate_with_power`](Self::accumulate_with_power),
+    /// whose returned product the kernel records and replays through this
+    /// call when it fast-forwards. A zero `dur` charges nothing.
+    pub fn accumulate_energy(&mut self, state: CpuState, energy: f64, dur: Dur) {
         if dur.is_zero() {
             return;
         }
-        let energy = power * dur.as_secs_f64();
         self.total_energy += energy;
         let bucket = &mut self.buckets[state.kind() as usize];
         bucket.residency += dur;

@@ -98,7 +98,7 @@ impl SleepMode {
     /// `window` in this mode: residual draw until the wake timer, then
     /// full power for the wake-up latency. Returns `None` if the window
     /// cannot even fit the wake-up.
-    pub fn window_energy(&self, window: Dur, reference: Freq) -> Option<f64> {
+    fn window_energy(&self, window: Dur, reference: Freq) -> Option<f64> {
         let wake = self.wakeup_delay(reference);
         if wake >= window {
             return None;
@@ -108,10 +108,12 @@ impl SleepMode {
     }
 }
 
-/// Picks the index of the mode in `modes` minimizing the energy of an
-/// idle window, or `None` if no mode fits (window shorter than every
-/// wake-up latency).
-pub fn best_mode_for(modes: &[SleepMode], window: Dur, reference: Freq) -> Option<usize> {
+/// Picks the mode in `modes` minimizing the normalized energy of an idle
+/// window of length `window` — residual draw until the wake timer, then
+/// full power for the wake-up latency at `reference` — and returns its
+/// index with that energy, or `None` if no mode fits (window shorter than
+/// every wake-up latency).
+pub fn best_mode_for(modes: &[SleepMode], window: Dur, reference: Freq) -> Option<(usize, f64)> {
     let mut best: Option<(usize, f64)> = None;
     for (i, m) in modes.iter().enumerate() {
         if let Some(e) = m.window_energy(window, reference) {
@@ -120,7 +122,7 @@ pub fn best_mode_for(modes: &[SleepMode], window: Dur, reference: Freq) -> Optio
             }
         }
     }
-    best.map(|(i, _)| i)
+    best
 }
 
 #[cfg(test)]
@@ -166,15 +168,16 @@ mod tests {
     fn deeper_modes_win_longer_windows() {
         let fam = family();
         // 10 ms window: deep sleep's 2% dominates despite the 100us wake.
-        assert_eq!(best_mode_for(&fam, Dur::from_ms(10), REF), Some(3));
+        let best = |w: Dur| best_mode_for(&fam, w, REF).map(|(i, _)| i);
+        assert_eq!(best(Dur::from_ms(10)), Some(3));
         // 200 us window: deep sleep cannot pay off its wake-up; the 5%
         // sleep mode wins.
-        assert_eq!(best_mode_for(&fam, Dur::from_us(200), REF), Some(2));
+        assert_eq!(best(Dur::from_us(200)), Some(2));
         // A 1 us window: sleep (100ns wake) still wins over nap (500ns).
-        assert_eq!(best_mode_for(&fam, Dur::from_us(1), REF), Some(2));
+        assert_eq!(best(Dur::from_us(1)), Some(2));
         // A 300 ns window only fits doze (50ns) and sleep (100ns): sleep's
         // lower draw still wins.
-        let i = best_mode_for(&fam, Dur::from_ns(300), REF).unwrap();
+        let i = best(Dur::from_ns(300)).unwrap();
         assert!(fam[i].name() == "sleep" || fam[i].name() == "doze");
     }
 
@@ -183,8 +186,12 @@ mod tests {
         let fam = family();
         for window_us in [1u64, 5, 50, 200, 1_000, 20_000] {
             let w = Dur::from_us(window_us);
-            if let Some(best) = best_mode_for(&fam, w, REF) {
-                let be = fam[best].window_energy(w, REF).unwrap();
+            if let Some((best, be)) = best_mode_for(&fam, w, REF) {
+                // The returned energy is the winner's window energy.
+                assert_eq!(
+                    be.to_bits(),
+                    fam[best].window_energy(w, REF).unwrap().to_bits()
+                );
                 for m in &fam {
                     if let Some(e) = m.window_energy(w, REF) {
                         assert!(

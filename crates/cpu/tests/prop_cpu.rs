@@ -106,6 +106,32 @@ proptest! {
         prop_assert!(fast.duration() <= up.duration());
     }
 
+    /// The duration a ramp stores when it is built is the one its
+    /// endpoints and rate define, for every constructor: ladder-level and
+    /// arbitrary-kHz endpoints through `between`, raw mid-ramp ratios
+    /// through `from_ratios`, coinciding endpoints, and a rate slowed by a
+    /// degradation factor in (0, 1] (how the kernel builds a degraded
+    /// regulator's ramp).
+    #[test]
+    fn ramp_duration_is_the_ceiled_span_over_the_rate(
+        a_khz in 1u64..=100_000,
+        b_khz in 1u64..=100_000,
+        r_ppm in (0u64..=1_000_000, 0u64..=1_000_000),
+        rate_milli in 10u64..1_000,
+        degrade_pct in 1u64..=100,
+    ) {
+        let rate = rate_milli as f64 / 1_000.0;
+        let (a, b) = (Freq::from_khz(a_khz), Freq::from_khz(b_khz));
+        let (ra, rb) = (a.ratio_to(FMAX), b.ratio_to(FMAX));
+        check_duration(Ramp::between(a, b, FMAX, rate), ra, rb, rate)?;
+        check_duration(Ramp::between(a, a, FMAX, rate), ra, ra, rate)?;
+        let (r_from, r_to) = (r_ppm.0 as f64 / 1e6, r_ppm.1 as f64 / 1e6);
+        check_duration(Ramp::from_ratios(r_from, r_to, rate), r_from, r_to, rate)?;
+        check_duration(Ramp::from_ratios(r_from, r_from, rate), r_from, r_from, rate)?;
+        let slow = rate * (degrade_pct as f64 / 100.0);
+        check_duration(Ramp::from_ratios(r_from, r_to, slow), r_from, r_to, slow)?;
+    }
+
     #[test]
     fn ramp_work_inverse_contract(
         a_mhz in 8u64..100,
@@ -142,6 +168,17 @@ proptest! {
     fn derating_never_raises_power(mhz in 8u64..=100) {
         derating_keeps_power(mhz)?;
     }
+}
+
+/// `ramp.duration()` is `ceil(|r_to - r_from| / rate * 1000)` ns, and 0
+/// when the endpoints coincide.
+fn check_duration(ramp: Ramp, r_from: f64, r_to: f64, rate: f64) -> Result<(), TestCaseError> {
+    let want = Dur::from_ns(((r_to - r_from).abs() / rate * 1_000.0).ceil() as u64);
+    prop_assert_eq!(ramp.duration(), want, "{:?}", ramp);
+    if r_from == r_to {
+        prop_assert!(ramp.duration().is_zero());
+    }
+    Ok(())
 }
 
 fn ramp_work_inverse(a_mhz: u64, b_mhz: u64, frac_pct: u64) -> Result<(), TestCaseError> {

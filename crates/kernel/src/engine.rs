@@ -27,9 +27,9 @@
 use crate::discipline::{Discipline, EdfKey};
 use crate::error::{PartialDiagnostic, SimError};
 use crate::policy::{ActiveView, FaultEvent, PowerDirective, PowerPolicy, SchedulerContext};
+use crate::power_table::PowerTable;
 use crate::probe::{NoProbe, Probe};
 use crate::queues::{DelayQueue, RunQueue};
-use crate::ramp_power::RampPowerTable;
 use crate::report::{Counters, DeadlineMiss, ResponseStats, SimReport};
 use crate::stats::{IntervalStats, ResponseHistogram};
 use crate::steady::{
@@ -234,11 +234,16 @@ enum ProcMode {
     /// Settled at a frequency (full speed unless a `SlowDown` is in force).
     Settled(Freq),
     /// Mid-transition; the active job (if any) executes along the ramp.
+    /// `from` and `to` are the ramp's endpoint ratios rounded to kHz once,
+    /// when it starts: the endpoints of the `CpuState` every segment of
+    /// the transition reports.
     Ramping {
         ramp: Ramp,
         started: Time,
         end: Time,
         target: Freq,
+        from: Freq,
+        to: Freq,
     },
     /// Power-down (in the given sleep mode) until the wake timer fires.
     PowerDown { wake_at: Time, mode: usize },
@@ -280,9 +285,10 @@ struct Engine<'a, D: Discipline, P: Probe = NoProbe> {
     /// Scratch buffer for due releases, reused across scheduler passes
     /// (see [`DelayQueue::pop_due_into`]).
     due_scratch: Vec<(TaskId, Time)>,
-    /// Ramp-state powers already computed under this spec's power model,
-    /// adopted from the workspace (see [`crate::ramp_power`]).
-    ramp_power: RampPowerTable,
+    /// Busy- and ramp-state powers already computed under this spec's
+    /// power model, adopted from the workspace (see
+    /// [`crate::power_table`]).
+    power_table: PowerTable,
     /// Standard-normal job draws already computed, lent by the workspace
     /// (see [`DrawTape`]).
     draws: DrawTape,
@@ -309,13 +315,14 @@ struct Engine<'a, D: Discipline, P: Probe = NoProbe> {
 /// Only buffers that never escape into the [`SimReport`] live here — the
 /// run/delay queues, per-task runtime slots, WCET cycle counts, the
 /// release scratch buffer — and two caches of pure functions: a table of
-/// ramp-state powers and a [`DrawTape`] of standard-normal job draws.
+/// busy- and ramp-state powers and a [`DrawTape`] of standard-normal job
+/// draws.
 /// Report fields (responses, histograms, energy, misses, traces) are
 /// freshly allocated by every run *by design*: sweeps keep all reports
 /// alive side by side, so recycling them is impossible. The buffers are
 /// inert between runs (cleared on entry, contents unspecified after a
-/// run). The two caches are what is kept across runs. The ramp-power
-/// table holds values of `CpuSpec::state_power`, recorded with the
+/// run). The two caches are what is kept across runs. The power table
+/// holds values of `CpuSpec::state_power`, recorded with the
 /// `PowerModel` they were computed under, and a run whose processor has
 /// another model (compared bit for bit) empties it on entry. The tape
 /// holds values of `job_stream(seed, task, job).next_gaussian()`, which
@@ -357,7 +364,7 @@ pub struct SimWorkspace {
     tasks: Vec<TaskRt>,
     wcet_cycles: Vec<Cycles>,
     due_scratch: Vec<(TaskId, Time)>,
-    ramp_power: RampPowerTable,
+    power_table: PowerTable,
     draws: DrawTape,
     /// Steady-state detector statistics of the most recent run on this
     /// workspace (success *or* failure; overwritten every run, so stale
@@ -512,8 +519,8 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
         wcet_cycles.clear();
         let mut due_scratch = std::mem::take(&mut ws.due_scratch);
         due_scratch.clear();
-        let mut ramp_power = std::mem::take(&mut ws.ramp_power);
-        ramp_power.adopt(cpu.power());
+        let mut power_table = std::mem::take(&mut ws.power_table);
+        power_table.adopt(cpu.power());
         let draws = std::mem::take(&mut ws.draws);
         tasks.reserve(ts.len());
         wcet_cycles.reserve(ts.len());
@@ -555,7 +562,7 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
             task_energy: vec![0.0; ts.len()],
             histograms: vec![ResponseHistogram::new(); ts.len()],
             due_scratch,
-            ramp_power,
+            power_table,
             draws,
             segments_done: 0,
             steady: SteadyDetector::for_run(cfg, exec, ts),
@@ -719,9 +726,7 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
                     CpuState::IdleNop
                 }
             }
-            ProcMode::Ramping { ramp, .. } => {
-                let from = self.ratio_to_freq(ramp.r_from());
-                let to = self.ratio_to_freq(ramp.r_to());
+            ProcMode::Ramping { from, to, .. } => {
                 if executing {
                     CpuState::Ramping { from, to }
                 } else {
@@ -750,17 +755,17 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
             return;
         }
         let state = self.current_cpu_state();
-        let power = self.ramp_power.state_power(self.cpu, state);
+        let power = self.power_table.state_power(self.cpu, state);
         self.segments_done += 1;
-        self.meter.accumulate_with_power(state, power, dur);
+        let energy = self.meter.accumulate_with_power(state, power, dur);
         if let Some(d) = self.steady.as_mut() {
             // Record the cycle's energy tape (only once a first checkpoint
-            // anchors it): replaying these exact `(state, power, dur)`
+            // anchors it): replaying these exact `(state, energy, dur)`
             // triples repeats the full run's f64 additions verbatim.
             if d.last.is_some() {
                 d.tape.push(TapeSegment {
                     state,
-                    power,
+                    energy,
                     dur,
                     task: if state.executes_work() {
                         self.active
@@ -776,7 +781,7 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
         self.push_trace(TraceEvent::EnergySegment { state, power, dur });
         if state.executes_work() {
             if let Some(tid) = self.active {
-                self.task_energy[tid.0] += power * dur.as_secs_f64();
+                self.task_energy[tid.0] += energy;
             }
             let reference = self.cpu.reference_freq();
             let retired = match self.mode {
@@ -1324,6 +1329,8 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
             // just never settles within the horizon.
             end: self.now.saturating_add(dur),
             target,
+            from: self.ratio_to_freq(ramp.r_from()),
+            to: self.ratio_to_freq(ramp.r_to()),
         };
         Ok(())
     }
@@ -1390,7 +1397,7 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
     /// The complete decision-relevant state at `self.now`, with every
     /// absolute instant re-based to `self.now` (signed: a delay-queue
     /// release sits in the past after a late completion). Excludes
-    /// accumulators (extrapolated instead), the ramp-power table (it only
+    /// accumulators (extrapolated instead), the power table (it only
     /// caches `state_power`), and the per-job indices (strictly growing;
     /// eligibility guarantees nothing decision-relevant reads them).
     fn capture_snapshot(&self, policy_digest: u64) -> SteadySnapshot {
@@ -1421,6 +1428,7 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
                     started,
                     end,
                     target,
+                    ..
                 } => ModeSnapshot::Ramping {
                     ramp,
                     started: rel(started),
@@ -1482,10 +1490,9 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
         // Energy: replay the cycle's segment tape k times.
         for _ in 0..k {
             for seg in tape {
-                self.meter
-                    .accumulate_with_power(seg.state, seg.power, seg.dur);
+                self.meter.accumulate_energy(seg.state, seg.energy, seg.dur);
                 if let Some(tid) = seg.task {
-                    self.task_energy[tid.0] += seg.power * seg.dur.as_secs_f64();
+                    self.task_energy[tid.0] += seg.energy;
                 }
             }
         }
@@ -1540,11 +1547,15 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
                 started,
                 end,
                 target,
+                from,
+                to,
             } => ProcMode::Ramping {
                 ramp,
                 started: started + shift,
                 end: end + shift,
                 target,
+                from,
+                to,
             },
             ProcMode::PowerDown { wake_at, mode } => ProcMode::PowerDown {
                 wake_at: wake_at + shift,
@@ -1626,7 +1637,7 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
         ws.tasks = std::mem::take(&mut self.tasks);
         ws.wcet_cycles = std::mem::take(&mut self.wcet_cycles);
         ws.due_scratch = std::mem::take(&mut self.due_scratch);
-        ws.ramp_power = std::mem::take(&mut self.ramp_power);
+        ws.power_table = std::mem::take(&mut self.power_table);
         ws.draws = std::mem::take(&mut self.draws);
         ws.ff_stats = self.ff_stats;
     }

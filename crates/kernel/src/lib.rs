@@ -61,9 +61,9 @@ pub mod discipline;
 pub mod engine;
 pub mod error;
 pub mod policy;
+mod power_table;
 pub mod probe;
 pub mod queues;
-mod ramp_power;
 pub mod report;
 pub mod stats;
 pub mod steady;

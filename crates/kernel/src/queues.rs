@@ -155,12 +155,15 @@ impl DelayQueue {
     ///
     /// Panics if the task is already queued.
     pub fn insert(&mut self, task: TaskId, prio: Priority, release: Time) {
-        assert!(
-            !self.contains(task),
-            "task {task} is already in the delay queue"
-        );
         let key = (release, prio, task);
-        let pos = self.entries.partition_point(|&e| e > key);
+        // One pass does the duplicate check and finds the position: the
+        // entries greater than `key` are a prefix (the queue is sorted
+        // descending), so their count is where `key` goes.
+        let mut pos = 0;
+        for &e in &self.entries {
+            assert!(e.2 != task, "task {task} is already in the delay queue");
+            pos += usize::from(e > key);
+        }
         self.entries.insert(pos, key);
     }
 

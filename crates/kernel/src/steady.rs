@@ -48,15 +48,19 @@ pub struct FastForwardStats {
     pub events_skipped: u64,
 }
 
-/// One energy segment of the recorded cycle: exactly the arguments the
+/// One energy segment of the recorded cycle: the state and duration the
 /// engine's advance passed to
 /// [`EnergyMeter::accumulate_with_power`](lpfps_cpu::EnergyMeter::accumulate_with_power),
-/// plus the task the segment's energy was attributed to (if any). Replaying
-/// the tape repeats the full run's f64 operation sequence verbatim.
+/// the energy that call returned, and the task the energy was attributed
+/// to (if any). Replaying the tape through
+/// [`EnergyMeter::accumulate_energy`](lpfps_cpu::EnergyMeter::accumulate_energy)
+/// repeats the full run's f64 additions verbatim, with no multiply or
+/// divide.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct TapeSegment {
     pub state: CpuState,
-    pub power: f64,
+    /// `power * dur.as_secs_f64()`, the product the meter charged.
+    pub energy: f64,
     pub dur: Dur,
     /// `Some` iff the segment executed work with an active task — the
     /// condition under which the engine charges `task_energy`.
@@ -114,8 +118,8 @@ pub(crate) struct TaskSnapshot {
 ///
 /// Accumulators (energy meter, counters, response stats, misses,
 /// histograms, idle gaps, task energy) are excluded by design — they grow
-/// monotonically and are extrapolated instead. The engine's ramp-power
-/// table is excluded because it only caches `CpuSpec::state_power`.
+/// monotonically and are extrapolated instead. The engine's power table
+/// is excluded because it only caches `CpuSpec::state_power`.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct SteadySnapshot {
     /// Run-queue contents in iteration (most-urgent-first) order. The keys

@@ -19,13 +19,11 @@
 //! bit for bit, and a one-core run reproduces the uniprocessor golden
 //! fingerprints (gated in `crates/bench/tests/multicore_golden.rs`).
 
-use lpfps::driver::default_horizon;
 use lpfps_faults::core_seed;
 use lpfps_kernel::engine::SimWorkspace;
 use lpfps_kernel::error::SimError;
 use lpfps_kernel::report::SimReport;
 use lpfps_sweep::Cell;
-use lpfps_tasks::time::Dur;
 
 use crate::partition::{Partition, Partitioner, PartitionerKind};
 use crate::report::{CoreBreakdown, MultiReport};
@@ -65,15 +63,6 @@ impl MultiCell {
         )
     }
 
-    /// The horizon every derived core cell runs to (before sweep scaling):
-    /// the base cell's explicit horizon, or `default_horizon` of the
-    /// scaled fleet set — shared across cores so per-core reports align.
-    fn shared_horizon(&self) -> Dur {
-        self.base.horizon.unwrap_or_else(|| {
-            default_horizon(&self.base.ts.with_bcet_fraction(self.base.bcet_fraction))
-        })
-    }
-
     /// Partitions the fleet task set and derives one uniprocessor [`Cell`]
     /// per non-idle core (`None` for cores that received no tasks).
     ///
@@ -83,7 +72,8 @@ impl MultiCell {
     /// * `seed` and `faults.seed` re-key through [`core_seed`] — identity
     ///   on core 0, so a one-core run is byte-equal to the base cell;
     /// * the horizon is pinned on every core to the base cell's explicit
-    ///   horizon, or else the default horizon of the scaled fleet set;
+    ///   horizon, or else the default horizon of the fleet set (the
+    ///   base cell's unscaled horizon, shared so per-core reports align);
     /// * `app` becomes `"{base}.c{k}"` (unchanged when `cores == 1`);
     /// * everything else (cpu, policy, exec, BCET fraction, overheads,
     ///   tick) copies verbatim.
@@ -94,7 +84,7 @@ impl MultiCell {
     /// task.
     pub fn derived_cells(&self) -> Result<(Partition, Vec<Option<Cell>>), SimError> {
         let partition = self.partitioner.partition(&self.base.ts, self.cores)?;
-        let horizon = self.shared_horizon();
+        let horizon = self.base.effective_horizon(1.0);
         let mut cells = Vec::with_capacity(self.cores);
         for (k, core_set) in partition.cores.iter().enumerate() {
             let Some(ts) = core_set else {

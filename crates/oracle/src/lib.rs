@@ -15,7 +15,7 @@
 //!
 //! * [`sim::oracle_simulate_for`] — a deliberately *naive* reference
 //!   simulator: a direct transcription of the paper's Figure 4 with no
-//!   ramp-power table, no workspace reuse, and dumb queue structures. The
+//!   power table, no workspace reuse, and dumb queue structures. The
 //!   differential tests assert the optimized engine matches it **field
 //!   for field, bit for bit** on the full workload × policy × fault
 //!   matrix. Like the engine, it is generic over the dispatch discipline

@@ -7,10 +7,10 @@
 //! same [`SimReport`], but deliberately refuses every optimization the
 //! engine carries:
 //!
-//! * **no ramp-power table** — `CpuSpec::state_power` runs on every
-//!   advance, ramp states included; the engine serves a ramp state it
-//!   has met before under the same power model from a per-workspace
-//!   table, skipping the Simpson quadrature;
+//! * **no power table** — `CpuSpec::state_power` runs on every advance;
+//!   the engine serves a busy or ramp state it has met before under the
+//!   same power model from a per-workspace table, skipping the `V²f`
+//!   evaluation or the Simpson quadrature;
 //! * **no workspace reuse** — every run allocates fresh buffers;
 //! * **naive queues** — an insertion-ordered `Vec` scanned linearly and a
 //!   `BTreeSet`, not the kernel's sorted vectors (see `crate::queues`).
@@ -384,7 +384,7 @@ impl<'a, D: Discipline, P: Probe> Oracle<'a, D, P> {
         let state = self.current_cpu_state();
         // The naive path: one full voltage-curve evaluation per advance.
         // `state_power` is pure, so this is the same `f64` the engine's
-        // ramp-power table serves — energy stays bitwise comparable.
+        // power table serves — energy stays bitwise comparable.
         let power = self.cpu.state_power(state);
         self.segments_done += 1;
         self.meter.accumulate_with_power(state, power, dur);

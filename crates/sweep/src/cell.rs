@@ -80,7 +80,7 @@ pub struct Cell {
     pub bcet_fraction: f64,
     /// Seed for the per-job execution-time streams.
     pub seed: u64,
-    /// Simulation horizon; `None` picks `default_horizon` of the scaled set.
+    /// Simulation horizon; `None` picks `default_horizon` of the set.
     pub horizon: Option<Dur>,
     /// Context-switch cost (see [`SimConfig::context_switch`]).
     pub context_switch: Dur,
@@ -179,11 +179,11 @@ impl Cell {
     }
 
     /// The horizon this cell will simulate, after the runner's
-    /// `horizon_scale` stretch factor.
+    /// `horizon_scale` stretch factor. `default_horizon` reads only the
+    /// periods and the hyperperiod, which BCET scaling leaves alone, so
+    /// it takes the unscaled set.
     pub fn effective_horizon(&self, horizon_scale: f64) -> Dur {
-        let base = self
-            .horizon
-            .unwrap_or_else(|| default_horizon(&self.ts.with_bcet_fraction(self.bcet_fraction)));
+        let base = self.horizon.unwrap_or_else(|| default_horizon(&self.ts));
         if horizon_scale == 1.0 {
             base
         } else {

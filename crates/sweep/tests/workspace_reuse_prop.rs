@@ -35,7 +35,7 @@ fn traced_json(cell: &Cell, horizon_scale: f64, ws: &mut SimWorkspace) -> String
 
 /// The paper's processor with the V–f threshold at 0.4 V instead of
 /// 0.8 V, built as `examples/design_space.rs` builds it: another power
-/// model, so other ramp powers.
+/// model, so other busy and ramp powers.
 fn low_vt_arm8() -> CpuSpec {
     CpuSpec::new(
         FrequencyLadder::default(),
@@ -48,12 +48,13 @@ fn low_vt_arm8() -> CpuSpec {
 /// Runs an adversarial warm-up mix through the workspace: every catalog
 /// workload (including the widest, INS, so every per-task buffer grows
 /// past the target cell's needs), a faulted traced run, LPFPS runs on a
-/// processor with another power model (whose ramp powers must not reach
-/// the next cell), Gaussian runs under more seeds than the draw tape has
-/// slots and one with more draws than it stores (so the target cell's
-/// seed, drawn above, meets an evicted slot and a spent capacity), a
-/// zero-horizon cell (rejected up front with a typed error), and a
-/// budget-aborted simulation that abandons the buffers mid-run.
+/// processor with another power model (whose busy and ramp powers must
+/// not reach the next cell), Gaussian runs under more seeds than the
+/// draw tape has slots and one with more draws than it stores (so the
+/// target cell's seed, drawn above, meets an evicted slot and a spent
+/// capacity), a zero-horizon cell (rejected up front with a typed
+/// error), and a budget-aborted simulation that abandons the buffers
+/// mid-run.
 fn dirty(ws: &mut SimWorkspace, seed: u64) {
     let faults = FaultConfig::none()
         .with_seed(seed)

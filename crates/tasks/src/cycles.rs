@@ -5,7 +5,9 @@
 //! simulator instead stores demand as a cycle count, because a job's
 //! *remaining work* is invariant under frequency changes while its remaining
 //! *time* is not. Conversions between cycles and time at a given frequency
-//! are exact integer arithmetic with `u128` intermediates.
+//! are exact integer arithmetic: in `u64` whenever the product fits, with
+//! a `u128` intermediate only when it does not. Both give the same integer,
+//! so the fast path cannot change a result.
 
 use crate::freq::Freq;
 use crate::time::Dur;
@@ -50,6 +52,9 @@ impl Cycles {
     /// of aborting the process.
     pub fn from_time_at(d: Dur, f: Freq) -> Self {
         // cycles = ns * kHz / 1e6  (1 kHz = 1e3 cycles/s = 1e-6 cycles/ns)
+        if let Some(p) = d.as_ns().checked_mul(f.as_khz()) {
+            return Cycles(p / 1_000_000);
+        }
         let c = (d.as_ns() as u128 * f.as_khz() as u128) / 1_000_000;
         Cycles(u64::try_from(c).unwrap_or(u64::MAX))
     }
@@ -72,7 +77,11 @@ impl Cycles {
         if f.is_zero() {
             return Dur::MAX;
         }
-        // ns = cycles * 1e6 / kHz, ceiling division.
+        // ns = cycles * 1e6 / kHz, ceiling division. A quotient never
+        // exceeds its numerator, so the u64 path cannot saturate.
+        if let Some(num) = self.0.checked_mul(1_000_000) {
+            return Dur::from_ns(num.div_ceil(f.as_khz()));
+        }
         let num = self.0 as u128 * 1_000_000;
         let den = f.as_khz() as u128;
         let ns = num.div_ceil(den);

@@ -53,6 +53,23 @@ proptest! {
         prop_assert!(back.as_u64() - c.as_u64() <= 1);
     }
 
+    /// The conversions take a `u64` path when the product fits and a
+    /// `u128` one when it does not; both must give the `u128` formula's
+    /// integer. Each magnitude is drawn log-uniformly (a random `u64`
+    /// shifted right by 0–63 bits), so the cases land on both sides of
+    /// the overflow boundary.
+    #[test]
+    fn cycle_conversions_equal_the_u128_formula(
+        ns in 0u64..=u64::MAX,
+        ns_shift in 0u32..64,
+        cycles in 0u64..=u64::MAX,
+        cycles_shift in 0u32..64,
+        khz in 1u64..=u64::MAX,
+        khz_shift in 0u32..64,
+    ) {
+        conversions_match_u128(ns >> ns_shift, cycles >> cycles_shift, (khz >> khz_shift).max(1))?;
+    }
+
     #[test]
     fn slower_clocks_never_shorten_execution(
         cycles in 1u64..10_000_000,
@@ -196,6 +213,49 @@ proptest! {
             prop_assert!(d <= task.wcet(), "{} exceeded the WCET", m.name());
             // Deterministic per (job, seed).
             prop_assert_eq!(d, m.sample(&task, TaskId(0), job, seed));
+        }
+    }
+}
+
+/// `from_time_at(ns, khz)` and `time_at(cycles, khz)` equal the `u128`
+/// formulas: `ns * khz / 10^6` rounded down, and `cycles * 10^6 / khz`
+/// rounded up, each saturating at `u64::MAX`.
+fn conversions_match_u128(ns: u64, cycles: u64, khz: u64) -> Result<(), TestCaseError> {
+    let f = Freq::from_khz(khz);
+    let want = u64::try_from(ns as u128 * khz as u128 / 1_000_000).unwrap_or(u64::MAX);
+    let got = Cycles::from_time_at(Dur::from_ns(ns), f).as_u64();
+    prop_assert_eq!(got, want, "from_time_at({} ns, {} kHz)", ns, khz);
+    let want =
+        u64::try_from((cycles as u128 * 1_000_000).div_ceil(khz as u128)).unwrap_or(u64::MAX);
+    let got = Cycles::new(cycles).time_at(f).as_ns();
+    prop_assert_eq!(got, want, "time_at({} cycles, {} kHz)", cycles, khz);
+    Ok(())
+}
+
+/// The fast paths at the `u64` boundary. `from_time_at`'s product
+/// `ns * khz` is 2^64 - 1 = (2^32 - 1)(2^32 + 1), which fits, and 2^64 =
+/// 2^32 * 2^32 and 2^64 + 1 = 274,177 * 67,280,421,310,721, which do not.
+/// `time_at`'s product `cycles * 10^6` is never one of those, so its
+/// cases are the largest cycle count whose product fits and its two
+/// neighbours, at 1 kHz, at 3 kHz and 3 MHz (which leave a remainder for
+/// the rounding up to show), at 10^6 kHz, where the overflowing case
+/// still has an in-range answer, and at `u64::MAX` kHz.
+#[test]
+fn cycle_conversions_equal_the_u128_formula_at_the_u64_boundary() {
+    const TWO_32: u64 = 1 << 32;
+    for (ns, khz) in [
+        (TWO_32 + 1, TWO_32 - 1),
+        (TWO_32 - 1, TWO_32 + 1),
+        (TWO_32, TWO_32),
+        (67_280_421_310_721, 274_177),
+        (274_177, 67_280_421_310_721),
+    ] {
+        conversions_match_u128(ns, 0, khz).unwrap();
+    }
+    let last_fit = u64::MAX / 1_000_000;
+    for cycles in [last_fit - 1, last_fit, last_fit + 1] {
+        for khz in [1, 3, 3_000, 1_000_000, u64::MAX] {
+            conversions_match_u128(0, cycles, khz).unwrap();
         }
     }
 }
