@@ -1,10 +1,10 @@
 //! Typed validation errors for the processor model.
 //!
-//! Mirrors `lpfps_tasks::error`: the panicking constructors stay the
-//! ergonomic path for literal, known-good specs (the paper's ARM8-class
-//! processor), while [`CpuSpec::validated`](crate::spec::CpuSpec::validated)
-//! and [`validate_cpu_spec`] give untrusted input — deserialized specs,
-//! external configuration — a typed rejection instead of a process abort.
+//! Mirrors `lpfps_tasks::error`: the `assert!`s of the constructors are
+//! the precondition of literal, known-good specs (the paper's ARM8-class
+//! processor and its variants), while [`validate_cpu_spec`] is the one
+//! fallible check, giving untrusted input — deserialized specs, external
+//! configuration — a typed rejection instead of a process abort.
 
 use crate::spec::CpuSpec;
 use core::fmt;

@@ -1,6 +1,5 @@
 //! The complete processor specification used by the kernel simulator.
 
-use crate::error::{validate_cpu_spec, CpuSpecError};
 use crate::ladder::FrequencyLadder;
 use crate::modes::SleepMode;
 use crate::power::PowerModel;
@@ -70,89 +69,19 @@ impl CpuSpec {
         }
     }
 
-    /// Fallible counterpart of [`CpuSpec::new`] for untrusted input:
-    /// returns a typed error instead of panicking.
-    ///
-    /// After `validated` succeeds, every constructor `assert!` is provably
-    /// unreachable for this value — the precondition contract the kernel's
-    /// panic-free boundary relies on.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`CpuSpecError`] naming the violated rule.
-    pub fn validated(
-        ladder: FrequencyLadder,
-        power: PowerModel,
-        ramp_rate_per_us: f64,
-        wakeup_cycles: u64,
-    ) -> Result<Self, CpuSpecError> {
-        if !(ramp_rate_per_us.is_finite() && ramp_rate_per_us > 0.0) {
-            return Err(CpuSpecError::BadRampRate {
-                rate: ramp_rate_per_us,
-            });
-        }
-        // Check before SleepMode::new, whose assert would fire first.
-        let down = power.power_down();
-        if !(0.0..=1.0).contains(&down) || down.is_nan() {
-            return Err(CpuSpecError::BadSleepPower {
-                mode: 0,
-                power_frac: down,
-            });
-        }
-        let primary = SleepMode::new("sleep", down, wakeup_cycles);
-        let spec = CpuSpec {
-            ladder,
-            power,
-            ramp_rate_per_us,
-            wakeup_cycles,
-            sleep_modes: vec![primary],
-        };
-        validate_cpu_spec(&spec)?;
-        Ok(spec)
-    }
-
-    /// Replaces the sleep-mode family (the default is the single paper
-    /// mode built from the power model's power-down fraction and the
-    /// wake-up cycle count), checking the result.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CpuSpecError::NoSleepModes`] for an empty family, or
-    /// [`CpuSpecError::BadSleepPower`] for an out-of-range residual draw.
-    pub fn try_with_sleep_modes(self, modes: Vec<SleepMode>) -> Result<Self, CpuSpecError> {
-        if modes.is_empty() {
-            return Err(CpuSpecError::NoSleepModes);
-        }
-        let mut spec = self;
-        spec.sleep_modes = modes;
-        validate_cpu_spec(&spec)?;
-        Ok(spec)
-    }
-
-    /// Replaces the sleep-mode family of a known-good processor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `modes` is empty.
-    fn with_sleep_modes(mut self, modes: Vec<SleepMode>) -> Self {
-        assert!(
-            !modes.is_empty(),
-            "a processor needs at least one sleep mode"
-        );
-        self.sleep_modes = modes;
-        self
-    }
-
     /// The paper's processor extended with the PowerPC-603-style mode
     /// family of SS2.1: doze (30 %, 5 cycles), nap (10 %, 50 cycles),
     /// sleep (5 %, 10 cycles), deep sleep (2 %, 10^4 cycles = 100 us).
     pub fn arm8_multimode() -> Self {
-        CpuSpec::arm8().with_sleep_modes(vec![
-            SleepMode::doze(),
-            SleepMode::nap(),
-            SleepMode::paper_sleep(),
-            SleepMode::deep_sleep(),
-        ])
+        CpuSpec {
+            sleep_modes: vec![
+                SleepMode::doze(),
+                SleepMode::nap(),
+                SleepMode::paper_sleep(),
+                SleepMode::deep_sleep(),
+            ],
+            ..CpuSpec::arm8()
+        }
     }
 
     /// The paper's ARM8-class reference processor:

@@ -110,23 +110,6 @@ impl SimConfig {
         }
     }
 
-    /// Validates the configuration, returning it unchanged on success.
-    ///
-    /// The same checks run at the head of every simulation;
-    /// validating eagerly just surfaces the error where the config is
-    /// built.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::InvalidConfig`](crate::error::SimError) for a zero
-    /// horizon or zero tick;
-    /// [`SimError::TimeOverflow`](crate::error::SimError) for a horizon
-    /// beyond [`MAX_TIME_PARAM`].
-    pub fn validated(self) -> Result<Self, SimError> {
-        validate_sim_config(&self)?;
-        Ok(self)
-    }
-
     /// Sets the execution-time seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -179,9 +162,11 @@ impl SimConfig {
     }
 }
 
-/// The boundary checks shared by [`SimConfig::validated`] and
-/// [`simulate_in`] (public so the reference oracle applies the
-/// byte-identical checks, keeping error paths diffable field for field).
+/// The boundary check of a config, which [`simulate_in`] runs first: a
+/// zero horizon or tick is [`SimError::InvalidConfig`], a horizon beyond
+/// [`MAX_TIME_PARAM`] is [`SimError::TimeOverflow`]. Public so the
+/// reference oracle applies the byte-identical checks, keeping error paths
+/// diffable field for field.
 pub fn validate_sim_config(cfg: &SimConfig) -> Result<(), SimError> {
     if cfg.horizon.is_zero() {
         return Err(SimError::InvalidConfig {

@@ -3,19 +3,23 @@
 //! The `Display` strings of [`SimError`] (and the domain errors it wraps)
 //! are part of the tool's surface: sweep progress lines, `CellError`
 //! payloads in results JSON, and CLI diagnostics all print them verbatim.
-//! These tests pin the exact text of the most common validation
-//! failures — plus the budget-exhaustion diagnostic shape — so a refactor
-//! that drifts a message fails here by name instead of silently changing
-//! every downstream artifact.
+//! These tests pin the exact text of the validation failures — every
+//! `TaskSetError` and `CpuSpecError` rule that lacks a test closer to its
+//! validator, each produced by name at the `simulate` boundary — plus the
+//! budget-exhaustion diagnostic shape, so a refactor that drifts a
+//! message fails here by name instead of silently changing every
+//! downstream artifact.
 //!
 //! Malformed inputs are built through the `Deserialize` back door (the
-//! validating constructors refuse to build them), exactly as a hostile
+//! constructors' `assert!`s refuse to build them), exactly as a hostile
 //! JSON spec would arrive.
 
+use lpfps_cpu::error::CpuSpecError;
 use lpfps_cpu::spec::CpuSpec;
 use lpfps_kernel::engine::{simulate, SimConfig};
 use lpfps_kernel::error::SimError;
 use lpfps_kernel::policy::AlwaysFullSpeed;
+use lpfps_tasks::error::TaskSetError;
 use lpfps_tasks::exec::AlwaysWcet;
 use lpfps_tasks::task::{Priority, Task};
 use lpfps_tasks::taskset::TaskSet;
@@ -55,18 +59,31 @@ fn boundary_error(ts: &TaskSet, cpu: &CpuSpec, cfg: &SimConfig) -> SimError {
         .expect_err("snapshot inputs are all invalid")
 }
 
+/// The boundary error of a one-task set `tau1` with the given period,
+/// deadline, WCET and BCET (ns) on the paper's processor.
+fn task_error(period: u64, deadline: u64, wcet: u64, bcet: u64) -> SimError {
+    let ts = smuggle_task_set(&[smuggle_task("tau1", period, deadline, wcet, bcet)]);
+    boundary_error(&ts, &CpuSpec::arm8(), &SimConfig::new(Dur::from_ms(1)))
+}
+
+/// The boundary error of a valid one-task set on `cpu`.
+fn cpu_error(cpu: &CpuSpec) -> SimError {
+    let ts = smuggle_task_set(&[smuggle_task("tau1", 50_000, 50_000, 10_000, 10_000)]);
+    boundary_error(&ts, cpu, &SimConfig::new(Dur::from_ms(1)))
+}
+
 #[test]
 fn empty_task_set_message() {
     let ts = smuggle_task_set(&[]);
     let err = boundary_error(&ts, &CpuSpec::arm8(), &SimConfig::new(Dur::from_ms(1)));
+    assert_eq!(err, SimError::TaskSet(TaskSetError::Empty));
     assert_eq!(err.to_string(), "invalid task set: task set is empty");
     assert_eq!(err.kind(), "invalid-task-set");
 }
 
 #[test]
 fn zero_period_message() {
-    let ts = smuggle_task_set(&[smuggle_task("tau1", 0, 50_000, 10_000, 10_000)]);
-    let err = boundary_error(&ts, &CpuSpec::arm8(), &SimConfig::new(Dur::from_ms(1)));
+    let err = task_error(0, 50_000, 10_000, 10_000);
     assert_eq!(
         err.to_string(),
         "invalid task set: task `tau1`: period must be positive"
@@ -76,13 +93,71 @@ fn zero_period_message() {
 
 #[test]
 fn wcet_exceeds_period_message() {
-    let ts = smuggle_task_set(&[smuggle_task("tau1", 50_000, 50_000, 60_000, 10_000)]);
-    let err = boundary_error(&ts, &CpuSpec::arm8(), &SimConfig::new(Dur::from_ms(1)));
+    let err = task_error(50_000, 50_000, 60_000, 10_000);
+    let task = "tau1".to_string();
+    assert_eq!(
+        err,
+        SimError::TaskSet(TaskSetError::WcetExceedsPeriod { task })
+    );
     assert_eq!(
         err.to_string(),
         "invalid task set: task `tau1`: WCET exceeds its period"
     );
     assert_eq!(err.kind(), "invalid-task-set");
+}
+
+#[test]
+fn zero_wcet_message() {
+    let err = task_error(50_000, 50_000, 0, 0);
+    let task = "tau1".to_string();
+    assert_eq!(err, SimError::TaskSet(TaskSetError::ZeroWcet { task }));
+    assert_eq!(
+        err.to_string(),
+        "invalid task set: task `tau1`: WCET must be positive"
+    );
+}
+
+#[test]
+fn bad_deadline_message() {
+    // D = 5 us < C = 10 us; D = 0 and D > T break the same rule.
+    let err = task_error(50_000, 5_000, 10_000, 10_000);
+    let task = "tau1".to_string();
+    assert_eq!(err, SimError::TaskSet(TaskSetError::BadDeadline { task }));
+    assert_eq!(
+        err.to_string(),
+        "invalid task set: task `tau1`: deadline must lie between the WCET and the period"
+    );
+}
+
+#[test]
+fn bad_bcet_message() {
+    // BCET = 20 us > C = 10 us; BCET = 0 breaks the same rule.
+    let err = task_error(50_000, 50_000, 10_000, 20_000);
+    let task = "tau1".to_string();
+    assert_eq!(err, SimError::TaskSet(TaskSetError::BadBcet { task }));
+    assert_eq!(
+        err.to_string(),
+        "invalid task set: task `tau1`: BCET must be positive and at most the WCET"
+    );
+}
+
+#[test]
+fn priority_count_mismatch_message() {
+    // One task, no priority: `iter()` zips the two vectors, so only the
+    // count check keeps the task from going unchecked.
+    let json = r#"{"name": "snapshot", "tasks": [{"name": "tau1", "period": 50000,
+        "deadline": 50000, "wcet": 10000, "bcet": 10000, "phase": 0}], "priorities": []}"#;
+    let ts: TaskSet = serde_json::from_str(json).unwrap();
+    let err = boundary_error(&ts, &CpuSpec::arm8(), &SimConfig::new(Dur::from_ms(1)));
+    let mismatch = TaskSetError::PriorityCountMismatch {
+        tasks: 1,
+        priorities: 0,
+    };
+    assert_eq!(err, SimError::TaskSet(mismatch));
+    assert_eq!(
+        err.to_string(),
+        "invalid task set: task set has 1 tasks but 0 priorities"
+    );
 }
 
 #[test]
@@ -106,8 +181,7 @@ fn missing_sleep_modes_message() {
         _ => unreachable!("CpuSpec serializes as an object"),
     }
     let cpu = CpuSpec::from_value(&tree).expect("the mutated tree still matches the shape");
-    let ts = smuggle_task_set(&[smuggle_task("tau1", 50_000, 50_000, 10_000, 10_000)]);
-    let err = boundary_error(&ts, &cpu, &SimConfig::new(Dur::from_ms(1)));
+    let err = cpu_error(&cpu);
     assert_eq!(
         err.to_string(),
         "invalid processor spec: a processor needs at least one sleep mode"
@@ -126,8 +200,7 @@ fn doctored_arm8(needle: &str, replacement: &str) -> CpuSpec {
 #[test]
 fn bad_power_fraction_message() {
     let cpu = doctored_arm8("\"idle_frac\":0.2", "\"idle_frac\":1.5");
-    let ts = smuggle_task_set(&[smuggle_task("tau1", 50_000, 50_000, 10_000, 10_000)]);
-    let err = boundary_error(&ts, &cpu, &SimConfig::new(Dur::from_ms(1)));
+    let err = cpu_error(&cpu);
     assert_eq!(
         err.to_string(),
         "invalid processor spec: power model: idle fraction must be in [0, 1], got 1.5"
@@ -138,14 +211,70 @@ fn bad_power_fraction_message() {
 #[test]
 fn bad_vf_curve_message() {
     let cpu = doctored_arm8("\"v_t\":0.8", "\"v_t\":4.0");
-    let ts = smuggle_task_set(&[smuggle_task("tau1", 50_000, 50_000, 10_000, 10_000)]);
-    let err = boundary_error(&ts, &cpu, &SimConfig::new(Dur::from_ms(1)));
+    let err = cpu_error(&cpu);
     assert_eq!(
         err.to_string(),
         "invalid processor spec: V-f curve must satisfy 0 <= Vt < Vmax with Vmax finite, \
          got Vt = 4 V, Vmax = 3.3 V"
     );
     assert_eq!(err.kind(), "invalid-cpu-spec");
+}
+
+#[test]
+fn unordered_ladder_message() {
+    let err = cpu_error(&doctored_arm8("\"min\":8000", "\"min\":200000"));
+    assert_eq!(err, SimError::CpuSpec(CpuSpecError::UnorderedLadder));
+    assert_eq!(
+        err.to_string(),
+        "invalid processor spec: frequency ladder bounds must be ordered (min <= max)"
+    );
+}
+
+#[test]
+fn zero_ladder_step_message() {
+    let err = cpu_error(&doctored_arm8("\"step\":1000", "\"step\":0"));
+    assert_eq!(err, SimError::CpuSpec(CpuSpecError::ZeroLadderStep));
+    assert_eq!(
+        err.to_string(),
+        "invalid processor spec: frequency ladder step must be positive"
+    );
+}
+
+#[test]
+fn misaligned_ladder_message() {
+    // 8..100 MHz spans 92 MHz: not a whole number of 3 MHz steps.
+    let err = cpu_error(&doctored_arm8("\"step\":1000", "\"step\":3000"));
+    assert_eq!(err, SimError::CpuSpec(CpuSpecError::MisalignedLadder));
+    assert_eq!(
+        err.to_string(),
+        "invalid processor spec: frequency ladder span must be a whole number of steps"
+    );
+}
+
+#[test]
+fn ladder_above_reference_message() {
+    // A 120 MHz ladder top over the 100 MHz V-f anchor.
+    let err = cpu_error(&doctored_arm8("\"max\":100000", "\"max\":120000"));
+    assert_eq!(err, SimError::CpuSpec(CpuSpecError::LadderAboveReference));
+    assert_eq!(
+        err.to_string(),
+        "invalid processor spec: frequency ladder maximum must not exceed the V-f reference \
+         frequency"
+    );
+}
+
+#[test]
+fn bad_sleep_power_message() {
+    let err = cpu_error(&doctored_arm8("\"power_frac\":0.05", "\"power_frac\":1.5"));
+    let bad = CpuSpecError::BadSleepPower {
+        mode: 0,
+        power_frac: 1.5,
+    };
+    assert_eq!(err, SimError::CpuSpec(bad));
+    assert_eq!(
+        err.to_string(),
+        "invalid processor spec: sleep mode 0: power fraction must be in [0, 1], got 1.5"
+    );
 }
 
 #[test]

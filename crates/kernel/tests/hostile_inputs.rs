@@ -1,7 +1,7 @@
 //! Adversarial inputs against the panic-free boundary.
 //!
-//! `TaskSet`, `CpuSpec`, and `SimConfig` all implement `Deserialize`, so
-//! values that no validating constructor would ever produce can still
+//! `TaskSet` and `CpuSpec` implement `Deserialize` and `SimConfig` has
+//! public fields, so values that no constructor would ever build can still
 //! reach `simulate` — a malformed JSON sweep spec, a hand-edited results
 //! file, a fuzzer. The contract under test: **every** such input yields
 //! either a valid report or a typed [`SimError`]; the library never
@@ -9,12 +9,13 @@
 //! anywhere inside the boundary fails the case by name instead of
 //! aborting the harness.
 //!
-//! Four property blocks (120 + 80 + 80 + 120 = 400 cases per run):
+//! Three property blocks (120 + 80 + 80 = 280 cases per run):
 //!
-//! 1. task sets smuggled past validation field by field,
+//! 1. task sets smuggled past the constructors field by field, rejected
+//!    with `SimError::TaskSet` exactly when `validate_task_set` rejects
+//!    them,
 //! 2. processor specs with mutated numeric leaves,
-//! 3. extreme simulation configs (horizon/tick/budget corners),
-//! 4. hostile parameters fed straight to the validating constructors.
+//! 3. extreme simulation configs (horizon/tick/budget corners).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -22,7 +23,7 @@ use lpfps_cpu::spec::CpuSpec;
 use lpfps_kernel::engine::{simulate, SimConfig};
 use lpfps_kernel::error::SimError;
 use lpfps_kernel::policy::AlwaysFullSpeed;
-use lpfps_tasks::error::MAX_TIME_PARAM_NS;
+use lpfps_tasks::error::{validate_task_set, MAX_TIME_PARAM_NS};
 use lpfps_tasks::exec::AlwaysWcet;
 use lpfps_tasks::task::{Priority, Task};
 use lpfps_tasks::taskset::TaskSet;
@@ -76,14 +77,14 @@ fn smuggle_task_set(tasks: &[Task], priorities: &[u32]) -> TaskSet {
     TaskSet::from_value(&Value::Object(m)).expect("the field map matches `TaskSet`'s shape")
 }
 
-/// A small task set built through the validating constructors, for
-/// properties that attack a *different* input dimension.
+/// A small valid task set, for properties that attack a *different*
+/// input dimension.
 fn valid_probe_set() -> TaskSet {
     let tasks = vec![
-        Task::validated("a", Dur::from_us(50), Dur::from_us(10)).expect("valid"),
-        Task::validated("b", Dur::from_us(80), Dur::from_us(20)).expect("valid"),
+        Task::new("a", Dur::from_us(50), Dur::from_us(10)),
+        Task::new("b", Dur::from_us(80), Dur::from_us(20)),
     ];
-    TaskSet::try_rate_monotonic("probe", tasks).expect("valid")
+    TaskSet::rate_monotonic("probe", tasks)
 }
 
 /// Runs the engine under `catch_unwind`; `Err` means the library panicked,
@@ -180,17 +181,22 @@ proptest! {
         prop_assert!(outcome.is_ok(), "engine panicked: {}", outcome.unwrap_err());
         let result = outcome.unwrap();
 
-        // Clearly-invalid structure must be *rejected*, not merely
-        // survived. The config is validated first, so the task-set kind is
-        // only guaranteed when the horizon itself is admissible.
+        // A set the validator rejects must be *rejected* with that very
+        // error, not merely survived, and a set it accepts must not be.
+        // The config is validated first, so the task-set kind is only
+        // guaranteed when the horizon itself is admissible.
         let config_valid = horizon > 0 && horizon <= MAX_TIME_PARAM_NS;
-        let structurally_broken = priorities.len() != tasks.len()
-            || tasks.iter().any(|t| t.period().is_zero());
-        if config_valid && structurally_broken {
-            prop_assert!(
-                matches!(result, Err(SimError::TaskSet(_))),
-                "malformed task set slipped through: {result:?}"
-            );
+        if config_valid {
+            match validate_task_set(&ts) {
+                Err(e) => prop_assert!(
+                    matches!(&result, Err(SimError::TaskSet(got)) if *got == e),
+                    "malformed task set slipped through as {result:?}, not {e:?}"
+                ),
+                Ok(()) => prop_assert!(
+                    !matches!(result, Err(SimError::TaskSet(_))),
+                    "boundary rejected a set the validator accepts: {result:?}"
+                ),
+            }
         }
     }
 }
@@ -284,79 +290,6 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(120))]
-
-    /// The validating constructors themselves, fed hostile parameters:
-    /// they are the documented *fallible* front door, so they must return
-    /// `Err` — never panic — for every rejected input, and every value
-    /// they accept must then simulate without tripping a boundary check.
-    #[test]
-    fn validating_constructors_reject_without_panicking(
-        period_raw in 0u64..=u64::MAX, period_sel in 0u8..8,
-        wcet_raw in 0u64..=u64::MAX, wcet_sel in 0u8..8,
-        fraction_millis in -2_000i64..2_001,
-        ramp_scale in 0u8..6,
-    ) {
-        let fraction = fraction_millis as f64 / 1_000.0;
-        let period = warp(period_raw, period_sel);
-        let wcet = warp(wcet_raw, wcet_sel);
-        let outcome = catch_unwind(|| {
-            Task::validated("tau", Dur::from_ns(period), Dur::from_ns(wcet))
-                .and_then(|t| {
-                    let t2 = Task::validated(
-                        "tau2",
-                        Dur::from_ns(period.saturating_mul(2)),
-                        Dur::from_ns(wcet),
-                    )?;
-                    TaskSet::try_rate_monotonic("ctor", vec![t, t2])
-                })
-                .and_then(|ts| ts.try_with_bcet_fraction(fraction))
-        });
-        prop_assert!(outcome.is_ok(), "constructor panicked");
-        if let Ok(Ok(ref ts)) = outcome {
-            let cfg = SimConfig::new(Dur::from_us(500)).with_max_events(100_000);
-            let guarded = run_guarded(ts, &CpuSpec::arm8(), &cfg);
-            prop_assert!(guarded.is_ok(), "engine panicked on a validated set");
-            let result = guarded.unwrap();
-            prop_assert!(
-                !matches!(
-                    result,
-                    Err(SimError::TaskSet(_)) | Err(SimError::CpuSpec(_))
-                ),
-                "boundary re-rejected a constructor-validated input: {result:?}"
-            );
-        }
-        if period == 0 || wcet == 0 || wcet > period {
-            prop_assert!(
-                matches!(outcome, Ok(Err(_))),
-                "hostile task parameters were accepted"
-            );
-        }
-
-        let ramp = match ramp_scale {
-            0 => 0.0,
-            1 => -1.0,
-            2 => f64::NAN,
-            3 => f64::INFINITY,
-            4 => 1e-12,
-            _ => 0.07,
-        };
-        let spec = catch_unwind(|| {
-            CpuSpec::validated(
-                lpfps_cpu::ladder::FrequencyLadder::default(),
-                lpfps_cpu::power::PowerModel::default(),
-                ramp,
-                10,
-            )
-        });
-        prop_assert!(spec.is_ok(), "CpuSpec::validated panicked");
-        if !(ramp.is_finite() && ramp > 0.0) {
-            prop_assert!(matches!(spec, Ok(Err(_))), "bad ramp rate accepted");
-        }
-    }
-}
-
-proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Hyperperiod overflow must *degrade*, never derail: near-co-prime
@@ -409,15 +342,4 @@ proptest! {
             full.energy.total_energy().to_bits()
         );
     }
-}
-
-/// Sleep-mode degeneracy is only reachable through the fallible builder
-/// (or serde); both must reject the empty family with the same typed
-/// error.
-#[test]
-fn empty_sleep_mode_family_is_rejected() {
-    let err = CpuSpec::arm8()
-        .try_with_sleep_modes(vec![])
-        .expect_err("an empty sleep-mode family must be rejected");
-    assert_eq!(err.to_string(), "a processor needs at least one sleep mode");
 }

@@ -80,8 +80,8 @@ impl MultiCell {
     ///
     /// # Errors
     ///
-    /// [`SimError::Partition`] when the partitioner cannot place every
-    /// task.
+    /// [`SimError::Partition`] when the fleet set is invalid or the
+    /// partitioner cannot place every task.
     pub fn derived_cells(&self) -> Result<(Partition, Vec<Option<Cell>>), SimError> {
         let partition = self.partitioner.partition(&self.base.ts, self.cores)?;
         let horizon = self.base.effective_horizon(1.0);

@@ -17,14 +17,15 @@
 //! Three pieces:
 //!
 //! * [`partition`] — the [`Partitioner`] trait and its deterministic
-//!   allocators: First-/Best-/Worst-Fit Decreasing by utilization
-//!   ([`FirstFitDecreasing`], [`BestFitDecreasing`], [`WorstFitDecreasing`],
-//!   capacity 1.0 per core) and the RTA-admission-gated first fit
-//!   ([`RtaFirstFit`], places a task only where exact response-time
-//!   analysis still passes). All emit a typed [`Partition`] — every task
-//!   assigned exactly once, per-core `TaskSet`s with re-derived RM
-//!   priorities — or a structured [`PartitionError`] that folds into the
-//!   kernel's `SimError` taxonomy (kind `"invalid-partition"`).
+//!   allocators, the variants of [`PartitionerKind`]: First-/Best-/Worst-
+//!   Fit Decreasing by utilization (`Ffd`, `Bfd`, `Wfd`, capacity 1.0 per
+//!   core) and the RTA-admission-gated first fit (`RtaFf`, places a task
+//!   only where exact response-time analysis still passes). Each checks
+//!   the fleet set once with `validate_task_set`, then emits a typed
+//!   [`Partition`] — every task assigned exactly once, per-core `TaskSet`s
+//!   with re-derived RM priorities — or a structured [`PartitionError`]
+//!   that folds into the kernel's `SimError` taxonomy (kind
+//!   `"invalid-partition"`).
 //! * [`engine`] — [`MultiCell`] (a uniprocessor sweep `Cell` plus a core
 //!   count and a partitioner). It derives one ordinary sweep `Cell` per
 //!   non-idle core and merges their reports in core order
@@ -51,8 +52,5 @@ pub mod partition;
 pub mod report;
 
 pub use engine::{MultiCell, MultiEngine};
-pub use partition::{
-    BestFitDecreasing, FirstFitDecreasing, Partition, PartitionError, Partitioner, PartitionerKind,
-    RtaFirstFit, WorstFitDecreasing,
-};
+pub use partition::{Partition, PartitionError, Partitioner, PartitionerKind};
 pub use report::{CoreBreakdown, MultiReport};

@@ -8,21 +8,24 @@
 //! Partitioning a permuted declaration of the same tasks therefore yields
 //! the same task → core mapping (pinned by proptest).
 //!
-//! The capacity allocators ([`FirstFitDecreasing`], [`BestFitDecreasing`],
-//! [`WorstFitDecreasing`]) admit a task onto a core while the core's
-//! utilization stays ≤ 1 (up to 1e-9 of f64 rounding); [`RtaFirstFit`]
-//! instead admits a task only onto a core where the subset — with RM
-//! priorities re-derived — still passes exact response-time analysis, so
-//! every core it emits is provably schedulable at full speed under WCET
-//! demand.
+//! The capacity allocators ([`PartitionerKind::Ffd`],
+//! [`PartitionerKind::Bfd`], [`PartitionerKind::Wfd`]) admit a task onto a
+//! core while the core's utilization stays ≤ 1 (up to 1e-9 of f64
+//! rounding); [`PartitionerKind::RtaFf`] instead admits a task only onto a
+//! core where the subset — with RM priorities re-derived — still passes
+//! exact response-time analysis, so every core it emits is provably
+//! schedulable at full speed under WCET demand.
 //!
-//! Every allocator emits a typed [`Partition`] (each task assigned exactly
+//! Every allocator first checks the parent set once with
+//! `validate_task_set` (a deserialized fleet may break the task model's
+//! rules), then emits a typed [`Partition`] (each task assigned exactly
 //! once; per-core `TaskSet`s keep the parent's declaration order) or a
 //! structured [`PartitionError`] — never a panic.
 
 use core::fmt;
 use lpfps_kernel::error::SimError;
 use lpfps_tasks::analysis::rta_schedulable;
+use lpfps_tasks::error::{validate_task_set, TaskSetError};
 use lpfps_tasks::task::Task;
 use lpfps_tasks::taskset::TaskSet;
 
@@ -35,13 +38,9 @@ const CAPACITY_EPS: f64 = 1e-9;
 pub enum PartitionError {
     /// Zero cores requested.
     NoCores,
-    /// A single task's utilization exceeds one full core.
-    TaskTooHeavy {
-        /// The offending task.
-        task: String,
-        /// Its utilization.
-        utilization: f64,
-    },
+    /// The parent task set breaks a rule of the task model (only a
+    /// deserialized set can).
+    InvalidSet(TaskSetError),
     /// No core has the capacity left for this task (capacity allocators).
     CapacityExceeded {
         /// The task that found every core full.
@@ -50,18 +49,12 @@ pub enum PartitionError {
         cores: usize,
     },
     /// No core admits this task under exact response-time analysis
-    /// ([`RtaFirstFit`]).
+    /// ([`PartitionerKind::RtaFf`]).
     Unschedulable {
         /// The task every core's RTA refused.
         task: String,
         /// The core count it was offered.
         cores: usize,
-    },
-    /// A per-core subset failed task-set validation — unreachable for
-    /// subsets of a valid parent set, surfaced instead of panicking.
-    InvalidSubset {
-        /// The validator's message.
-        reason: String,
     },
 }
 
@@ -69,10 +62,7 @@ impl fmt::Display for PartitionError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PartitionError::NoCores => write!(f, "at least one core is required"),
-            PartitionError::TaskTooHeavy { task, utilization } => write!(
-                f,
-                "task `{task}` (utilization {utilization:.4}) exceeds one full core"
-            ),
+            PartitionError::InvalidSet(e) => write!(f, "invalid task set: {e}"),
             PartitionError::CapacityExceeded { task, cores } => {
                 write!(f, "no core of {cores} has capacity left for task `{task}`")
             }
@@ -80,9 +70,6 @@ impl fmt::Display for PartitionError {
                 f,
                 "no core of {cores} admits task `{task}` under response-time analysis"
             ),
-            PartitionError::InvalidSubset { reason } => {
-                write!(f, "per-core subset failed validation: {reason}")
-            }
         }
     }
 }
@@ -121,7 +108,7 @@ impl Partition {
     }
 }
 
-/// A deterministic task-to-core allocator.
+/// A deterministic task-to-core allocator ([`PartitionerKind`]).
 pub trait Partitioner {
     /// The allocator's stable report name.
     fn name(&self) -> &'static str;
@@ -130,7 +117,9 @@ pub trait Partitioner {
     ///
     /// # Errors
     ///
-    /// A structured [`PartitionError`] when any task cannot be placed.
+    /// [`PartitionError::NoCores`] or [`PartitionError::InvalidSet`]
+    /// before any placement, then a structured [`PartitionError`] when a
+    /// task cannot be placed.
     fn partition(&self, ts: &TaskSet, cores: usize) -> Result<Partition, PartitionError>;
 }
 
@@ -153,32 +142,26 @@ fn decreasing_utilization(ts: &TaskSet) -> Vec<usize> {
 }
 
 /// Builds the typed [`Partition`] from a complete assignment.
-fn build(ts: &TaskSet, cores: usize, assignment: Vec<usize>) -> Result<Partition, PartitionError> {
+fn build(ts: &TaskSet, cores: usize, assignment: Vec<usize>) -> Partition {
     let mut per_core: Vec<Vec<Task>> = vec![Vec::new(); cores];
     let mut utilizations = vec![0.0f64; cores];
     for (i, &k) in assignment.iter().enumerate() {
         per_core[k].push(ts.tasks()[i].clone());
         utilizations[k] += ts.tasks()[i].utilization();
     }
-    let mut sets = Vec::with_capacity(cores);
-    for (k, tasks) in per_core.into_iter().enumerate() {
-        if tasks.is_empty() {
-            sets.push(None);
-            continue;
-        }
-        let set =
-            TaskSet::try_rate_monotonic(format!("{}.c{k}", ts.name()), tasks).map_err(|e| {
-                PartitionError::InvalidSubset {
-                    reason: e.to_string(),
-                }
-            })?;
-        sets.push(Some(set));
-    }
-    Ok(Partition {
+    let sets = per_core
+        .into_iter()
+        .enumerate()
+        .map(|(k, tasks)| {
+            (!tasks.is_empty())
+                .then(|| TaskSet::rate_monotonic(format!("{}.c{k}", ts.name()), tasks))
+        })
+        .collect();
+    Partition {
         cores: sets,
         assignment,
         utilizations,
-    })
+    }
 }
 
 /// How a capacity allocator picks among the cores that can still hold a
@@ -190,22 +173,14 @@ enum Fit {
     Worst,
 }
 
-/// Shared body of the three capacity-by-utilization allocators.
+/// The capacity allocators, on a valid set (so `C <= T`: every task fits
+/// an empty core) and at least one core.
 fn capacity_partition(ts: &TaskSet, cores: usize, fit: Fit) -> Result<Partition, PartitionError> {
-    if cores == 0 {
-        return Err(PartitionError::NoCores);
-    }
     let tasks = ts.tasks();
     let mut load = vec![0.0f64; cores];
     let mut assignment = vec![0usize; tasks.len()];
     for &i in &decreasing_utilization(ts) {
         let u = tasks[i].utilization();
-        if u > 1.0 + CAPACITY_EPS {
-            return Err(PartitionError::TaskTooHeavy {
-                task: tasks[i].name().to_string(),
-                utilization: u,
-            });
-        }
         let fits = |k: usize| load[k] + u <= 1.0 + CAPACITY_EPS;
         let chosen = match fit {
             Fit::First => (0..cores).find(|&k| fits(k)),
@@ -229,110 +204,53 @@ fn capacity_partition(ts: &TaskSet, cores: usize, fit: Fit) -> Result<Partition,
         load[k] += u;
         assignment[i] = k;
     }
-    build(ts, cores, assignment)
+    Ok(build(ts, cores, assignment))
 }
 
-/// First-Fit Decreasing by utilization: each task goes to the
-/// lowest-indexed core with capacity left.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FirstFitDecreasing;
-
-impl Partitioner for FirstFitDecreasing {
-    fn name(&self) -> &'static str {
-        "ffd"
-    }
-    fn partition(&self, ts: &TaskSet, cores: usize) -> Result<Partition, PartitionError> {
-        capacity_partition(ts, cores, Fit::First)
-    }
-}
-
-/// Best-Fit Decreasing by utilization: each task goes to the *fullest*
-/// core that still fits (ties: lowest index).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BestFitDecreasing;
-
-impl Partitioner for BestFitDecreasing {
-    fn name(&self) -> &'static str {
-        "bfd"
-    }
-    fn partition(&self, ts: &TaskSet, cores: usize) -> Result<Partition, PartitionError> {
-        capacity_partition(ts, cores, Fit::Best)
-    }
-}
-
-/// Worst-Fit Decreasing by utilization: each task goes to the *emptiest*
-/// core (ties: lowest index) — the load-balancing choice, which leaves
-/// the most per-core slack for DVS.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WorstFitDecreasing;
-
-impl Partitioner for WorstFitDecreasing {
-    fn name(&self) -> &'static str {
-        "wfd"
-    }
-    fn partition(&self, ts: &TaskSet, cores: usize) -> Result<Partition, PartitionError> {
-        capacity_partition(ts, cores, Fit::Worst)
-    }
-}
-
-/// RTA-admission-gated first fit: a task is placed on the lowest-indexed
-/// core where the subset — RM priorities re-derived — passes exact
-/// response-time analysis under full-WCET demand. Every core this
-/// allocator emits is provably RM-schedulable at full speed, which is
-/// exactly the premise the per-core LPFPS slow-down (Theorem 1) needs.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RtaFirstFit;
-
-impl Partitioner for RtaFirstFit {
-    fn name(&self) -> &'static str {
-        "rta-ff"
-    }
-    fn partition(&self, ts: &TaskSet, cores: usize) -> Result<Partition, PartitionError> {
-        if cores == 0 {
-            return Err(PartitionError::NoCores);
-        }
-        let tasks = ts.tasks();
-        // Per-core lists of task indices, kept in declaration order.
-        let mut on_core: Vec<Vec<usize>> = vec![Vec::new(); cores];
-        let mut assignment = vec![0usize; tasks.len()];
-        for &i in &decreasing_utilization(ts) {
-            let mut placed = None;
-            for (k, members_on_k) in on_core.iter().enumerate() {
-                let mut subset = members_on_k.clone();
-                subset.push(i);
-                subset.sort_unstable();
-                let members: Vec<Task> = subset.iter().map(|&j| tasks[j].clone()).collect();
-                let Ok(candidate) = TaskSet::try_rate_monotonic("rta-candidate", members) else {
-                    continue;
-                };
-                if rta_schedulable(&candidate) {
-                    placed = Some((k, subset));
-                    break;
-                }
+/// [`PartitionerKind::RtaFf`], on a valid set and at least one core.
+fn rta_first_fit(ts: &TaskSet, cores: usize) -> Result<Partition, PartitionError> {
+    let tasks = ts.tasks();
+    // Per-core lists of task indices, kept in declaration order.
+    let mut on_core: Vec<Vec<usize>> = vec![Vec::new(); cores];
+    let mut assignment = vec![0usize; tasks.len()];
+    for &i in &decreasing_utilization(ts) {
+        let mut placed = None;
+        for (k, members_on_k) in on_core.iter().enumerate() {
+            let mut subset = members_on_k.clone();
+            subset.push(i);
+            subset.sort_unstable();
+            let members: Vec<Task> = subset.iter().map(|&j| tasks[j].clone()).collect();
+            if rta_schedulable(&TaskSet::rate_monotonic("rta-candidate", members)) {
+                placed = Some((k, subset));
+                break;
             }
-            let Some((k, subset)) = placed else {
-                return Err(PartitionError::Unschedulable {
-                    task: tasks[i].name().to_string(),
-                    cores,
-                });
-            };
-            on_core[k] = subset;
-            assignment[i] = k;
         }
-        build(ts, cores, assignment)
+        let Some((k, subset)) = placed else {
+            return Err(PartitionError::Unschedulable {
+                task: tasks[i].name().to_string(),
+                cores,
+            });
+        };
+        on_core[k] = subset;
+        assignment[i] = k;
     }
+    Ok(build(ts, cores, assignment))
 }
 
-/// The named allocators, for CLIs and grids.
+/// The task-to-core allocators (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PartitionerKind {
-    /// [`FirstFitDecreasing`].
+    /// First-Fit Decreasing: the lowest-indexed core with capacity left.
     Ffd,
-    /// [`BestFitDecreasing`].
+    /// Best-Fit Decreasing: the *fullest* core that still fits.
     Bfd,
-    /// [`WorstFitDecreasing`].
+    /// Worst-Fit Decreasing: the *emptiest* core, which leaves the most
+    /// per-core slack for DVS.
     Wfd,
-    /// [`RtaFirstFit`].
+    /// RTA-gated first fit: the lowest-indexed core whose subset still
+    /// passes exact response-time analysis, so every core is provably
+    /// RM-schedulable at full speed — the premise of the per-core LPFPS
+    /// slow-down (Theorem 1).
     RtaFf,
 }
 
@@ -354,19 +272,23 @@ impl PartitionerKind {
 impl Partitioner for PartitionerKind {
     fn name(&self) -> &'static str {
         match self {
-            PartitionerKind::Ffd => FirstFitDecreasing.name(),
-            PartitionerKind::Bfd => BestFitDecreasing.name(),
-            PartitionerKind::Wfd => WorstFitDecreasing.name(),
-            PartitionerKind::RtaFf => RtaFirstFit.name(),
+            PartitionerKind::Ffd => "ffd",
+            PartitionerKind::Bfd => "bfd",
+            PartitionerKind::Wfd => "wfd",
+            PartitionerKind::RtaFf => "rta-ff",
         }
     }
 
     fn partition(&self, ts: &TaskSet, cores: usize) -> Result<Partition, PartitionError> {
+        if cores == 0 {
+            return Err(PartitionError::NoCores);
+        }
+        validate_task_set(ts).map_err(PartitionError::InvalidSet)?;
         match self {
-            PartitionerKind::Ffd => FirstFitDecreasing.partition(ts, cores),
-            PartitionerKind::Bfd => BestFitDecreasing.partition(ts, cores),
-            PartitionerKind::Wfd => WorstFitDecreasing.partition(ts, cores),
-            PartitionerKind::RtaFf => RtaFirstFit.partition(ts, cores),
+            PartitionerKind::Ffd => capacity_partition(ts, cores, Fit::First),
+            PartitionerKind::Bfd => capacity_partition(ts, cores, Fit::Best),
+            PartitionerKind::Wfd => capacity_partition(ts, cores, Fit::Worst),
+            PartitionerKind::RtaFf => rta_first_fit(ts, cores),
         }
     }
 }
@@ -393,7 +315,7 @@ mod tests {
 
     #[test]
     fn ffd_packs_greedily_in_utilization_order() {
-        let p = FirstFitDecreasing.partition(&six_tasks(), 2).unwrap();
+        let p = PartitionerKind::Ffd.partition(&six_tasks(), 2).unwrap();
         // Order a,b,c,d,e,f (ties by name): a+b=0.8 on c0; c would
         // overflow c0 (1.05) -> c1; d -> c1 (0.5); e -> c0 (1.0, exact
         // fit); f no longer fits c0 -> c1 (0.7).
@@ -404,7 +326,7 @@ mod tests {
 
     #[test]
     fn wfd_balances_load() {
-        let p = WorstFitDecreasing.partition(&six_tasks(), 2).unwrap();
+        let p = PartitionerKind::Wfd.partition(&six_tasks(), 2).unwrap();
         // a -> c0, b -> c1, then alternating onto the emptier core.
         assert!((p.utilizations[0] - 0.85).abs() < 1e-9);
         assert!((p.utilizations[1] - 0.85).abs() < 1e-9);
@@ -412,7 +334,7 @@ mod tests {
 
     #[test]
     fn bfd_fills_the_fullest_fitting_core() {
-        let p = BestFitDecreasing.partition(&six_tasks(), 3).unwrap();
+        let p = PartitionerKind::Bfd.partition(&six_tasks(), 3).unwrap();
         // a->c0, b (fits c0? 0.8 yes, fullest) ->c0; c: c0 at 0.8+0.25
         // overflows, c1 empty vs c2 empty -> c1; d->c1 (0.5, fullest
         // fitting vs c2); e: c0 0.8+0.2=1.0 fits and c0 is fullest ->c0;
@@ -424,7 +346,7 @@ mod tests {
 
     #[test]
     fn per_core_sets_keep_declaration_order_and_rm_priorities() {
-        let p = FirstFitDecreasing.partition(&six_tasks(), 2).unwrap();
+        let p = PartitionerKind::Ffd.partition(&six_tasks(), 2).unwrap();
         let c0 = p.cores[0].as_ref().unwrap();
         assert_eq!(c0.name(), "six.c0");
         let names: Vec<&str> = c0.tasks().iter().map(|t| t.name()).collect();
@@ -438,7 +360,7 @@ mod tests {
 
     #[test]
     fn rta_first_fit_cores_all_pass_rta() {
-        let p = RtaFirstFit.partition(&six_tasks(), 2).unwrap();
+        let p = PartitionerKind::RtaFf.partition(&six_tasks(), 2).unwrap();
         for set in p.cores.iter().flatten() {
             assert!(rta_schedulable(set), "{} must pass RTA", set.name());
         }
@@ -448,13 +370,13 @@ mod tests {
     fn errors_are_structured() {
         let ts = six_tasks();
         assert!(matches!(
-            FirstFitDecreasing.partition(&ts, 0),
+            PartitionerKind::Ffd.partition(&ts, 0),
             Err(PartitionError::NoCores)
         ));
         // Total utilization 1.7 > 1 core.
-        let err = FirstFitDecreasing.partition(&ts, 1).unwrap_err();
+        let err = PartitionerKind::Ffd.partition(&ts, 1).unwrap_err();
         assert!(matches!(err, PartitionError::CapacityExceeded { .. }));
-        let err = RtaFirstFit.partition(&ts, 1).unwrap_err();
+        let err = PartitionerKind::RtaFf.partition(&ts, 1).unwrap_err();
         assert!(matches!(err, PartitionError::Unschedulable { .. }));
         // And they fold into the kernel taxonomy.
         let sim: SimError = err.into();
@@ -468,10 +390,9 @@ mod tests {
             "heavy",
             vec![Task::new("whale", Dur::from_us(10), Dur::from_us(10))],
         );
-        // u = 1.0 fits exactly; u > 1 is impossible to construct (C <= T),
-        // so TaskTooHeavy guards deserialized/hostile inputs — here just
-        // check the exact-fit boundary.
-        let p = FirstFitDecreasing.partition(&ts, 1).unwrap();
+        // u = 1.0 fits exactly; u > 1 breaks C <= T, which the set's
+        // validation rejects before any allocator runs.
+        let p = PartitionerKind::Ffd.partition(&ts, 1).unwrap();
         assert_eq!(p.assignment, vec![0]);
     }
 }

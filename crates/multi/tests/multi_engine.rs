@@ -7,8 +7,13 @@
 use lpfps::driver::PolicyKind;
 use lpfps_cpu::spec::CpuSpec;
 use lpfps_faults::core_seed;
-use lpfps_multi::{MultiCell, MultiEngine, MultiReport, Partitioner, PartitionerKind};
+use lpfps_multi::{
+    MultiCell, MultiEngine, MultiReport, PartitionError, Partitioner, PartitionerKind,
+};
 use lpfps_sweep::{Cell, ExecKind};
+use lpfps_tasks::error::TaskSetError;
+use lpfps_tasks::task::Task;
+use lpfps_tasks::taskset::TaskSet;
 use lpfps_tasks::time::Dur;
 use lpfps_workloads::{table1, WorkloadBuilder};
 use serde::Deserialize;
@@ -104,6 +109,35 @@ fn unpartitionable_cells_surface_a_sim_error() {
     let err = MultiEngine::serial().run(&mc, 1.0).unwrap_err();
     assert_eq!(err.kind(), "invalid-partition");
     assert!(err.to_string().starts_with("partitioning failed: "));
+}
+
+/// A fleet whose set carries a task `bad` smuggled past the constructors
+/// (`Task` implements `Deserialize`) is rejected before any allocator
+/// runs, under the rule the task breaks: by every partitioner, and by the
+/// fleet's derived cells.
+#[test]
+fn a_smuggled_task_is_rejected_by_name_before_partitioning() {
+    for (period, wcet, rule) in [
+        (0, 10_000, TaskSetError::ZeroPeriod { task: "bad".into() }),
+        (100_000, 0, TaskSetError::ZeroWcet { task: "bad".into() }),
+    ] {
+        let json = format!(
+            r#"{{"name":"bad","period":{period},"deadline":{period},"wcet":{wcet},"bcet":{wcet},"phase":0}}"#
+        );
+        let mut hostile = fleet(2);
+        let mut tasks = hostile.ts.tasks().to_vec();
+        tasks.push(Task::from_value(&serde_json::from_str(&json).unwrap()).unwrap());
+        hostile.ts = TaskSet::rate_monotonic("hostile", tasks);
+        for kind in PartitionerKind::ALL {
+            let outcome = kind.partition(&hostile.ts, 2).map(|p| p.assignment);
+            let expected = Err(PartitionError::InvalidSet(rule.clone()));
+            assert_eq!(outcome, expected, "{}", kind.name());
+            let mc = MultiCell::new(hostile.clone(), 2, kind);
+            let err = mc.derived_cells().map(|_| ()).unwrap_err();
+            let message = format!("partitioning failed: invalid task set: {rule}");
+            assert_eq!(err.to_string(), message);
+        }
+    }
 }
 
 #[test]

@@ -3,8 +3,8 @@
 //!
 //! * every task lands on exactly one core, and the per-core sets are an
 //!   exact partition of the parent (names, counts, utilization mass);
-//! * every core [`RtaFirstFit`] admits passes exact response-time
-//!   analysis;
+//! * every core [`PartitionerKind::RtaFf`] admits passes exact
+//!   response-time analysis;
 //! * the capacity allocators and the RTA gate are *permutation
 //!   deterministic*: shuffling the declaration order never changes the
 //!   task → core mapping (the placement order is intrinsic);
@@ -12,7 +12,7 @@
 //!   a panic — and zero cores is always [`PartitionError::NoCores`].
 
 use lpfps_multi::PartitionError;
-use lpfps_multi::{Partitioner, PartitionerKind, RtaFirstFit};
+use lpfps_multi::{Partitioner, PartitionerKind};
 use lpfps_tasks::analysis::rta_schedulable;
 use lpfps_tasks::gen::{generate, GenConfig};
 use lpfps_tasks::rng::SplitMix64;
@@ -97,7 +97,7 @@ proptest! {
         cores in 1usize..=4,
     ) {
         let ts = random_set(set_seed, n, util_pct);
-        let Ok(p) = RtaFirstFit.partition(&ts, cores) else { return Ok(()) };
+        let Ok(p) = PartitionerKind::RtaFf.partition(&ts, cores) else { return Ok(()) };
         for set in p.cores.iter().flatten() {
             prop_assert!(
                 rta_schedulable(set),

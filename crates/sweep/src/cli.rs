@@ -10,8 +10,9 @@
 //!   sweep flags `--json PATH`, `--metrics PATH`, `--threads N`,
 //!   `--horizon-scale F`, `--check N`, `--hist`, `--trace-out PATH` only
 //!   where it runs a sweep (`sweep`);
-//! * binary-specific flags declared up front (`opt` / `switch`), and
-//!   `--seeds N` only where the binary reads it (`default_seeds`);
+//! * binary-specific valued flags declared up front (`opt` /
+//!   `opt_default`), and `--seeds N` only where the binary reads it
+//!   (`default_seeds`);
 //! * *errors* on unknown flags, missing values, and unparsable numbers.
 //!
 //! A flag a binary would ignore is therefore an unknown flag there.
@@ -22,7 +23,7 @@ use lpfps_kernel::engine::SimWorkspace;
 use lpfps_kernel::trace::Trace;
 use lpfps_tasks::time::Time;
 use serde::Serialize;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// What went wrong while parsing.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,12 +69,6 @@ struct OptSpec {
     default: Option<&'static str>,
 }
 
-#[derive(Debug, Clone)]
-struct SwitchSpec {
-    flag: &'static str,
-    help: &'static str,
-}
-
 /// Builder for a sweep binary's command line.
 #[derive(Debug, Clone)]
 pub struct Cli {
@@ -83,7 +78,6 @@ pub struct Cli {
     sweep: bool,
     default_seeds: Option<u64>,
     opts: Vec<OptSpec>,
-    switches: Vec<SwitchSpec>,
 }
 
 impl Cli {
@@ -96,7 +90,6 @@ impl Cli {
             sweep: false,
             default_seeds: None,
             opts: Vec::new(),
-            switches: Vec::new(),
         }
     }
 
@@ -152,14 +145,8 @@ impl Cli {
         self
     }
 
-    /// Declares a binary-specific boolean flag (e.g. `--gantt`).
-    pub fn switch(mut self, flag: &'static str, help: &'static str) -> Self {
-        self.switches.push(SwitchSpec { flag, help });
-        self
-    }
-
     /// The usage text.
-    pub fn usage(&self) -> String {
+    fn usage(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
         let _ = writeln!(out, "{} — {}", self.name, self.about);
@@ -174,9 +161,6 @@ impl Cli {
                 None => o.help.to_string(),
             };
             row(&format!("{} <{}>", o.flag, o.value_name), &help);
-        }
-        for s in &self.switches {
-            row(s.flag, s.help);
         }
         if self.json {
             row(
@@ -230,7 +214,6 @@ impl Cli {
             quiet: false,
             help: false,
             values: BTreeMap::new(),
-            switches: BTreeSet::new(),
         };
         for o in &self.opts {
             if let Some(d) = o.default {
@@ -265,9 +248,6 @@ impl Cli {
                 }
                 "--check" if self.sweep => {
                     parsed.check = number(arg, value_for(arg)?, "non-negative integer", |_| true)?;
-                }
-                flag if self.switches.iter().any(|s| s.flag == flag) => {
-                    parsed.switches.insert(flag.to_string());
                 }
                 flag if self.opts.iter().any(|o| o.flag == flag) => {
                     let value = value_for(flag)?;
@@ -345,7 +325,6 @@ pub struct Parsed {
     /// `--help` was requested (only observable through `try_parse`).
     pub help: bool,
     values: BTreeMap<String, String>,
-    switches: BTreeSet<String>,
 }
 
 impl Parsed {
@@ -357,11 +336,6 @@ impl Parsed {
     /// The value of a declared binary-specific flag.
     pub fn value(&self, flag: &str) -> Option<&str> {
         self.values.get(flag).map(String::as_str)
-    }
-
-    /// Whether a declared binary-specific switch was passed.
-    pub fn has(&self, flag: &str) -> bool {
-        self.switches.contains(flag)
     }
 
     /// Runner options implied by the uniform flags.
@@ -483,7 +457,6 @@ mod tests {
             .sweep()
             .default_seeds(3)
             .opt("--app", "NAME", "application to run")
-            .switch("--gantt", "render a Gantt chart")
     }
 
     fn parse(args: &[&str]) -> Result<Parsed, CliError> {
@@ -601,10 +574,9 @@ mod tests {
 
     #[test]
     fn binary_specific_flags_parse() {
-        let p = parse(&["--app", "ins", "--gantt"]).unwrap();
+        let p = parse(&["--app", "ins"]).unwrap();
         assert_eq!(p.value("--app"), Some("ins"));
-        assert!(p.has("--gantt"));
-        assert!(!parse(&[]).unwrap().has("--gantt"));
+        assert_eq!(parse(&[]).unwrap().value("--app"), None);
     }
 
     #[test]
@@ -739,7 +711,6 @@ mod tests {
             "--horizon-scale",
             "--quiet",
             "--app",
-            "--gantt",
         ] {
             assert!(usage.contains(flag), "usage must mention {flag}");
         }

@@ -1,18 +1,17 @@
 //! Typed validation errors for the task model.
 //!
-//! Every structural rule that [`Task::new`](crate::task::Task::new) and
+//! Every structural rule that [`Task::new`](crate::task::Task::new), its
+//! `with_*` builders and
 //! [`TaskSet::with_priorities`](crate::taskset::TaskSet::with_priorities)
-//! enforce with an `assert!` has a corresponding variant here, produced by
-//! the *fallible* constructors ([`Task::validated`](crate::task::Task::validated),
-//! [`TaskSet::validated`](crate::taskset::TaskSet::validated)). The panicking
-//! constructors remain the ergonomic path for literal, known-good task sets
-//! (the paper's tables); the validated path is for untrusted input —
-//! deserialized task sets, generated sweeps, external configuration.
-//!
-//! Because [`TaskSet`] implements `Deserialize`,
-//! malformed sets can exist *without ever passing through a constructor*.
-//! Consumers that must not panic (the simulation kernel) therefore re-check
-//! the same rules at their boundary via [`validate_task_set`].
+//! enforce with an `assert!` has a variant here, and one fallible check
+//! produces them all: [`validate_task_set`]. Each rule is therefore
+//! written twice, with two jobs. The `assert!`s are the precondition of
+//! literal, known-good task sets (the paper's tables, generated sets).
+//! [`validate_task_set`] is the typed check of everything else: because
+//! [`TaskSet`] implements `Deserialize`, a malformed set can exist
+//! *without ever passing through a constructor*, so every consumer that
+//! must not panic (the simulation kernel, the oracle, `simulate
+//! --taskset`, the multicore partitioner) runs it at its boundary.
 
 use crate::task::Task;
 use crate::taskset::TaskSet;
@@ -70,11 +69,6 @@ pub enum TaskSetError {
         /// The offending task's name.
         task: String,
     },
-    /// A BCET fraction outside `(0, 1]` (including NaN).
-    BadBcetFraction {
-        /// The rejected fraction.
-        fraction: f64,
-    },
     /// A time parameter is so large that release arithmetic could overflow
     /// `u64` nanoseconds (see [`MAX_TIME_PARAM_NS`]).
     TimeParamTooLarge {
@@ -122,9 +116,6 @@ impl fmt::Display for TaskSetError {
                     f,
                     "task `{task}`: BCET must be positive and at most the WCET"
                 )
-            }
-            TaskSetError::BadBcetFraction { fraction } => {
-                write!(f, "BCET fraction must be in (0, 1], got {fraction}")
             }
             TaskSetError::TimeParamTooLarge { task, field } => {
                 write!(

@@ -9,7 +9,6 @@
 //! Priorities follow the real-time convention the paper adopts: a **lower
 //! numeric value means a higher priority**.
 
-use crate::error::TaskSetError;
 use crate::time::Dur;
 use core::fmt;
 use serde::{Deserialize, Serialize};
@@ -103,58 +102,6 @@ impl Task {
             bcet: wcet,
             phase: Dur::ZERO,
         }
-    }
-
-    /// Fallible counterpart of [`Task::new`] for untrusted input: returns a
-    /// typed error instead of panicking, and additionally bounds the period
-    /// against [`MAX_TIME_PARAM`](crate::error::MAX_TIME_PARAM) so release
-    /// arithmetic can never overflow.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`TaskSetError`] naming the violated rule.
-    pub fn validated(
-        name: impl Into<String>,
-        period: Dur,
-        wcet: Dur,
-    ) -> Result<Task, TaskSetError> {
-        let name = name.into();
-        if period.is_zero() {
-            return Err(TaskSetError::ZeroPeriod { task: name });
-        }
-        if wcet.is_zero() {
-            return Err(TaskSetError::ZeroWcet { task: name });
-        }
-        if wcet > period {
-            return Err(TaskSetError::WcetExceedsPeriod { task: name });
-        }
-        if period > crate::error::MAX_TIME_PARAM {
-            return Err(TaskSetError::TimeParamTooLarge {
-                task: name,
-                field: "period",
-            });
-        }
-        Ok(Task {
-            name,
-            period,
-            deadline: period,
-            wcet,
-            bcet: wcet,
-            phase: Dur::ZERO,
-        })
-    }
-
-    /// Fallible counterpart of [`Task::with_bcet_fraction`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TaskSetError::BadBcetFraction`] unless `fraction` is in
-    /// `(0, 1]`.
-    pub fn try_with_bcet_fraction(&self, fraction: f64) -> Result<Task, TaskSetError> {
-        if !(fraction > 0.0 && fraction <= 1.0) {
-            return Err(TaskSetError::BadBcetFraction { fraction });
-        }
-        Ok(self.with_bcet_fraction(fraction))
     }
 
     /// Sets a constrained relative deadline.
@@ -318,41 +265,6 @@ mod tests {
         assert!(!Priority::new(5).is_higher_than(Priority::new(5)));
         assert_eq!(Priority::HIGHEST.level(), 0);
         assert_eq!(Priority::new(3).to_string(), "P3");
-    }
-
-    #[test]
-    fn validated_mirrors_the_panicking_rules() {
-        assert_eq!(
-            Task::validated("z", Dur::ZERO, Dur::from_us(1)),
-            Err(TaskSetError::ZeroPeriod { task: "z".into() })
-        );
-        assert_eq!(
-            Task::validated("z", Dur::from_us(1), Dur::ZERO),
-            Err(TaskSetError::ZeroWcet { task: "z".into() })
-        );
-        assert_eq!(
-            Task::validated("z", Dur::from_us(1), Dur::from_us(2)),
-            Err(TaskSetError::WcetExceedsPeriod { task: "z".into() })
-        );
-        assert_eq!(
-            Task::validated("z", Dur::MAX, Dur::from_us(1)),
-            Err(TaskSetError::TimeParamTooLarge {
-                task: "z".into(),
-                field: "period"
-            })
-        );
-        let ok = Task::validated("tau1", Dur::from_us(50), Dur::from_us(10)).unwrap();
-        assert_eq!(ok, tau());
-    }
-
-    #[test]
-    fn try_builders_return_typed_errors() {
-        assert!(matches!(
-            tau().try_with_bcet_fraction(f64::NAN),
-            Err(TaskSetError::BadBcetFraction { .. })
-        ));
-        let t = tau().try_with_bcet_fraction(0.2).unwrap();
-        assert_eq!(t.bcet(), Dur::from_us(2));
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Task sets: a named collection of periodic tasks with a total priority
 //! order, the unit of analysis and simulation throughout the workspace.
 
-use crate::error::{validate_task_set, TaskSetError};
 use crate::priority;
 use crate::task::{Priority, Task, TaskId};
 use crate::time::Dur;
@@ -70,67 +69,6 @@ impl TaskSet {
             tasks,
             priorities,
         }
-    }
-
-    /// Fallible counterpart of [`TaskSet::with_priorities`] for untrusted
-    /// input: validates every task and the priority order, returning a
-    /// typed error instead of panicking.
-    ///
-    /// After `validated` succeeds, every `assert!` in the panicking
-    /// constructors is provably unreachable for this value — the documented
-    /// precondition the simulation kernel relies on.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`TaskSetError`] encountered (tasks are checked in
-    /// declaration order, then priorities).
-    pub fn validated(
-        name: impl Into<String>,
-        tasks: Vec<Task>,
-        priorities: Vec<Priority>,
-    ) -> Result<Self, TaskSetError> {
-        if tasks.is_empty() {
-            return Err(TaskSetError::Empty);
-        }
-        if tasks.len() != priorities.len() {
-            return Err(TaskSetError::PriorityCountMismatch {
-                tasks: tasks.len(),
-                priorities: priorities.len(),
-            });
-        }
-        let ts = TaskSet {
-            name: name.into(),
-            tasks,
-            priorities,
-        };
-        validate_task_set(&ts)?;
-        Ok(ts)
-    }
-
-    /// Fallible counterpart of [`TaskSet::rate_monotonic`].
-    ///
-    /// # Errors
-    ///
-    /// As [`TaskSet::validated`].
-    pub fn try_rate_monotonic(
-        name: impl Into<String>,
-        tasks: Vec<Task>,
-    ) -> Result<Self, TaskSetError> {
-        let prios = priority::rate_monotonic(&tasks);
-        TaskSet::validated(name, tasks, prios)
-    }
-
-    /// Fallible counterpart of [`TaskSet::with_bcet_fraction`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TaskSetError::BadBcetFraction`] unless `fraction` is in
-    /// `(0, 1]`.
-    pub fn try_with_bcet_fraction(&self, fraction: f64) -> Result<TaskSet, TaskSetError> {
-        if !(fraction > 0.0 && fraction <= 1.0) {
-            return Err(TaskSetError::BadBcetFraction { fraction });
-        }
-        Ok(self.with_bcet_fraction(fraction))
     }
 
     /// Creates a task set with rate-monotonic priorities (shorter period =
@@ -327,44 +265,6 @@ mod tests {
     #[should_panic(expected = "at least one task")]
     fn empty_set_rejected() {
         let _ = TaskSet::with_priorities("empty", vec![], vec![]);
-    }
-
-    #[test]
-    fn validated_accepts_good_sets_and_rejects_bad_ones() {
-        let ts = TaskSet::try_rate_monotonic(
-            "table1",
-            vec![
-                Task::new("tau1", Dur::from_us(50), Dur::from_us(10)),
-                Task::new("tau2", Dur::from_us(80), Dur::from_us(20)),
-            ],
-        )
-        .unwrap();
-        assert_eq!(ts.len(), 2);
-
-        assert_eq!(
-            TaskSet::validated("empty", vec![], vec![]),
-            Err(TaskSetError::Empty)
-        );
-        let tasks = vec![Task::new("a", Dur::from_us(10), Dur::from_us(1))];
-        assert_eq!(
-            TaskSet::validated("mismatch", tasks.clone(), vec![]),
-            Err(TaskSetError::PriorityCountMismatch {
-                tasks: 1,
-                priorities: 0
-            })
-        );
-        let two = vec![
-            Task::new("a", Dur::from_us(10), Dur::from_us(1)),
-            Task::new("b", Dur::from_us(20), Dur::from_us(1)),
-        ];
-        assert_eq!(
-            TaskSet::validated("dup", two, vec![Priority::new(4), Priority::new(4)]),
-            Err(TaskSetError::DuplicatePriority { level: 4 })
-        );
-        assert!(matches!(
-            table1().try_with_bcet_fraction(0.0),
-            Err(TaskSetError::BadBcetFraction { .. })
-        ));
     }
 
     #[test]
