@@ -28,7 +28,7 @@ use std::collections::BTreeMap;
 /// // 20% power for 1 ms = 0.0002 normalized joule-equivalents.
 /// assert!((meter.total_energy() - 2e-4).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EnergyMeter {
     total_energy: f64,
     /// One slot per [`StateKind`], indexed by declaration order — a plain
@@ -126,18 +126,16 @@ impl EnergyMeter {
 /// the golden fingerprints over it are unchanged by the array-backed
 /// representation.
 impl Serialize for EnergyMeter {
-    fn to_value(&self) -> serde::Value {
-        let mut per_state = serde::Map::new();
+    fn serialize(&self, s: &mut serde::Serializer) {
+        s.begin_object();
+        s.entry("total_energy", &self.total_energy);
+        s.key("per_state");
+        s.begin_object();
         for (kind, bucket) in self.buckets() {
-            match kind.to_value() {
-                serde::Value::String(key) => per_state.insert(key, bucket.to_value()),
-                other => unreachable!("unit variant serializes to a string, got {other:?}"),
-            }
+            s.entry(&kind, &bucket);
         }
-        let mut map = serde::Map::new();
-        map.insert("total_energy".to_string(), self.total_energy.to_value());
-        map.insert("per_state".to_string(), serde::Value::Object(per_state));
-        serde::Value::Object(map)
+        s.end_object();
+        s.end_object();
     }
 }
 

@@ -6,7 +6,7 @@ use lpfps_cpu::energy::EnergyMeter;
 use lpfps_cpu::state::StateKind;
 use lpfps_tasks::task::TaskId;
 use lpfps_tasks::time::{Dur, Time};
-use serde::{value, Deserialize, Error, Map, Serialize, Value};
+use serde::{value, Deserialize, Error, Serialize, Serializer, Value};
 
 /// Per-task response-time statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -152,23 +152,24 @@ pub struct SimReport {
 // object (traces are recorded by a probe, never stored in the report).
 // All other fields follow the derive's declaration-order layout.
 impl Serialize for SimReport {
-    fn to_value(&self) -> Value {
-        let mut map = Map::new();
-        map.insert(String::from("policy"), self.policy.to_value());
+    fn serialize(&self, s: &mut Serializer) {
+        s.begin_object();
+        s.entry("policy", &self.policy);
         if self.discipline != "fp" {
-            map.insert(String::from("discipline"), self.discipline.to_value());
+            s.entry("discipline", self.discipline);
         }
-        map.insert(String::from("taskset"), self.taskset.to_value());
-        map.insert(String::from("horizon"), self.horizon.to_value());
-        map.insert(String::from("energy"), self.energy.to_value());
-        map.insert(String::from("misses"), self.misses.to_value());
-        map.insert(String::from("responses"), self.responses.to_value());
-        map.insert(String::from("counters"), self.counters.to_value());
-        map.insert(String::from("idle_gaps"), self.idle_gaps.to_value());
-        map.insert(String::from("task_energy"), self.task_energy.to_value());
-        map.insert(String::from("histograms"), self.histograms.to_value());
-        map.insert(String::from("trace"), Value::Null);
-        Value::Object(map)
+        s.entry("taskset", &self.taskset);
+        s.entry("horizon", &self.horizon);
+        s.entry("energy", &self.energy);
+        s.entry("misses", &self.misses);
+        s.entry("responses", &self.responses);
+        s.entry("counters", &self.counters);
+        s.entry("idle_gaps", &self.idle_gaps);
+        s.entry("task_energy", &self.task_energy);
+        s.entry("histograms", &self.histograms);
+        s.key("trace");
+        s.null();
+        s.end_object();
     }
 }
 
@@ -251,14 +252,14 @@ mod tests {
             histograms: vec![],
         };
         // FP reports keep the pre-discipline byte layout: no tag at all.
-        let fp = report.to_value();
+        let fp = serde_json::to_value(&report).expect("fp report serializes");
         assert!(fp.get("discipline").is_none());
         assert_eq!(fp.get("trace"), Some(&Value::Null));
         let back = SimReport::from_value(&fp).expect("fp round-trip");
         assert_eq!(back.discipline, "fp");
 
         report.discipline = "edf";
-        let edf = report.to_value();
+        let edf = serde_json::to_value(&report).expect("edf report serializes");
         assert_eq!(edf["discipline"], "edf");
         let back = SimReport::from_value(&edf).expect("edf round-trip");
         assert_eq!(back.discipline, "edf");

@@ -24,7 +24,7 @@ use lpfps_tasks::exec::AlwaysWcet;
 use lpfps_tasks::task::{Priority, Task};
 use lpfps_tasks::taskset::TaskSet;
 use lpfps_tasks::time::Dur;
-use serde::{Deserialize, Map, Serialize, Value};
+use serde::{Deserialize, Map, Value};
 
 /// Builds a `Task` value tree with the given nanosecond fields and
 /// deserializes it unvalidated.
@@ -38,7 +38,10 @@ fn smuggle_task(name: &str, period: u64, deadline: u64, wcet: u64, bcet: u64) ->
         ("bcet", bcet),
         ("phase", 0),
     ] {
-        m.insert(key.to_string(), Dur::from_ns(ns).to_value());
+        m.insert(
+            key.to_string(),
+            serde_json::to_value(Dur::from_ns(ns)).unwrap(),
+        );
     }
     Task::from_value(&Value::Object(m)).expect("the field map matches `Task`'s shape")
 }
@@ -47,9 +50,12 @@ fn smuggle_task(name: &str, period: u64, deadline: u64, wcet: u64, bcet: u64) ->
 fn smuggle_task_set(tasks: &[Task]) -> TaskSet {
     let mut m = Map::new();
     m.insert("name".to_string(), Value::String("snapshot".to_string()));
-    m.insert("tasks".to_string(), tasks.to_vec().to_value());
+    m.insert("tasks".to_string(), serde_json::to_value(tasks).unwrap());
     let prios: Vec<Priority> = (0..tasks.len() as u32).map(Priority::new).collect();
-    m.insert("priorities".to_string(), prios.to_value());
+    m.insert(
+        "priorities".to_string(),
+        serde_json::to_value(&prios).unwrap(),
+    );
     TaskSet::from_value(&Value::Object(m)).expect("the field map matches `TaskSet`'s shape")
 }
 
@@ -175,7 +181,7 @@ fn zero_horizon_message() {
 fn missing_sleep_modes_message() {
     // Empty the sleep-mode family through the value tree; the builders
     // refuse to construct this.
-    let mut tree = CpuSpec::arm8().to_value();
+    let mut tree = serde_json::to_value(CpuSpec::arm8()).unwrap();
     match &mut tree {
         Value::Object(m) => m.insert("sleep_modes".to_string(), Value::Array(vec![])),
         _ => unreachable!("CpuSpec serializes as an object"),

@@ -29,7 +29,7 @@ use lpfps_tasks::task::{Priority, Task};
 use lpfps_tasks::taskset::TaskSet;
 use lpfps_tasks::time::Dur;
 use proptest::prelude::*;
-use serde::{Deserialize, Map, Number, Serialize, Value};
+use serde::{Deserialize, Map, Number, Value};
 
 /// Maps a raw draw onto the adversarial corners of the `u64` range: zero,
 /// one, ordinary magnitudes, and the neighborhoods of [`MAX_TIME_PARAM_NS`]
@@ -61,7 +61,10 @@ fn smuggle_task(name: &str, period: u64, deadline: u64, wcet: u64, bcet: u64, ph
         ("bcet", bcet),
         ("phase", phase),
     ] {
-        m.insert(key.to_string(), Dur::from_ns(ns).to_value());
+        m.insert(
+            key.to_string(),
+            serde_json::to_value(Dur::from_ns(ns)).unwrap(),
+        );
     }
     Task::from_value(&Value::Object(m)).expect("the field map matches `Task`'s shape")
 }
@@ -71,9 +74,12 @@ fn smuggle_task(name: &str, period: u64, deadline: u64, wcet: u64, bcet: u64, ph
 fn smuggle_task_set(tasks: &[Task], priorities: &[u32]) -> TaskSet {
     let mut m = Map::new();
     m.insert("name".to_string(), Value::String("hostile".to_string()));
-    m.insert("tasks".to_string(), tasks.to_vec().to_value());
+    m.insert("tasks".to_string(), serde_json::to_value(tasks).unwrap());
     let prios: Vec<Priority> = priorities.iter().map(|p| Priority::new(*p)).collect();
-    m.insert("priorities".to_string(), prios.to_value());
+    m.insert(
+        "priorities".to_string(),
+        serde_json::to_value(&prios).unwrap(),
+    );
     TaskSet::from_value(&Value::Object(m)).expect("the field map matches `TaskSet`'s shape")
 }
 
@@ -217,7 +223,7 @@ proptest! {
         int_raw in 0u64..=u64::MAX,
         sel in 0u8..16,
     ) {
-        let mut tree = CpuSpec::arm8_multimode().to_value();
+        let mut tree = serde_json::to_value(CpuSpec::arm8_multimode()).unwrap();
         let leaves = count_numbers(&tree);
         prop_assert!(leaves > 0, "spec serialized without numeric leaves");
         let replacement = match sel {

@@ -2,9 +2,10 @@
 //! [`Trace`]s.
 //!
 //! A fingerprint mismatch tells you *that* two reports differ; this module
-//! tells you *where*. Both sides are serialized to `serde_json` values
-//! and walked in lockstep, depth-first in field order, and the first leaf
-//! (or structural) difference is returned with its dotted path — e.g.
+//! tells you *where*. Both sides are serialized to JSON text; when the
+//! texts differ, both are parsed into `serde_json` values and walked in
+//! lockstep, depth-first in field order, and the first leaf (or
+//! structural) difference is returned with its dotted path — e.g.
 //! `trace.events[214][1].Dispatch.task` — and both values rendered.
 //!
 //! The walk deliberately runs over the serialized form, not the structs:
@@ -13,7 +14,7 @@
 
 use lpfps_kernel::report::SimReport;
 use lpfps_kernel::trace::Trace;
-use serde_json::{to_value, Error, Value};
+use serde_json::{from_str, to_string, Error, Value};
 use std::fmt;
 
 /// The first point where two reports disagree.
@@ -40,32 +41,41 @@ impl fmt::Display for Divergence {
 /// Compares two reports field for field and returns the first divergence
 /// in serialization order, or `None` if they are identical.
 ///
-/// Float fields are compared through their serialized values, i.e. with
-/// `f64` bit semantics as `serde_json` preserves them — the differential
+/// Float fields are compared through their serialized values, the
+/// shortest text that reads back as the same `f64` — the differential
 /// harness demands *bitwise* energy equality, not approximate equality.
+/// A NaN or infinity serializes as `null`.
 pub fn first_divergence(left: &SimReport, right: &SimReport) -> Option<Divergence> {
-    diverge("report", to_value(left), to_value(right))
+    diverge("report", to_string(left), to_string(right))
 }
 
 /// [`first_divergence`] for two event traces: the first differing event,
 /// located by its index in the trace (`trace.events[i]`).
 pub fn first_trace_divergence(left: &Trace, right: &Trace) -> Option<Divergence> {
-    diverge("trace", to_value(left), to_value(right))
+    diverge("trace", to_string(left), to_string(right))
 }
 
 fn diverge(
     root: &str,
-    left: Result<Value, Error>,
-    right: Result<Value, Error>,
+    left: Result<String, Error>,
+    right: Result<String, Error>,
 ) -> Option<Divergence> {
+    let unserializable = || Divergence {
+        path: root.to_string(),
+        left: "<unserializable>".to_string(),
+        right: "<unserializable>".to_string(),
+    };
     // Reports and traces serialize infallibly; if that ever stops
     // holding, the unserializable side is itself the divergence.
     let (Ok(l), Ok(r)) = (left, right) else {
-        return Some(Divergence {
-            path: root.to_string(),
-            left: "<unserializable>".to_string(),
-            right: "<unserializable>".to_string(),
-        });
+        return Some(unserializable());
+    };
+    // Equal texts parse to equal trees, so only a differing pair is parsed.
+    if l == r {
+        return None;
+    }
+    let (Ok(l), Ok(r)) = (from_str::<Value>(&l), from_str::<Value>(&r)) else {
+        return Some(unserializable());
     };
     walk(root, &l, &r)
 }
