@@ -16,6 +16,7 @@ use lpfps_faults::{FaultConfig, OverrunFault};
 use lpfps_kernel::engine::{SimConfig, SimWorkspace};
 use lpfps_kernel::NoProbe;
 use lpfps_tasks::analysis::{hyperperiod, rta_schedulable};
+use lpfps_tasks::error::MAX_TIME_PARAM;
 use lpfps_tasks::exec::AlwaysWcet;
 use lpfps_tasks::task::Task;
 use lpfps_tasks::taskset::TaskSet;
@@ -23,6 +24,7 @@ use lpfps_tasks::time::Dur;
 use lpfps_workloads::{avionics, cnc, ins, table1};
 use proptest::prelude::*;
 use serde::Serialize;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 const POLICIES: [PolicyKind; 5] = [
     PolicyKind::Fps,
@@ -196,5 +198,66 @@ fn table1_long_run_actually_skips_cycles() {
 fn catalog_long_runs_fast_forward_byte_identically() {
     for ts in [avionics(), cnc(), ins()] {
         assert_long_run_fast_forwards(&ts, 3, 1);
+    }
+}
+
+/// table1 and cnc, whose cycles meet exact half-ulp ties in the energy
+/// fold, at 1,000 and 1,001 hyperperiods (both parities of the skipped
+/// count) under every policy that fast-forwards: the fold crosses many
+/// binades, and each report matches its forced-full run byte for byte.
+#[test]
+fn thousand_cycle_runs_fold_energy_bit_for_bit() {
+    let cpu = CpuSpec::arm8();
+    let mut ws = SimWorkspace::new();
+    for ts in [table1(), cnc()] {
+        let h = hyperperiod(&ts).unwrap();
+        for cycles in [1_000, 1_001] {
+            let cfg = SimConfig::new(h * cycles);
+            for kind in POLICIES {
+                let fast =
+                    run_in(&ts, &cpu, kind, &AlwaysWcet, &cfg, &mut ws, &mut NoProbe).unwrap();
+                assert!(ws.fast_forward_stats().cycles_detected >= cycles - 2);
+                let full_cfg = cfg.clone().with_force_full_simulation();
+                let full = run_in(
+                    &ts,
+                    &cpu,
+                    kind,
+                    &AlwaysWcet,
+                    &full_cfg,
+                    &mut ws,
+                    &mut NoProbe,
+                )
+                .unwrap();
+                assert_eq!(
+                    report_json(&fast),
+                    report_json(&full),
+                    "{} {kind:?} at {cycles} hyperperiods",
+                    ts.name()
+                );
+            }
+        }
+    }
+}
+
+/// At the largest admissible horizon the detector skips up to 1.15e13
+/// hyperperiods (table1); the energy fold makes that a few dozen passes
+/// over the tape, so each catalog set under each policy returns a
+/// miss-free report, without a panic, in well under a second.
+#[test]
+fn max_horizon_runs_fast_forward_without_misses() {
+    let cpu = CpuSpec::arm8();
+    let cfg = SimConfig::new(MAX_TIME_PARAM);
+    let mut ws = SimWorkspace::new();
+    for ts in [table1(), cnc(), ins()] {
+        for kind in POLICIES {
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                run_in(&ts, &cpu, kind, &AlwaysWcet, &cfg, &mut ws, &mut NoProbe)
+            }));
+            let report = outcome
+                .unwrap_or_else(|_| panic!("{} {kind:?} panicked", ts.name()))
+                .unwrap();
+            assert!(ws.fast_forward_stats().cycles_detected > 1_000_000_000);
+            assert!(report.all_deadlines_met(), "{} {kind:?} missed", ts.name());
+        }
     }
 }

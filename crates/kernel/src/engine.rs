@@ -34,9 +34,10 @@ use crate::report::{Counters, DeadlineMiss, ResponseStats, SimReport};
 use crate::stats::{IntervalStats, ResponseHistogram};
 use crate::steady::{
     Checkpoint, CycleBaseline, FastForwardStats, JobSnapshot, ModeSnapshot, SteadyDetector,
-    SteadySnapshot, TapeSegment, TaskSnapshot,
+    SteadySnapshot, TaskSnapshot,
 };
 use crate::trace::TraceEvent;
+use lpfps_cpu::energy::{Charge, FoldScratch};
 use lpfps_cpu::error::validate_cpu_spec;
 use lpfps_cpu::ramp::Ramp;
 use lpfps_cpu::spec::CpuSpec;
@@ -277,6 +278,9 @@ struct Engine<'a, D: Discipline, P: Probe = NoProbe> {
     /// Standard-normal job draws already computed, lent by the workspace
     /// (see [`DrawTape`]).
     draws: DrawTape,
+    /// Per-accumulator state for the fast-forward's energy fold, lent by
+    /// the workspace.
+    fold: FoldScratch,
     /// Energy segments integrated so far. Engine-local on purpose: it
     /// backs the partial diagnostics, and must *not* live in [`Counters`]
     /// (which is serialized into every report and would perturb the
@@ -299,7 +303,8 @@ struct Engine<'a, D: Discipline, P: Probe = NoProbe> {
 ///
 /// Only buffers that never escape into the [`SimReport`] live here — the
 /// run/delay queues, per-task runtime slots, WCET cycle counts, the
-/// release scratch buffer — and two caches of pure functions: a table of
+/// release scratch buffer, the energy fold's per-accumulator state — and
+/// two caches of pure functions: a table of
 /// busy- and ramp-state powers and a [`DrawTape`] of standard-normal job
 /// draws.
 /// Report fields (responses, histograms, energy, misses, traces) are
@@ -351,6 +356,7 @@ pub struct SimWorkspace {
     due_scratch: Vec<(TaskId, Time)>,
     power_table: PowerTable,
     draws: DrawTape,
+    fold: FoldScratch,
     /// Steady-state detector statistics of the most recent run on this
     /// workspace (success *or* failure; overwritten every run, so stale
     /// values never leak across cells).
@@ -507,6 +513,7 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
         let mut power_table = std::mem::take(&mut ws.power_table);
         power_table.adopt(cpu.power());
         let draws = std::mem::take(&mut ws.draws);
+        let fold = std::mem::take(&mut ws.fold);
         tasks.reserve(ts.len());
         wcet_cycles.reserve(ts.len());
         for (id, task, prio) in ts.iter() {
@@ -549,6 +556,7 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
             due_scratch,
             power_table,
             draws,
+            fold,
             segments_done: 0,
             steady: SteadyDetector::for_run(cfg, exec, ts),
             ff_stats: FastForwardStats::default(),
@@ -745,18 +753,17 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
         let energy = self.meter.accumulate_with_power(state, power, dur);
         if let Some(d) = self.steady.as_mut() {
             // Record the cycle's energy tape (only once a first checkpoint
-            // anchors it): replaying these exact `(state, energy, dur)`
-            // triples repeats the full run's f64 additions verbatim.
+            // anchors it): these exact energies, added again in order, are
+            // what the full run adds in every later cycle.
             if d.last.is_some() {
-                d.tape.push(TapeSegment {
-                    state,
+                d.tape.push(Charge {
                     energy,
-                    dur,
-                    task: if state.executes_work() {
-                        self.active
-                    } else {
-                        None
+                    // `for_run` arms only for task indices that fit a u32.
+                    task: match self.active {
+                        Some(tid) if state.executes_work() => tid.0 as u32,
+                        _ => Charge::NO_TASK,
                     },
+                    kind: state.kind(),
                 });
             }
         }
@@ -1440,6 +1447,7 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
     /// values minus these are exactly one steady-state cycle's worth.
     fn capture_baseline(&self) -> CycleBaseline {
         CycleBaseline {
+            meter: self.meter.clone(),
             counters: self.counters,
             responses: self.responses.clone(),
             histograms: self.histograms.clone(),
@@ -1451,13 +1459,15 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
 
     /// Jumps the simulation forward by `k` whole hyperperiods `h`:
     ///
-    /// 1. replays the recorded energy tape `k` times through the public
-    ///    meter path, repeating the full run's exact f64 operation
-    ///    sequence (energy stays bit-identical — no closed form does);
-    /// 2. extrapolates every integer accumulator by `k` copies of its
-    ///    per-cycle delta, and appends time/index-shifted copies of the
-    ///    cycle's deadline misses in chronological order;
-    /// 3. shifts every absolute instant of the live state by `k * h` and
+    /// 1. extrapolates every integer accumulator by `k` copies of its
+    ///    per-cycle delta, checked: an overflow is a
+    ///    [`SimError::TimeOverflow`] before anything below grows;
+    /// 2. adds the recorded energy tape `k` more times through
+    ///    [`EnergyMeter::repeat_cycle`], with the exact bits of the full
+    ///    run's additions in `O(log k)` passes;
+    /// 3. appends time/index-shifted copies of the cycle's deadline
+    ///    misses in chronological order;
+    /// 4. shifts every absolute instant of the live state by `k * h` and
     ///    rebuilds the run queue (EDF keys embed absolute deadlines),
     ///    preserving the equal-key pop order.
     ///
@@ -1469,53 +1479,62 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
         k: u64,
         h: Dur,
         baseline: &CycleBaseline,
-        tape: &[TapeSegment],
+        tape: &[Charge],
     ) -> Result<(), SimError> {
         let shift = h * k;
-        // Energy: replay the cycle's segment tape k times.
-        for _ in 0..k {
-            for seg in tape {
-                self.meter.accumulate_energy(seg.state, seg.energy, seg.dur);
-                if let Some(tid) = seg.task {
-                    self.task_energy[tid.0] += seg.energy;
-                }
-            }
-        }
-        self.segments_done += tape.len() as u64 * k;
+        let overflow = |what| SimError::TimeOverflow { what };
         // Integer statistics: add k copies of the per-cycle delta.
         let events_per_cycle = self.counters.events - baseline.counters.events;
-        self.counters.extrapolate_from(&baseline.counters, k);
+        self.counters = self
+            .counters
+            .extrapolate_from(&baseline.counters, k)
+            .ok_or(overflow("an extrapolated event count"))?;
         for (r, b) in self.responses.iter_mut().zip(&baseline.responses) {
-            r.extrapolate_from(b, k);
+            *r = r
+                .extrapolate_from(b, k)
+                .ok_or(overflow("summed response time"))?;
         }
         for (hg, b) in self.histograms.iter_mut().zip(&baseline.histograms) {
-            hg.extrapolate_from(b, k);
+            *hg = hg
+                .extrapolate_from(b, k)
+                .ok_or(overflow("an extrapolated event count"))?;
         }
-        self.idle_gaps.extrapolate_from(&baseline.idle_gaps, k);
-        // Jobs released per cycle, per task: shifts indices below.
-        let jpc: Vec<u64> = self
-            .tasks
-            .iter()
-            .zip(&baseline.next_index)
-            .map(|(rt, &b)| rt.next_index - b)
-            .collect();
+        self.idle_gaps = self
+            .idle_gaps
+            .extrapolate_from(&baseline.idle_gaps, k)
+            .ok_or(overflow("summed idle time"))?;
+        self.meter
+            .extrapolate_residency(&baseline.meter, k)
+            .ok_or(overflow("state residency"))?;
+        // Energy: the cycle's charges, k more times.
+        self.meter
+            .repeat_cycle(&mut self.task_energy, tape, k, &mut self.fold);
+        self.segments_done = self
+            .segments_done
+            .saturating_add((tape.len() as u64).saturating_mul(k));
         // Deadline misses: each skipped cycle repeats the recorded cycle's
         // misses with job indices and instants shifted; appending cycle by
         // cycle preserves the report's chronological order.
-        let window: Vec<DeadlineMiss> = self.misses[baseline.misses_len..].to_vec();
-        for c in 1..=k {
-            let off = h * c;
-            for m in &window {
-                self.misses.push(DeadlineMiss {
-                    task: m.task,
-                    job: m.job + c * jpc[m.task.0],
-                    deadline: m.deadline + off,
-                    completed_at: m.completed_at.map(|t| t + off),
-                });
+        let recorded = baseline.misses_len..self.misses.len();
+        if !recorded.is_empty() {
+            for c in 1..=k {
+                let off = h * c;
+                for i in recorded.clone() {
+                    let m = self.misses[i];
+                    let t = m.task.0;
+                    let jobs_per_cycle = self.tasks[t].next_index - baseline.next_index[t];
+                    self.misses.push(DeadlineMiss {
+                        task: m.task,
+                        job: m.job + c * jobs_per_cycle,
+                        deadline: m.deadline + off,
+                        completed_at: m.completed_at.map(|t| t + off),
+                    });
+                }
             }
         }
         // Live state: shift every absolute instant by k hyperperiods.
-        for (rt, &per_cycle) in self.tasks.iter_mut().zip(&jpc) {
+        for (rt, &base) in self.tasks.iter_mut().zip(&baseline.next_index) {
+            let per_cycle = rt.next_index - base;
             rt.pending_arrival += shift;
             rt.next_index += k * per_cycle;
             if let Some(job) = rt.job.as_mut() {
@@ -1624,6 +1643,7 @@ impl<'a, D: Discipline, P: Probe> Engine<'a, D, P> {
         ws.due_scratch = std::mem::take(&mut self.due_scratch);
         ws.power_table = std::mem::take(&mut self.power_table);
         ws.draws = std::mem::take(&mut self.draws);
+        ws.fold = std::mem::take(&mut self.fold);
         ws.ff_stats = self.ff_stats;
     }
 

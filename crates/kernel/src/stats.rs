@@ -5,6 +5,7 @@
 //! timeout shutdown is exactly that short, intermittent gaps defeat it.
 //! The kernel records every interval during which no task was runnable.
 
+use crate::steady::{grow, grow_dur};
 use lpfps_tasks::time::Dur;
 use serde::{Deserialize, Serialize};
 
@@ -82,13 +83,17 @@ impl IntervalStats {
         }
     }
 
-    /// Adds `k` copies of the per-cycle delta (`self - baseline`) — the
-    /// steady-state fast-forward's extrapolation step. `min`/`max` are
-    /// already correct: later cycles repeat the same interval lengths, so
-    /// the extremes were absorbed during the recorded cycle.
-    pub(crate) fn extrapolate_from(&mut self, baseline: &IntervalStats, k: u64) {
-        self.count += (self.count - baseline.count) * k;
-        self.total += (self.total - baseline.total) * k;
+    /// The summary after `k` more copies of the per-cycle delta
+    /// (`self - baseline`) — the steady-state fast-forward's extrapolation
+    /// step; `None` on overflow. `min`/`max` are already correct: later
+    /// cycles repeat the same interval lengths, so the extremes were
+    /// absorbed during the recorded cycle.
+    pub(crate) fn extrapolate_from(&self, baseline: &IntervalStats, k: u64) -> Option<Self> {
+        Some(IntervalStats {
+            count: grow(self.count, baseline.count, k)?,
+            total: grow_dur(self.total, baseline.total, k)?,
+            ..*self
+        })
     }
 }
 
@@ -171,15 +176,18 @@ impl ResponseHistogram {
         self.buckets.iter().sum::<u64>() + self.misses
     }
 
-    /// Adds `k` copies of the per-cycle delta (`self - baseline`) to every
-    /// bucket and the miss count — the steady-state fast-forward's
-    /// extrapolation step (each skipped cycle records exactly the same
-    /// response-to-deadline fractions as the observed one).
-    pub(crate) fn extrapolate_from(&mut self, baseline: &ResponseHistogram, k: u64) {
-        for (b, base) in self.buckets.iter_mut().zip(&baseline.buckets) {
-            *b += (*b - base) * k;
+    /// The histogram after `k` more copies of the per-cycle delta
+    /// (`self - baseline`) in every bucket and the miss count — the
+    /// steady-state fast-forward's extrapolation step (each skipped cycle
+    /// records exactly the same response-to-deadline fractions as the
+    /// observed one); `None` on overflow.
+    pub(crate) fn extrapolate_from(&self, baseline: &ResponseHistogram, k: u64) -> Option<Self> {
+        let mut next = self.clone();
+        for (b, &base) in next.buckets.iter_mut().zip(&baseline.buckets) {
+            *b = grow(*b, base, k)?;
         }
-        self.misses += (self.misses - baseline.misses) * k;
+        next.misses = grow(self.misses, baseline.misses, k)?;
+        Some(next)
     }
 }
 

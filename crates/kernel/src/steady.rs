@@ -7,10 +7,11 @@
 //! snapshots its state at hyperperiod-spaced decision points; when two
 //! consecutive snapshots are equal, every remaining whole cycle is a
 //! byte-identical repeat, so the engine extrapolates the integer statistics
-//! in O(1), replays the recorded energy tape once per skipped cycle (f64
-//! addition is not associative, so energy must repeat the *exact* operation
-//! sequence of the full run to stay bit-identical), shifts the live state
-//! forward, and simulates only the residual tail. See DESIGN.md §12.
+//! in O(1), adds the recorded energy tape once more per skipped cycle with
+//! the full run's exact bits through
+//! [`EnergyMeter::repeat_cycle`](lpfps_cpu::EnergyMeter::repeat_cycle)
+//! (in O(log k) passes, not k), shifts the live state forward, and
+//! simulates only the residual tail. See DESIGN.md §12.
 //!
 //! Everything here is engine-internal except [`FastForwardStats`], the
 //! side-channel counters surfaced through
@@ -22,8 +23,8 @@ use crate::engine::SimConfig;
 use crate::report::Counters;
 use crate::report::ResponseStats;
 use crate::stats::{IntervalStats, ResponseHistogram};
+use lpfps_cpu::energy::{Charge, EnergyMeter};
 use lpfps_cpu::ramp::Ramp;
-use lpfps_cpu::state::CpuState;
 use lpfps_tasks::analysis::hyperperiod;
 use lpfps_tasks::cycles::Cycles;
 use lpfps_tasks::exec::ExecModel;
@@ -46,25 +47,6 @@ pub struct FastForwardStats {
     pub cycles_detected: u64,
     /// Decision-point events those skipped cycles would have simulated.
     pub events_skipped: u64,
-}
-
-/// One energy segment of the recorded cycle: the state and duration the
-/// engine's advance passed to
-/// [`EnergyMeter::accumulate_with_power`](lpfps_cpu::EnergyMeter::accumulate_with_power),
-/// the energy that call returned, and the task the energy was attributed
-/// to (if any). Replaying the tape through
-/// [`EnergyMeter::accumulate_energy`](lpfps_cpu::EnergyMeter::accumulate_energy)
-/// repeats the full run's f64 additions verbatim, with no multiply or
-/// divide.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct TapeSegment {
-    pub state: CpuState,
-    /// `power * dur.as_secs_f64()`, the product the meter charged.
-    pub energy: f64,
-    pub dur: Dur,
-    /// `Some` iff the segment executed work with an active task — the
-    /// condition under which the engine charges `task_energy`.
-    pub task: Option<TaskId>,
 }
 
 /// The processor mode with all absolute instants re-based to the snapshot
@@ -147,6 +129,8 @@ pub(crate) struct SteadySnapshot {
 /// contributes, and every skipped cycle contributes exactly the same.
 #[derive(Debug, Clone)]
 pub(crate) struct CycleBaseline {
+    /// The meter, for its residencies (energies fold from the tape).
+    pub meter: EnergyMeter,
     pub counters: Counters,
     pub responses: Vec<ResponseStats>,
     pub histograms: Vec<ResponseHistogram>,
@@ -174,9 +158,9 @@ pub(crate) struct SteadyDetector {
     /// The next instant at (or after) which to take a checkpoint.
     pub next_target: Time,
     pub last: Option<Checkpoint>,
-    /// Energy segments since the last checkpoint (tiles exactly one
+    /// Energy charges since the last checkpoint (they tile exactly one
     /// hyperperiod when two checkpoints sit one hyperperiod apart).
-    pub tape: Vec<TapeSegment>,
+    pub tape: Vec<Charge>,
 }
 
 impl SteadyDetector {
@@ -192,12 +176,14 @@ impl SteadyDetector {
     /// * a hyperperiod that overflows `u64` nanoseconds ([`hyperperiod`]
     ///   returns `None` for co-prime hostile sets) or exceeds the horizon;
     /// * a tick that does not divide the hyperperiod (the release
-    ///   quantization pattern would not repeat cycle to cycle).
+    ///   quantization pattern would not repeat cycle to cycle);
+    /// * a task index that does not fit a [`Charge`]'s `u32`.
     pub fn for_run(cfg: &SimConfig, exec: &dyn ExecModel, ts: &TaskSet) -> Option<Self> {
         if cfg.force_full_simulation
             || !cfg.faults.is_none()
             || cfg.max_events.is_some()
             || !exec.index_invariant()
+            || ts.len() > Charge::NO_TASK as usize
         {
             return None;
         }
@@ -219,32 +205,50 @@ impl SteadyDetector {
     }
 }
 
+/// `now` plus `k` copies of its growth since `base`: an accumulator
+/// after `k` more cycles that each add what the last one did. `None` on
+/// overflow.
+pub(crate) fn grow(now: u64, base: u64, k: u64) -> Option<u64> {
+    (now - base).checked_mul(k)?.checked_add(now)
+}
+
+/// [`grow`] for a span.
+pub(crate) fn grow_dur(now: Dur, base: Dur, k: u64) -> Option<Dur> {
+    (now - base).checked_mul(k)?.checked_add(now)
+}
+
 impl Counters {
-    /// Adds `k` copies of the per-cycle delta (`self - baseline`) to every
-    /// counter. All counters extrapolate linearly because every event of a
-    /// steady-state cycle repeats identically in each subsequent cycle.
-    pub(crate) fn extrapolate_from(&mut self, baseline: &Counters, k: u64) {
-        self.events += (self.events - baseline.events) * k;
-        self.sched_passes += (self.sched_passes - baseline.sched_passes) * k;
-        self.releases += (self.releases - baseline.releases) * k;
-        self.completions += (self.completions - baseline.completions) * k;
-        self.preemptions += (self.preemptions - baseline.preemptions) * k;
-        self.dispatches += (self.dispatches - baseline.dispatches) * k;
-        self.ramps += (self.ramps - baseline.ramps) * k;
-        self.power_downs += (self.power_downs - baseline.power_downs) * k;
-        self.overruns += (self.overruns - baseline.overruns) * k;
-        self.watchdog_faults += (self.watchdog_faults - baseline.watchdog_faults) * k;
-        self.degradations += (self.degradations - baseline.degradations) * k;
+    /// Every counter after `k` more cycles, each adding the per-cycle
+    /// delta `self - baseline` (every event of a steady-state cycle
+    /// repeats identically in each subsequent cycle); `None` on overflow.
+    pub(crate) fn extrapolate_from(&self, baseline: &Counters, k: u64) -> Option<Counters> {
+        Some(Counters {
+            events: grow(self.events, baseline.events, k)?,
+            sched_passes: grow(self.sched_passes, baseline.sched_passes, k)?,
+            releases: grow(self.releases, baseline.releases, k)?,
+            completions: grow(self.completions, baseline.completions, k)?,
+            preemptions: grow(self.preemptions, baseline.preemptions, k)?,
+            dispatches: grow(self.dispatches, baseline.dispatches, k)?,
+            ramps: grow(self.ramps, baseline.ramps, k)?,
+            power_downs: grow(self.power_downs, baseline.power_downs, k)?,
+            overruns: grow(self.overruns, baseline.overruns, k)?,
+            watchdog_faults: grow(self.watchdog_faults, baseline.watchdog_faults, k)?,
+            degradations: grow(self.degradations, baseline.degradations, k)?,
+        })
     }
 }
 
 impl ResponseStats {
-    /// Adds `k` copies of the per-cycle delta. `max_response` is already
-    /// correct: later cycles repeat the same response values, so the
-    /// maximum was absorbed during the recorded cycle.
-    pub(crate) fn extrapolate_from(&mut self, baseline: &ResponseStats, k: u64) {
-        self.completed += (self.completed - baseline.completed) * k;
-        self.total_response += (self.total_response - baseline.total_response) * k;
+    /// The stats after `k` more cycles, each adding the per-cycle delta;
+    /// `None` on overflow. `max_response` is already correct: later
+    /// cycles repeat the same response values, so the maximum was
+    /// absorbed during the recorded cycle.
+    pub(crate) fn extrapolate_from(&self, baseline: &ResponseStats, k: u64) -> Option<Self> {
+        Some(ResponseStats {
+            completed: grow(self.completed, baseline.completed, k)?,
+            max_response: self.max_response,
+            total_response: grow_dur(self.total_response, baseline.total_response, k)?,
+        })
     }
 }
 
@@ -267,7 +271,7 @@ mod tests {
             watchdog_faults: 0,
             degradations: 0,
         };
-        let mut cur = Counters {
+        let cur = Counters {
             events: 30,
             sched_passes: 15,
             releases: 9,
@@ -280,7 +284,7 @@ mod tests {
             watchdog_faults: 0,
             degradations: 0,
         };
-        cur.extrapolate_from(&base, 2);
+        let cur = cur.extrapolate_from(&base, 2).unwrap();
         assert_eq!(cur.events, 30 + 2 * 20);
         assert_eq!(cur.sched_passes, 15 + 2 * 10);
         assert_eq!(cur.releases, 9 + 2 * 6);
@@ -298,7 +302,7 @@ mod tests {
         let mut cur = base;
         cur.record(Dur::from_us(10)).unwrap();
         cur.record(Dur::from_us(20)).unwrap();
-        cur.extrapolate_from(&base, 3);
+        let cur = cur.extrapolate_from(&base, 3).unwrap();
         assert_eq!(cur.completed, 1 + 2 + 3 * 2);
         assert_eq!(cur.max_response, Dur::from_us(40));
         assert_eq!(
@@ -310,12 +314,28 @@ mod tests {
     #[test]
     fn zero_cycles_is_the_identity() {
         let base = Counters::default();
-        let mut cur = Counters {
+        let cur = Counters {
             events: 7,
             ..Counters::default()
         };
-        let before = cur;
-        cur.extrapolate_from(&base, 0);
-        assert_eq!(cur, before);
+        assert_eq!(cur.extrapolate_from(&base, 0), Some(cur));
+    }
+
+    #[test]
+    fn extrapolation_overflow_is_none() {
+        let base = ResponseStats::default();
+        let mut cur = base;
+        cur.record(Dur::from_ms(1)).unwrap();
+        assert_eq!(cur.extrapolate_from(&base, u64::MAX / 1_000), None);
+        let counters = Counters {
+            ramps: 2,
+            ..Counters::default()
+        };
+        assert_eq!(
+            counters.extrapolate_from(&Counters::default(), u64::MAX / 2),
+            None
+        );
+        assert_eq!(grow(5, 2, u64::MAX / 3 - 2), Some(u64::MAX - 1));
+        assert_eq!(grow(5, 2, u64::MAX / 3), None);
     }
 }

@@ -349,3 +349,36 @@ proptest! {
         );
     }
 }
+
+/// Two tasks, T = 10 µs and 1,000 µs with C = 1 µs, under FPS at the
+/// largest admissible horizon: the detector arms and skips ~4.6e12
+/// hyperperiods. With no tick nothing misses and the run returns a report
+/// at once, the per-cycle miss loop never iterating over an empty window.
+/// With a 1,000 µs tick every short job waits for the tick and misses, and
+/// the extrapolated summed response time leaves `u64` nanoseconds: that is
+/// the full run's `TimeOverflow`, returned before a miss list without
+/// bound is built.
+#[test]
+fn max_horizon_fast_forward_returns_overflow_not_a_panic() {
+    let tasks = vec![
+        Task::new("fast", Dur::from_us(10), Dur::from_us(1)),
+        Task::new("slow", Dur::from_us(1_000), Dur::from_us(1)),
+    ];
+    let ts = TaskSet::rate_monotonic("tick-bound", tasks);
+    let cfg = SimConfig::new(Dur::from_ns(MAX_TIME_PARAM_NS));
+    let outcome = run_guarded(&ts, &CpuSpec::arm8(), &cfg);
+    let report = outcome.expect("no panic").expect("no tick: a report");
+    assert!(report.all_deadlines_met());
+
+    let ticked = SimConfig {
+        tick: Some(Dur::from_us(1_000)),
+        ..cfg
+    };
+    let result = run_guarded(&ts, &CpuSpec::arm8(), &ticked).expect("no panic");
+    assert_eq!(
+        result.err(),
+        Some(SimError::TimeOverflow {
+            what: "summed response time"
+        })
+    );
+}
