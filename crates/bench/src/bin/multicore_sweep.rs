@@ -26,7 +26,11 @@
 //! Every fleet's per-core cells run through the shared sweep runner, so
 //! the uniform sweep flags (`--threads`, `--check`, `--hist`,
 //! `--trace-out`, `--metrics`) apply per core cell; each fleet's report
-//! is then merged in core order.
+//! is then merged in core order. Each distinct per-core cell runs once:
+//! a core cell equal to one of the same fleet (partitioners often place
+//! a fleet alike) shares its run, so the full grid simulates 168 of its
+//! 324 per-core cells, and `--metrics`, `--hist` and `--check` count each
+//! distinct per-core simulation once.
 //!
 //! Usage: `cargo run --release --bin multicore_sweep --
 //! [--cores M] [--partitioner NAME] [--json out.json]`
@@ -139,11 +143,16 @@ fn main() {
         None => PartitionerKind::ALL.to_vec(),
     };
 
-    // Every fleet's per-core cells go into one sweep, in grid order.
+    // Every fleet's distinct per-core cells go into one sweep, in grid
+    // order. Partitioners often place a fleet alike (BFD packs like FFD on
+    // replicated sets), so a derived cell equal to one already pushed for
+    // the same fleet shares its slot: 168 simulations where the grid
+    // derives 324 per-core cells.
     let mut spec = SweepSpec::new("multicore_sweep");
     let mut fleets = Vec::new();
     for base in workloads() {
         for &cores in &core_grid {
+            let fleet_start = spec.len();
             for &kind in &partitioners {
                 for policy in POLICIES {
                     let fleet = WorkloadBuilder::new(base.clone())
@@ -161,8 +170,13 @@ fn main() {
                         .into_iter()
                         .map(|cell| {
                             cell.map(|cell| {
-                                spec.push(cell);
-                                spec.len() - 1
+                                match spec.cells[fleet_start..].iter().position(|c| *c == cell) {
+                                    Some(i) => fleet_start + i,
+                                    None => {
+                                        spec.push(cell);
+                                        spec.len() - 1
+                                    }
+                                }
                             })
                         })
                         .collect();

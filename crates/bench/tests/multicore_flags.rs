@@ -47,6 +47,41 @@ fn bad_multicore_flag_values_exit_2() {
     }
 }
 
+/// `multicore_sweep` simulates each distinct per-core cell once. Its grid
+/// (Table 1 and INS x 1/2/4/8 cores x 4 partitioners x 3 policies)
+/// derives 324 per-core cells, 156 of which repeat a cell of the same
+/// fleet: BFD packs each replicated set like FFD (78 repeats), rta-ff
+/// matches FFD on 72 of its 78 cells, and WFD on its 6 one-core cells.
+/// So `--metrics` counts 168 cells, and the `--json` bytes do not depend
+/// on `--threads`.
+#[test]
+fn multicore_sweep_runs_each_distinct_core_cell_once() {
+    let bin = env!("CARGO_BIN_EXE_multicore_sweep");
+    let (one, two) = (tmp_path(bin, "t1.json"), tmp_path(bin, "t2.json"));
+    let metrics = tmp_path(bin, "metrics.json");
+    for (threads, json, extra) in [
+        ("1", &one, &["--metrics", metrics.to_str().unwrap()][..]),
+        ("2", &two, &[][..]),
+    ] {
+        let mut args = vec![
+            "--quiet",
+            "--threads",
+            threads,
+            "--json",
+            json.to_str().unwrap(),
+        ];
+        args.extend(extra);
+        assert_eq!(exit_code(bin, &args), Some(0), "multicore_sweep {args:?}");
+    }
+    let doc: serde_json::Value = serde_json::from_str(&take(&metrics)).expect("--metrics is JSON");
+    let cells = doc.get("cells").and_then(serde_json::Value::as_u64);
+    assert_eq!(cells, Some(168), "distinct per-core cells simulated");
+    assert!(
+        take(&one) == take(&two),
+        "--threads 1 and 2 wrote different --json bytes"
+    );
+}
+
 #[test]
 fn other_binaries_reject_the_multicore_flags() {
     let bin = env!("CARGO_BIN_EXE_fig8_power");

@@ -7,7 +7,8 @@
 //! like any other sweep, and [`MultiCell::assemble`] merges each fleet's
 //! reports **in core order**, so the [`MultiReport`] is byte-identical
 //! across thread counts. [`MultiEngine`] runs one fleet's cores one after
-//! another on the caller's thread, reusing one [`SimWorkspace`].
+//! another on the caller's thread, reusing one [`SimWorkspace`], and
+//! simulates each distinct per-core cell of the current fleet once.
 //!
 //! # Bit-identity by construction
 //!
@@ -18,12 +19,17 @@
 //! single-core kernel therefore reproduces the engine's per-core report
 //! bit for bit, and a one-core run reproduces the uniprocessor golden
 //! fingerprints (gated in `crates/bench/tests/multicore_golden.rs`).
+//! For the same reason a core whose derived cell equals one already run
+//! (`Cell: PartialEq`) at the same horizon scale can take that run's
+//! report: partitioners that place a fleet alike share their per-core
+//! runs, and every report stays byte-identical.
 
 use lpfps_faults::core_seed;
 use lpfps_kernel::engine::SimWorkspace;
 use lpfps_kernel::error::SimError;
 use lpfps_kernel::report::SimReport;
 use lpfps_sweep::Cell;
+use lpfps_tasks::taskset::TaskSet;
 
 use crate::partition::{Partition, Partitioner, PartitionerKind};
 use crate::report::{CoreBreakdown, MultiReport};
@@ -167,10 +173,25 @@ impl MultiCell {
 
 /// Runs [`MultiCell`]s serially, reusing one [`SimWorkspace`] across
 /// cores and runs (the same allocation-reuse contract as the sweep
-/// runner's workers).
+/// runner's workers), and simulating each distinct per-core cell of the
+/// current fleet once.
+///
+/// The current fleet is the fleet task set (`mc.base.ts`) of the last
+/// run. The engine keeps the report of every per-core cell it has run
+/// for that fleet; a derived cell equal to one of them, at the same
+/// `horizon_scale` bits, gets a clone of that report instead of a new
+/// simulation. Partitioners often place a fleet alike, so grids over
+/// partitioners repeat many per-core cells. A run with another fleet
+/// drops the stored reports, so memory stays at one fleet's worth.
+/// Errors are never stored.
 #[derive(Debug, Default)]
 pub struct MultiEngine {
     ws: SimWorkspace,
+    /// The fleet task set the stored reports belong to.
+    fleet: Option<TaskSet>,
+    /// Each distinct per-core cell run for `fleet`, with the bits of its
+    /// `horizon_scale` and its report.
+    runs: Vec<(Cell, u64, SimReport)>,
 }
 
 impl MultiEngine {
@@ -181,7 +202,8 @@ impl MultiEngine {
 
     /// Runs every core of `mc` to its shared horizon (scaled by
     /// `horizon_scale`) and aggregates the per-core reports with
-    /// [`MultiCell::assemble`].
+    /// [`MultiCell::assemble`]. A core whose derived cell this engine
+    /// already ran for the same fleet and scale reuses that report.
     ///
     /// # Errors
     ///
@@ -189,14 +211,33 @@ impl MultiEngine {
     /// lowest-indexed core's simulation error, if any.
     pub fn run(&mut self, mc: &MultiCell, horizon_scale: f64) -> Result<MultiReport, SimError> {
         let (partition, cells) = mc.derived_cells()?;
+        if self.fleet.as_ref() != Some(&mc.base.ts) {
+            self.fleet = Some(mc.base.ts.clone());
+            self.runs.clear();
+        }
         let reports = cells
-            .iter()
+            .into_iter()
             .map(|cell| {
-                cell.as_ref()
-                    .map(|cell| cell.run_in(horizon_scale, &mut self.ws))
+                cell.map(|cell| self.core_report(cell, horizon_scale))
                     .transpose()
             })
             .collect::<Result<Vec<_>, _>>()?;
         Ok(mc.assemble(&partition, reports, horizon_scale))
+    }
+
+    /// The report of one derived core cell: a stored one if this fleet
+    /// already ran an equal cell at the same scale, else a new run.
+    fn core_report(&mut self, cell: Cell, horizon_scale: f64) -> Result<SimReport, SimError> {
+        let scale = horizon_scale.to_bits();
+        if let Some((_, _, report)) = self
+            .runs
+            .iter()
+            .find(|(seen, bits, _)| *bits == scale && *seen == cell)
+        {
+            return Ok(report.clone());
+        }
+        let report = cell.run_in(horizon_scale, &mut self.ws)?;
+        self.runs.push((cell, scale, report.clone()));
+        Ok(report)
     }
 }

@@ -32,7 +32,9 @@
 //!   ([`MultiCell::assemble`]). A grid of fleets runs its per-core cells
 //!   through `lpfps_sweep::run_sweep`, the same parallel runner as every
 //!   other experiment, so output is byte-deterministic across thread
-//!   counts; [`MultiEngine`] runs one fleet serially.
+//!   counts; [`MultiEngine`] runs one fleet serially. Both simulate each
+//!   distinct per-core cell once: when partitioners place a fleet alike,
+//!   a repeated core cell takes the report of its first run.
 //! * [`report`] — [`MultiReport`]: the per-core `SimReport`s plus
 //!   fleet-level energy / average-power / miss aggregation and a per-core
 //!   utilization/energy breakdown, serialized in field order.

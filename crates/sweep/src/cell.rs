@@ -63,7 +63,11 @@ impl From<PolicyKind> for PolicyChoice {
 
 /// A fully-specified simulation cell. Build with [`Cell::new`] and the
 /// `with_*` modifiers; run through [`crate::run_sweep`].
-#[derive(Debug, Clone)]
+///
+/// Two cells that compare equal are the same run: `run*` is a pure
+/// function of the cell and the horizon scale, so equal cells at the
+/// same scale produce the same report.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cell {
     /// Label used in results ("avionics", "u0.50/s3", ...). Defaults to the
     /// task-set name.
